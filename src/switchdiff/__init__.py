@@ -86,9 +86,6 @@ from .simulator import (
     run_ensemble,
     simulate,
     simulate_coupled,
-    step,
-    switch_step,
-    thread_count,
     wilson_interval,
     write_trajectory_csv,
 )

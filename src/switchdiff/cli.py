@@ -20,7 +20,6 @@ import math
 import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -43,9 +42,8 @@ from .simulator import (
     Occupation,
     StayInBall,
     run_ensemble,
-    simulate,
+    simulate,  # noqa: F401  bound here for bench/tracer.py, which wraps cli.simulate
     simulate_coupled,
-    thread_count,
     write_trajectory_csv,
 )
 from .stability import (
@@ -92,7 +90,6 @@ def _provenance(seed: int) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "threads": thread_count(),
     }
 
 
@@ -135,7 +132,7 @@ def _check_truncation_flag(args) -> None:
         )
 
 
-def _ergodicity_times(chain) -> np.ndarray:
+def _ergodicity_times(chain, nu) -> np.ndarray:
     """Time grid for the exponential-decay fit, anchored at the chain's
     measured half-decay time.
 
@@ -147,12 +144,11 @@ def _ergodicity_times(chain) -> np.ndarray:
     base = np.geomspace(0.25, 10.0, 12)
     if chain.N == 1:
         return base
-    nu = invariant_measure(chain).nu
     max_rate = float(np.max(-np.diag(chain.Q)))
     t = 1.0 / max_rate if max_rate > 0 else 1.0
 
     def dist(when: float) -> float:
-        return float(np.max(np.abs(transition_matrix(chain, when) - nu).sum(axis=1)))
+        return float(np.max(np.abs(transition_matrix(chain, when) - nu.nu).sum(axis=1)))
 
     for _ in range(48):
         if dist(t) < 1.0:
@@ -203,7 +199,7 @@ def _analyze_core(bundle: ScenarioBundle, truncation_override, report: dict, evi
         "sum": nu.sum(),
     }
 
-    diag = ergodicity_diagnostic(chain, _ergodicity_times(chain))
+    diag = ergodicity_diagnostic(chain, _ergodicity_times(chain, nu), nu)
     report["ergodicity"] = diag.to_dict()
 
     K = k_scan(N)
@@ -322,13 +318,18 @@ def cmd_simulate(args) -> int:
         },
         "n_paths": n_paths,
     }
+
+    def write_path0(traj) -> None:
+        # paths run in index order, so the first one to finish is path 0
+        if "trajectory_csv" not in doc:
+            os.makedirs(out_dir, exist_ok=True)
+            write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
+            doc["trajectory_csv"] = "trajectory.csv"
+
     try:
-        traj0 = simulate(model, config=config, x0=bundle.x0, i0=bundle.i0)
-        os.makedirs(out_dir, exist_ok=True)
-        write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj0)
-        doc["trajectory_csv"] = "trajectory.csv"
         summary, _ = run_ensemble(
-            model, lyap, config, n_paths, functionals, bundle.x0, bundle.i0
+            model, lyap, config, n_paths, functionals, bundle.x0, bundle.i0,
+            collect=write_path0,
         )
         doc["results"] = [
             {
@@ -457,21 +458,12 @@ def cmd_coupled_test(args) -> int:
 
         flags = np.zeros(n_paths, dtype=bool)
         varthetas = np.full(n_paths, np.nan)
-
-        def work(p: int) -> None:
+        for p in range(n_paths):
             cfg = replace(config, path_index=config.path_index + p)
             tr = simulate_coupled(model, config=cfg, x0=bundle.x0, i0=bundle.i0)
             flags[p] = tr.decoupled
             if tr.vartheta is not None:
                 varthetas[p] = tr.vartheta
-
-        threads = thread_count()
-        if threads == 1:
-            for p in range(n_paths):
-                work(p)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, range(n_paths)))
 
         p_hat = float(np.mean(flags))
         sigma = math.sqrt(p_hat * (1.0 - p_hat) / n_paths)

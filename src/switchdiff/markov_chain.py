@@ -250,7 +250,13 @@ class ErgodicityDiagnostic:
         }
 
 
-def ergodicity_diagnostic(chain: TruncatedChain, times: Sequence[float]) -> ErgodicityDiagnostic:
+def ergodicity_diagnostic(
+    chain: TruncatedChain,
+    times: Sequence[float],
+    nu: Optional[InvariantMeasure] = None,
+) -> ErgodicityDiagnostic:
+    """Fit the decay of d(t) over the tail of the time grid.  nu is the
+    chain's invariant measure; it is computed when not given."""
     times = np.asarray(times, dtype=float)
     if times.size < 4:
         raise ConfigurationError(
@@ -258,9 +264,9 @@ def ergodicity_diagnostic(chain: TruncatedChain, times: Sequence[float]) -> Ergo
         )
     if np.any(np.diff(times) <= 0) or times[0] <= 0:
         raise ConfigurationError("times must be positive and increasing")
-    nu = invariant_measure(chain).nu
+    pi = (nu if nu is not None else invariant_measure(chain)).nu
     d = np.array(
-        [float(np.max(np.abs(transition_matrix(chain, t) - nu).sum(axis=1))) for t in times]
+        [float(np.max(np.abs(transition_matrix(chain, t) - pi).sum(axis=1))) for t in times]
     )
     tail = slice(times.size // 2, None)
     tt, dd = times[tail], d[tail]

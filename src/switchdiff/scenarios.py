@@ -10,9 +10,11 @@ carries a sha256 of the canonical document for provenance.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -40,6 +42,24 @@ _EXPR_MATH = {
     "sqrt": math.sqrt,
     "sin": math.sin,
     "cos": math.cos,
+}
+_EXPR_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_EXPR_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod,
+    ast.Pow: operator.pow,
+}
+_EXPR_COMPARE = {
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
 }
 
 
@@ -175,13 +195,15 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
         if not b or not sigma:
             raise ConfigurationError("model.params: b and sigma must be nonempty")
         two_gamma = 2.0 * gamma
+        nb, ns = len(b), len(sigma)
 
+        # inline _pick: these run once per Euler step
         def scalar_drift(x: float, i: int) -> float:
-            return _pick(b, i) * x * abs(x) ** two_gamma
+            return (b[i - 1] if i < nb else b[-1]) * x * abs(x) ** two_gamma
 
         def scalar_diffusion(x: float, i: int) -> float:
             s = math.sin(x)
-            return _pick(sigma, i) * s * s
+            return (sigma[i - 1] if i < ns else sigma[-1]) * s * s
 
         def drift(x, i):
             return np.array([scalar_drift(float(x[0]), i)])
@@ -244,11 +266,15 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
         scalar_drift = None
         scalar_diffusion = None
         if n == 1 and noise_dim == 1:
+            # per-regime coefficients as floats, saturating like A and S
+            a1 = [float(m[0, 0]) for m in mats]
+            s1 = [0.0] if sig_mats is None else [float(r[0][0, 0]) for r in sig_mats]
+
             def scalar_drift(x: float, i: int) -> float:
-                return float(A(i)[0, 0]) * x
+                return (a1[i - 1] if i < len(a1) else a1[-1]) * x
 
             def scalar_diffusion(x: float, i: int) -> float:
-                return float(S(i)[0][0, 0]) * x
+                return (s1[i - 1] if i < len(s1) else s1[-1]) * x
 
         return ModelSpec(
             dim=n,
@@ -271,8 +297,9 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
 # Lyapunov families, rate profiles, c sequences
 
 
-def _regime_env(model_cfg: dict) -> Callable[[int], dict]:
-    """Per-regime names available to c expressions (b, sigma, Lam1, lam1)."""
+def _regime_env(model_cfg: dict) -> tuple[tuple[str, ...], Callable[[int], dict]]:
+    """Per-regime names available to c expressions (b, sigma, Lam1, lam1):
+    returns the names and env(i) -> {name: value}."""
     family = model_cfg.get("family")
     params = model_cfg.get("params", {})
     if family == "example51":
@@ -282,7 +309,7 @@ def _regime_env(model_cfg: dict) -> Callable[[int], dict]:
         def env(i: int) -> dict:
             return {"b": _pick(b, i), "sigma": _pick(sigma, i)}
 
-        return env
+        return ("b", "sigma"), env
     if family in ("example52", "linear"):
         mats = [np.asarray(m, dtype=float) for m in params.get("matrices", [])]
         lam_pairs = []
@@ -294,12 +321,60 @@ def _regime_env(model_cfg: dict) -> Callable[[int], dict]:
             lo, hi = lam_pairs[min(i, len(lam_pairs)) - 1]
             return {"lam1": lo, "Lam1": hi}
 
-        return env
+        return ("lam1", "Lam1"), env
 
     def env(i: int) -> dict:
         return {}
 
-    return env
+    return (), env
+
+
+def _compile_expr(node):
+    """Compile a c-expression syntax tree into names -> value.
+
+    The grammar is numbers, names, unary and binary arithmetic, comparisons
+    and calls to the _EXPR_MATH functions; anything else (attributes,
+    subscripts, lambdas, strings, ...) is a ConfigurationError here.
+    """
+    kind = type(node)
+    if kind is ast.Constant and type(node.value) in (int, float):
+        value = node.value
+        return lambda names: value
+    if kind is ast.Name:
+        key = node.id
+
+        def lookup(names):
+            if key not in names:
+                raise ConfigurationError(f"lyapunov.c expr uses unknown name: {key!r}")
+            return names[key]
+
+        return lookup
+    if kind is ast.UnaryOp and type(node.op) in _EXPR_UNARY:
+        op, operand = _EXPR_UNARY[type(node.op)], _compile_expr(node.operand)
+        return lambda names: op(operand(names))
+    if kind is ast.BinOp and type(node.op) in _EXPR_BINARY:
+        op = _EXPR_BINARY[type(node.op)]
+        left, right = _compile_expr(node.left), _compile_expr(node.right)
+        return lambda names: op(left(names), right(names))
+    if kind is ast.Compare and all(type(o) in _EXPR_COMPARE for o in node.ops):
+        ops = [_EXPR_COMPARE[type(o)] for o in node.ops]
+        terms = [_compile_expr(t) for t in [node.left] + node.comparators]
+
+        def compare(names):
+            values = [t(names) for t in terms]
+            return all(op(a, b) for op, a, b in zip(ops, values, values[1:]))
+
+        return compare
+    if (
+        kind is ast.Call
+        and type(node.func) is ast.Name
+        and node.func.id in _EXPR_MATH
+        and not node.keywords
+    ):
+        fn = _EXPR_MATH[node.func.id]
+        args = [_compile_expr(a) for a in node.args]
+        return lambda names: fn(*[a(names) for a in args])
+    raise ConfigurationError(f"lyapunov.c expr: unsupported syntax {kind.__name__}")
 
 
 def build_c(c_cfg: dict, model_cfg: dict):
@@ -324,21 +399,31 @@ def build_c(c_cfg: dict, model_cfg: dict):
         text = _require(c_cfg, "expr", "lyapunov.c")
         bound = float(_require(c_cfg, "bound", "lyapunov.c"))
         params = {k: float(v) for k, v in c_cfg.get("params", {}).items()}
-        code = compile(str(text), "<c-expr>", "eval")
-        env_of = _regime_env(model_cfg)
+        env_names, env_of = _regime_env(model_cfg)
+        try:
+            tree = ast.parse(str(text), mode="eval")
+        except SyntaxError as exc:
+            raise ConfigurationError(f"lyapunov.c expr does not parse: {exc}") from None
+        known = {"i", *params, *env_names, *_EXPR_MATH}
+        unknown = sorted({n.id for n in ast.walk(tree) if type(n) is ast.Name} - known)
+        if unknown:
+            # an unknown name is an error of evaluating c(i), not of parsing
+            def c(i: int) -> float:
+                raise ConfigurationError(
+                    f"lyapunov.c expr uses unknown name: {unknown[0]!r}"
+                )
+
+            return c, bound
+        evaluate = _compile_expr(tree.body)
         cache: dict = {}
 
         def c(i: int) -> float:
             if i in cache:
                 return cache[i]
-            names = dict(_EXPR_MATH)
-            names.update(params)
+            names = dict(params)
             names.update(env_of(i))
             names["i"] = i
-            try:
-                val = float(eval(code, {"__builtins__": {}}, names))
-            except NameError as exc:
-                raise ConfigurationError(f"lyapunov.c expr uses unknown name: {exc}")
+            val = float(evaluate(names))
             cache[i] = val
             return val
 

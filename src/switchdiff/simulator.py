@@ -1,21 +1,25 @@
 """Path simulation: Euler-Maruyama interleaved with thinned regime switching.
 
+One integrator runs every path.  It advances X with the regime that drives
+it and switches a chain on the time grid: the regime alpha for simulate, and
+the pair (alpha, alpha_hat) of the basic coupling for simulate_coupled.
+
 Each path owns three named substreams derived from (seed, path_index):
-diffusion noise and per-step acceptance uniforms are bulk pre-drawn, while
-jump-target selection, guard sub-division, and exponential proposal clocks
-draw lazily from the event stream.  Trajectories are therefore bit-identical
-for a fixed (seed, path_index, config) regardless of thread count or
-scheduling, and ensemble aggregation writes into per-path slots so the
-reduction order cannot matter either.
+diffusion noise and per-step acceptance uniforms are drawn in chunks of
+STREAM_CHUNK steps as the path advances, while jump-target selection, guard
+sub-division, and exponential proposal clocks draw lazily from the event
+stream.  Chunked draws equal one bulk draw, so the chunk size does not enter
+the path.  A path is therefore bit-identical for a fixed (seed, path_index,
+config), whatever the size of its ensemble and whatever ran before it in the
+process.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,9 +32,8 @@ SCHEMES = ("per_step_thinning", "exponential_proposals")
 THINNING_GUARD = 0.1  # largest admissible q_i(x) * dt without sub-division
 SUBDIVISION_TARGET = 0.05  # sub-step jump probability aimed for when splitting
 BLOWUP_RADIUS = 1e12
+STREAM_CHUNK = 4096  # steps of noise and accept uniforms drawn at a time
 WILSON_Z = 1.959963984540054  # 95%
-
-THREADS_ENV = "SWITCHDIFF_THREADS"
 
 
 @dataclass
@@ -104,26 +107,10 @@ def path_streams(seed: int, path_index: int):
     return tuple(np.random.default_rng(c) for c in children)
 
 
-def step(spec: ModelSpec, state, dt: float, noise) -> tuple:
-    """Diffusion sub-step of the splitting: Euler-Maruyama with frozen regime.
-
-    noise must already carry the sqrt(dt) scale (i.e. be N(0, dt I)).
-    Returns (x', i) with the regime untouched; callers detect blow-up by
-    checking finiteness of x'.
-    """
-    x, i = state
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    noise = np.atleast_1d(np.asarray(noise, dtype=float))
-    if noise.shape != (spec.noise_dim,):
-        raise ConfigurationError(
-            f"noise has shape {noise.shape}, want ({spec.noise_dim},)"
-        )
-    x_new = x + spec.drift_at(x, i) * dt + spec.diffusion_at(x, i) @ noise
-    return x_new, i
 
 
-def _select_target(row, mass: float) -> int:
-    """Locate mass in the consecutive rate intervals of the row (ascending j)."""
+def _select_target(row, mass: float):
+    """Locate mass in the consecutive rate intervals of the row (in row order)."""
     acc = 0.0
     for j, r in row:
         acc += r
@@ -132,38 +119,74 @@ def _select_target(row, mass: float) -> int:
     return row[-1][0]
 
 
-def switch_step(
-    kernel: RateKernel, x, i: int, dt: float, u_accept: float, u_select: float
-) -> int:
-    """One thinned switching decision; guard q_i(x) dt <= 0.1 or GuardError."""
-    row = kernel.row(x, i)
-    qi = 0.0
-    for _, r in row:
-        qi += r
-    p = qi * dt
-    if p > THINNING_GUARD:
-        raise GuardError(
-            f"q_i(x) dt = {p:.3f} exceeds {THINNING_GUARD}; sub-divide the step"
-        )
-    if u_accept < p:
-        return _select_target(row, u_select * qi)
-    return i
+def _regime_rows(kernel: RateKernel):
+    """Switching rows of alpha alone: (x, i) -> (row, q_i(x))."""
+
+    def rows(x, i):
+        row = kernel.row(x, i)
+        total = 0.0
+        for _, r in row:
+            total += r
+        return row, total
+
+    return rows
 
 
-def _row_and_total(kernel: RateKernel, x, i: int):
-    row = kernel.row(x, i)
-    qi = 0.0
-    for _, r in row:
-        qi += r
-    return row, qi
+def _pair_rows(kernel: RateKernel, dim: int):
+    """Switching rows of the basic coupling on pairs (alpha, alpha_hat).
+
+    alpha moves at the rates q(x), alpha_hat at the frozen rates q(0).  For
+    each target j in ascending order the pair jumps jointly to (j, j) at
+    min(q_aj(x), q_bj(0)), and each coordinate alone at its positive part;
+    the total is the sum of max(q_aj(x), q_bj(0)) over j.
+    """
+    zero = np.zeros(dim)
+    frozen: dict = {}
+
+    def rows(x, pair):
+        a, b = pair
+        rates_a = dict(kernel.row(x, a))
+        rates_b = frozen.get(b)
+        if rates_b is None:
+            rates_b = frozen[b] = dict(kernel.row(zero, b))
+        row = []
+        total = 0.0
+        for j in sorted(set(rates_a) | set(rates_b)):
+            ra = rates_a.get(j, 0.0) if j != a else 0.0
+            rb = rates_b.get(j, 0.0) if j != b else 0.0
+            m = ra if ra < rb else rb
+            if m > 0.0:
+                row.append(((j, j), m))
+            if ra - m > 0.0:
+                row.append(((j, b), ra - m))
+            if rb - m > 0.0:
+                row.append(((a, j), rb - m))
+            total += ra if ra > rb else rb
+        return row, total
+
+    return rows
 
 
-def simulate(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
-    """Integrate one path from (x0, i0) to the horizon (or tau_h / blow-up).
+def _cached(rows):
+    """Memoize rows by switching state, for kernels that ignore x."""
+    table: dict = {}
 
-    Per step: Euler-Maruyama update of X with the current regime, then the
-    switching decision with rates evaluated at the pre-step state.  Steps
-    whose total rate violates the thinning guard are sub-divided.
+    def lookup(x, s):
+        hit = table.get(s)
+        if hit is None:
+            hit = table[s] = rows(x, s)
+        return hit
+
+    return lookup
+
+
+def _integrate(spec: ModelSpec, config: SimConfig, x0, i0: int, coupled: bool):
+    """The path loop behind simulate and simulate_coupled.
+
+    The switching state s is alpha, or the pair (alpha, alpha_hat) when
+    coupled; alpha drives X.  A guarded step re-reads the
+    rates after each sub-step jump.  Returns the recorded times, X and s, the
+    jump log [(t, s, s')], tau_h, and the exit and blow-up flags.
     """
     if i0 < 1 or i0 != int(i0):
         raise ConfigurationError(f"initial regime must be a positive integer, got {i0}")
@@ -173,15 +196,20 @@ def simulate(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
     n_steps = int(round(config.horizon / config.dt))
     if n_steps < 1:
         raise ConfigurationError("horizon shorter than one step")
+    kernel = spec.rate_kernel
+    M = kernel.global_bound
+    thinning = coupled or config.switch_scheme == "per_step_thinning"
+    if not thinning and M is None:
+        raise ConfigurationError(
+            "exponential_proposals needs kernel.global_bound; none declared"
+        )
     rng_noise, rng_accept, rng_event = path_streams(config.seed, config.path_index)
-    noise = rng_noise.standard_normal((n_steps, spec.noise_dim))
-    accept = rng_accept.random(n_steps)
-
-    if config.switch_scheme == "exponential_proposals":
-        if spec.rate_kernel.global_bound is None:
-            raise ConfigurationError(
-                "exponential_proposals needs kernel.global_bound; none declared"
-            )
+    event = rng_event.random
+    expo = rng_event.exponential
+    dt = config.dt
+    sq = math.sqrt(dt)
+    i = int(i0)  # the regime that drives X
+    s = (i, i) if coupled else i
 
     scalar = (
         spec.dim == 1
@@ -190,227 +218,141 @@ def simulate(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
         and spec.scalar_diffusion is not None
     )
     if scalar:
-        return _simulate_scalar(spec, config, float(x0[0]), int(i0), noise, accept, rng_event, n_steps)
-    return _simulate_vector(spec, config, x0, int(i0), noise, accept, rng_event, n_steps)
-
-
-def _simulate_scalar(spec, config, x0, i0, noise, accept, rng_event, n_steps):
-    dt = config.dt
-    sq = math.sqrt(dt)
-    drift = spec.scalar_drift
-    diffusion = spec.scalar_diffusion
-    kernel = spec.rate_kernel
-    cache = kernel.x_independent
-    rows: dict = {}
-    stride = config.record_stride
-    h = config.stop_radius
-    thinning = config.switch_scheme == "per_step_thinning"
-    M = kernel.global_bound
-    event = rng_event.random
-    expo = rng_event.exponential
-
-    m_rec = n_steps // stride + 2
-    rec_t = np.empty(m_rec)
-    rec_x = np.empty(m_rec)
-    rec_i = np.empty(m_rec, dtype=np.int64)
-    jumps: list = []
-
-    x = x0
-    i = i0
-    rec_t[0] = 0.0
-    rec_x[0] = x
-    rec_i[0] = i
-    ri = 0
-    tau_h = None
-    exited = False
-    blew = False
-
-    if h is not None and abs(x) >= h:
-        tau_h, exited = 0.0, True
-        n_steps = 0
-
-    if thinning:
-        def lookup(xx, ii):
-            if cache:
-                cached = rows.get(ii)
-                if cached is None:
-                    cached = _row_and_total(kernel, xx, ii)
-                    rows[ii] = cached
-                return cached
-            return _row_and_total(kernel, xx, ii)
+        drift, diffusion = spec.scalar_drift, spec.scalar_diffusion
+        x = float(x0[0])
+        norm = abs
     else:
-        next_prop = expo(1.0 / M) if n_steps else math.inf
+        # validated first evaluation catches shape bugs early
+        spec.drift_at(x0, i)
+        spec.diffusion_at(x0, i)
+        drift, diffusion = spec.drift, spec.diffusion
+        x = x0.copy()
 
-    nv = noise[:, 0]
-    for k in range(n_steps):
-        ox = x
-        x = ox + drift(ox, i) * dt + diffusion(ox, i) * (sq * nv[k])
-        t = (k + 1) * dt
-        if not (-BLOWUP_RADIUS < x < BLOWUP_RADIUS):
-            blew = True
-            ri += 1
-            rec_t[ri], rec_x[ri], rec_i[ri] = t, x, i
-            break
+        def norm(x):
+            return float(np.linalg.norm(x))
 
-        if thinning:
-            row, qi = lookup(ox, i)
-            p = qi * dt
-            if p > THINNING_GUARD:
-                m = int(math.ceil(p / SUBDIVISION_TARGET))
-                sub = dt / m
-                base = t - dt
-                for s in range(m):
-                    if event() < qi * sub:
-                        j = _select_target(row, event() * qi)
-                        jumps.append((base + (s + 1) * sub, i, j))
-                        i = j
-                        row, qi = lookup(ox, i)
-            elif accept[k] < p:
-                j = _select_target(row, event() * qi)
-                jumps.append((t, i, j))
-                i = j
-        else:
-            while next_prop <= t:
-                row, qi = _row_and_total(kernel, ox, i)
-                if qi > M * (1 + 1e-12):
-                    raise GuardError(f"total rate {qi} exceeds global bound {M}")
-                if qi > 0.0 and event() < qi / M:
-                    j = _select_target(row, event() * qi)
-                    jumps.append((next_prop, i, j))
-                    i = j
-                next_prop += expo(1.0 / M)
+    def chunks():
+        """Per step: (k, sqrt(dt) * noise_k, accept_k), drawn a chunk at a
+        time so that a path stopping early draws little beyond its stop."""
+        for c0 in range(0, n_steps, STREAM_CHUNK):
+            m = min(STREAM_CHUNK, n_steps - c0)
+            dw = rng_noise.standard_normal((m, spec.noise_dim)) * sq
+            yield zip(
+                range(c0, c0 + m),
+                dw[:, 0].tolist() if scalar else dw,
+                rng_accept.random(m).tolist(),
+            )
 
-        if h is not None and abs(x) >= h:
-            tau_h, exited = t, True
-            ri += 1
-            rec_t[ri], rec_x[ri], rec_i[ri] = t, x, i
-            break
-        if (k + 1) % stride == 0 or k == n_steps - 1:
-            ri += 1
-            rec_t[ri], rec_x[ri], rec_i[ri] = t, x, i
+    rows = _pair_rows(kernel, spec.dim) if coupled else _regime_rows(kernel)
+    x_dep = not kernel.x_independent
+    if not x_dep:
+        rows = _cached(rows)
 
-    m = ri + 1
-    return Trajectory(
-        times=rec_t[:m].copy(),
-        x_path=rec_x[:m].copy().reshape(m, 1),
-        regime_path=rec_i[:m].copy(),
-        jumps=jumps,
-        tau_h=tau_h,
-        exited=exited,
-        blew_up=blew,
-    )
-
-
-def _simulate_vector(spec, config, x0, i0, noise, accept, rng_event, n_steps):
-    dt = config.dt
-    sq = math.sqrt(dt)
-    kernel = spec.rate_kernel
-    cache = kernel.x_independent
-    rows: dict = {}
     stride = config.record_stride
-    h = config.stop_radius
-    thinning = config.switch_scheme == "per_step_thinning"
-    M = kernel.global_bound
-    event = rng_event.random
-    expo = rng_event.exponential
-    n = spec.dim
-
-    # validated first evaluation catches shape bugs early
-    spec.drift_at(x0, i0)
-    spec.diffusion_at(x0, i0)
-    drift = spec.drift
-    diffusion = spec.diffusion
-
+    h = math.inf if config.stop_radius is None else config.stop_radius
     m_rec = n_steps // stride + 2
     rec_t = np.empty(m_rec)
-    rec_x = np.empty((m_rec, n))
-    rec_i = np.empty(m_rec, dtype=np.int64)
-    jumps: list = []
-
-    x = x0.astype(float).copy()
-    i = i0
-    rec_t[0] = 0.0
-    rec_x[0] = x
-    rec_i[0] = i
+    rec_x = np.empty((m_rec, spec.dim))
+    rec_s = np.empty((m_rec, 2) if coupled else m_rec, dtype=np.int64)
+    rec_t[0], rec_x[0], rec_s[0] = 0.0, x, s
     ri = 0
+    jumps: list = []
     tau_h = None
     exited = False
     blew = False
 
-    if h is not None and float(np.linalg.norm(x)) >= h:
+    if norm(x) >= h:
         tau_h, exited = 0.0, True
         n_steps = 0
-
     if not thinning:
         next_prop = expo(1.0 / M) if n_steps else math.inf
+    elif not x_dep and n_steps:
+        # rows of an x-independent kernel change only when s jumps
+        row, q = rows(x, s)
+        p = q * dt
+    next_rec = min(stride, n_steps) - 1
 
-    for k in range(n_steps):
+    for k, w, u in chain.from_iterable(chunks()):
         ox = x
-        x = ox + np.asarray(drift(ox, i), dtype=float) * dt + np.asarray(
-            diffusion(ox, i), dtype=float
-        ) @ (sq * noise[k])
-        t = (k + 1) * dt
-        r = float(np.linalg.norm(x))
+        if scalar:
+            x = ox + drift(ox, i) * dt + diffusion(ox, i) * w
+            r = abs(x)
+        else:
+            x = ox + np.asarray(drift(ox, i), dtype=float) * dt + np.asarray(
+                diffusion(ox, i), dtype=float
+            ) @ w
+            r = norm(x)
         if not (r < BLOWUP_RADIUS):
             blew = True
             ri += 1
-            rec_t[ri], rec_x[ri], rec_i[ri] = t, x, i
+            rec_t[ri], rec_x[ri], rec_s[ri] = (k + 1) * dt, x, s
             break
 
         if thinning:
-            if cache:
-                cached = rows.get(i)
-                if cached is None:
-                    cached = _row_and_total(kernel, ox, i)
-                    rows[i] = cached
-                row, qi = cached
-            else:
-                row, qi = _row_and_total(kernel, ox, i)
-            p = qi * dt
+            if x_dep:
+                row, q = rows(ox, s)
+                p = q * dt
             if p > THINNING_GUARD:
                 m = int(math.ceil(p / SUBDIVISION_TARGET))
                 sub = dt / m
+                t = (k + 1) * dt
                 base = t - dt
-                for s in range(m):
-                    if event() < qi * sub:
-                        j = _select_target(row, event() * qi)
-                        jumps.append((base + (s + 1) * sub, i, j))
-                        i = j
-                        if cache and i in rows:
-                            row, qi = rows[i]
-                        else:
-                            row, qi = _row_and_total(kernel, ox, i)
-                            if cache:
-                                rows[i] = (row, qi)
-            elif accept[k] < p:
-                j = _select_target(row, event() * qi)
-                jumps.append((t, i, j))
-                i = j
+                for n in range(m):
+                    if event() < q * sub:
+                        j = _select_target(row, event() * q)
+                        jumps.append((base + (n + 1) * sub, s, j))
+                        s = j
+                        row, q = rows(ox, s)
+                p = q * dt
+                i = s[0] if coupled else s
+            elif u < p:
+                j = _select_target(row, event() * q)
+                jumps.append(((k + 1) * dt, s, j))
+                s = j
+                i = s[0] if coupled else s
+                if not x_dep:
+                    row, q = rows(ox, s)
+                    p = q * dt
         else:
+            t = (k + 1) * dt
             while next_prop <= t:
-                row, qi = _row_and_total(kernel, ox, i)
-                if qi > M * (1 + 1e-12):
-                    raise GuardError(f"total rate {qi} exceeds global bound {M}")
-                if qi > 0.0 and event() < qi / M:
-                    j = _select_target(row, event() * qi)
-                    jumps.append((next_prop, i, j))
-                    i = j
+                row, q = rows(ox, s)
+                if q > M * (1 + 1e-12):
+                    raise GuardError(f"total rate {q} exceeds global bound {M}")
+                if q > 0.0 and event() < q / M:
+                    j = _select_target(row, event() * q)
+                    jumps.append((next_prop, s, j))
+                    s = j
                 next_prop += expo(1.0 / M)
+            i = s[0] if coupled else s
 
-        if h is not None and r >= h:
-            tau_h, exited = t, True
+        if r >= h or k == next_rec:
+            t = (k + 1) * dt
             ri += 1
-            rec_t[ri], rec_x[ri], rec_i[ri] = t, x, i
-            break
-        if (k + 1) % stride == 0 or k == n_steps - 1:
-            ri += 1
-            rec_t[ri], rec_x[ri], rec_i[ri] = t, x, i
+            rec_t[ri], rec_x[ri], rec_s[ri] = t, x, s
+            if r >= h:
+                tau_h, exited = t, True
+                break
+            next_rec = min(next_rec + stride, n_steps - 1)
 
     m = ri + 1
+    return rec_t[:m].copy(), rec_x[:m].copy(), rec_s[:m].copy(), jumps, tau_h, exited, blew
+
+
+def simulate(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
+    """Integrate one path from (x0, i0) to the horizon (or tau_h / blow-up).
+
+    Per step: Euler-Maruyama update of X with the current regime, then the
+    switching decision with rates evaluated at the pre-step state.  Steps
+    whose total rate violates the thinning guard are sub-divided.
+    """
+    times, x_path, regimes, jumps, tau_h, exited, blew = _integrate(
+        spec, config, x0, i0, coupled=False
+    )
     return Trajectory(
-        times=rec_t[:m].copy(),
-        x_path=rec_x[:m].copy(),
-        regime_path=rec_i[:m].copy(),
+        times=times,
+        x_path=x_path,
+        regime_path=regimes,
         jumps=jumps,
         tau_h=tau_h,
         exited=exited,
@@ -423,144 +365,19 @@ def simulate_coupled(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Coupled
     q(X(t)), alpha_hat runs on the frozen kernel q(0); matched moves fire
     jointly at rate min(q_kj(x), q_lj(0)), discrepancy moves at the positive
     parts.  vartheta is the first time the regimes differ.  Switching uses
-    per-step thinning regardless of config.switch_scheme.
+    per-step thinning on the pair chain regardless of config.switch_scheme.
     """
-    if i0 < 1:
-        raise ConfigurationError(f"initial regime must be positive, got {i0}")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (spec.dim,):
-        raise ConfigurationError(f"x0 has shape {x0.shape}, want ({spec.dim},)")
-    n_steps = int(round(config.horizon / config.dt))
-    rng_noise, rng_accept, rng_event = path_streams(config.seed, config.path_index)
-    noise = rng_noise.standard_normal((n_steps, spec.noise_dim))
-    accept = rng_accept.random(n_steps)
-    event = rng_event.random
-    kernel = spec.rate_kernel
-    dt = config.dt
-    sq = math.sqrt(dt)
-    h = config.stop_radius
-    stride = config.record_stride
-    zero = np.zeros(spec.dim)
-    frozen_rows: dict = {}
-
-    def frozen(l: int):
-        cached = frozen_rows.get(l)
-        if cached is None:
-            cached = dict(kernel.row(zero, l))
-            frozen_rows[l] = cached
-        return cached
-
-    spec.drift_at(x0, i0)
-    spec.diffusion_at(x0, i0)
-    drift = spec.drift
-    diffusion = spec.diffusion
-
-    m_rec = n_steps // stride + 2
-    rec_t = np.empty(m_rec)
-    rec_x = np.empty((m_rec, spec.dim))
-    rec_a = np.empty(m_rec, dtype=np.int64)
-    rec_b = np.empty(m_rec, dtype=np.int64)
-    jumps_a: list = []
-    jumps_b: list = []
-
-    x = x0.astype(float).copy()
-    a = i0  # alpha, drives X
-    b = i0  # alpha_hat, frozen kernel
-    rec_t[0], rec_x[0], rec_a[0], rec_b[0] = 0.0, x, a, b
-    ri = 0
-    vartheta = None
-    tau_h = None
-    exited = False
-    blew = False
-
-    if h is not None and float(np.linalg.norm(x)) >= h:
-        tau_h, exited = 0.0, True
-        n_steps = 0
-
-    for k in range(n_steps):
-        ox = x
-        x = ox + np.asarray(drift(ox, a), dtype=float) * dt + np.asarray(
-            diffusion(ox, a), dtype=float
-        ) @ (sq * noise[k])
-        t = (k + 1) * dt
-        r = float(np.linalg.norm(x))
-        if not (r < BLOWUP_RADIUS):
-            blew = True
-            ri += 1
-            rec_t[ri], rec_x[ri], rec_a[ri], rec_b[ri] = t, x, a, b
-            break
-
-        rates_a = dict(kernel.row(ox, a))
-        rates_b = frozen(b)
-        targets = sorted(set(rates_a) | set(rates_b))
-        qtot = 0.0
-        events = []  # (rate, kind, j) with kind 0 joint, 1 alpha, 2 alpha_hat
-        for j in targets:
-            ra = rates_a.get(j, 0.0) if j != a else 0.0
-            rb = rates_b.get(j, 0.0) if j != b else 0.0
-            m = ra if ra < rb else rb
-            if m > 0.0:
-                events.append((m, 0, j))
-            if ra - m > 0.0:
-                events.append((ra - m, 1, j))
-            if rb - m > 0.0:
-                events.append((rb - m, 2, j))
-            qtot += ra if ra > rb else rb
-
-        def fire(jump_t: float, u: float) -> None:
-            nonlocal a, b, vartheta
-            mass = u * qtot
-            acc = 0.0
-            kind, j = 1, a
-            for rate, kd, tj in events:
-                acc += rate
-                if mass < acc:
-                    kind, j = kd, tj
-                    break
-            if kind == 0:
-                jumps_a.append((jump_t, a, j))
-                jumps_b.append((jump_t, b, j))
-                a = j
-                b = j
-            elif kind == 1:
-                jumps_a.append((jump_t, a, j))
-                a = j
-            else:
-                jumps_b.append((jump_t, b, j))
-                b = j
-            if vartheta is None and a != b:
-                vartheta = jump_t
-
-        p = qtot * dt
-        if p > THINNING_GUARD:
-            msub = int(math.ceil(p / SUBDIVISION_TARGET))
-            sub = dt / msub
-            base = t - dt
-            for s in range(msub):
-                if event() < qtot * sub:
-                    fire(base + (s + 1) * sub, event())
-                    break  # rates changed; next grid step rebuilds the table
-        elif accept[k] < p:
-            fire(t, event())
-
-        if h is not None and r >= h:
-            tau_h, exited = t, True
-            ri += 1
-            rec_t[ri], rec_x[ri], rec_a[ri], rec_b[ri] = t, x, a, b
-            break
-        if (k + 1) % stride == 0 or k == n_steps - 1:
-            ri += 1
-            rec_t[ri], rec_x[ri], rec_a[ri], rec_b[ri] = t, x, a, b
-
-    m = ri + 1
+    times, x_path, pairs, log, tau_h, exited, blew = _integrate(
+        spec, config, x0, i0, coupled=True
+    )
     return CoupledTrajectory(
-        times=rec_t[:m].copy(),
-        x_path=rec_x[:m].copy(),
-        alpha_path=rec_a[:m].copy(),
-        alpha_hat_path=rec_b[:m].copy(),
-        jumps_alpha=jumps_a,
-        jumps_alpha_hat=jumps_b,
-        vartheta=vartheta,
+        times=times,
+        x_path=x_path,
+        alpha_path=pairs[:, 0].copy(),
+        alpha_hat_path=pairs[:, 1].copy(),
+        jumps_alpha=[(t, s[0], j[0]) for t, s, j in log if j[0] != s[0]],
+        jumps_alpha_hat=[(t, s[1], j[1]) for t, s, j in log if j[1] != s[1]],
+        vartheta=next((t for t, _, j in log if j[0] != j[1]), None),
         tau_h=tau_h,
         exited=exited,
         blew_up=blew,
@@ -704,7 +521,6 @@ class EnsembleSummary:
     n_blowups: int
     n_exited: int
     seed: int
-    threads: int
     functionals: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -713,7 +529,6 @@ class EnsembleSummary:
             "n_blowups": self.n_blowups,
             "n_exited": self.n_exited,
             "seed": self.seed,
-            "threads": self.threads,
             "functionals": [f.to_dict() for f in self.functionals],
         }
 
@@ -722,17 +537,6 @@ class EnsembleSummary:
             if f.name.startswith(name_prefix):
                 return f
         raise KeyError(name_prefix)
-
-
-def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{THREADS_ENV}={raw!r} is not an integer") from exc
-    if n < 1:
-        raise ConfigurationError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
 
 
 def run_ensemble(
@@ -747,34 +551,24 @@ def run_ensemble(
 ) -> tuple[EnsembleSummary, list]:
     """Simulate n_paths independent paths and aggregate the functionals.
 
-    Path p runs with path_index = config.path_index + p.  Results land in
-    per-path slots, so estimates are independent of the worker schedule.
+    Path p runs with path_index = config.path_index + p, in index order.
     collect(traj), when given, retains a per-path reduction (e.g. the
     trajectory itself for rate estimation); kept None for large ensembles.
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
-    threads = thread_count()
     values = np.empty((len(functionals), n_paths))
-    flags = np.zeros((2, n_paths), dtype=bool)  # blow-ups, exits
+    n_blowups = n_exited = 0
     collected: list = [None] * n_paths
-
-    def work(p: int) -> None:
+    for p in range(n_paths):
         cfg = replace(config, path_index=config.path_index + p)
         traj = simulate(spec, config=cfg, x0=x0, i0=i0)
         for fi, fn in enumerate(functionals):
             values[fi, p] = float(fn.evaluate(traj))
-        flags[0, p] = traj.blew_up
-        flags[1, p] = traj.exited
+        n_blowups += traj.blew_up
+        n_exited += traj.exited
         if collect is not None:
             collected[p] = collect(traj)
-
-    if threads == 1:
-        for p in range(n_paths):
-            work(p)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(n_paths)))
 
     estimates = []
     for fi, fn in enumerate(functionals):
@@ -800,10 +594,9 @@ def run_ensemble(
             )
     summary = EnsembleSummary(
         n_paths=n_paths,
-        n_blowups=int(np.sum(flags[0])),
-        n_exited=int(np.sum(flags[1])),
+        n_blowups=n_blowups,
+        n_exited=n_exited,
         seed=config.seed,
-        threads=threads,
         functionals=estimates,
     )
     return summary, collected

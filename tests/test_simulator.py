@@ -9,6 +9,7 @@ import pytest
 
 import switchdiff as sd
 from conftest import single_regime_linear, two_state_kernel
+from switchdiff.simulator import _select_target
 
 
 def with_kernel(spec, kernel):
@@ -27,40 +28,39 @@ def absorbing_kernel(rate):
 class TestStep:
     def test_deterministic_euler_update(self):
         spec = single_regime_linear(-1.0)
-        x, i = sd.step(spec, (np.array([1.0]), 1), 0.1, np.zeros(1))
-        assert x == pytest.approx(np.array([0.9]))
-        assert i == 1
+        traj = sd.simulate(spec, sd.SimConfig(dt=0.1, horizon=0.1), np.array([1.0]), 1)
+        assert traj.x_path[-1] == pytest.approx(np.array([0.9]))
+        assert traj.regime_path[-1] == 1
 
     def test_noise_enters_through_the_diffusion_matrix(self):
-        spec = single_regime_linear(-1.0, s=1.0)
-        x, _ = sd.step(spec, (np.array([1.0]), 1), 0.1, np.array([0.05]))
-        assert x[0] == pytest.approx(1.0 - 0.1 + 0.05, abs=1e-15)
-
-    def test_noise_shape_is_validated(self):
-        spec = single_regime_linear(-1.0)
-        with pytest.raises(sd.ConfigurationError):
-            sd.step(spec, (np.array([1.0]), 1), 0.1, np.zeros(2))
+        # both update forms: the float callbacks and the array callbacks with @
+        fast = single_regime_linear(-1.0, s=1.0)
+        slow = dataclasses.replace(fast, scalar_drift=None, scalar_diffusion=None)
+        z = sd.path_streams(3, 0)[0].standard_normal((1, 1))[0, 0]
+        for spec in (fast, slow):
+            traj = sd.simulate(spec, sd.SimConfig(dt=0.1, horizon=0.1, seed=3), np.array([1.0]), 1)
+            assert traj.x_path[-1, 0] == 1.0 - 0.1 + math.sqrt(0.1) * z
 
 
 class TestSwitchStep:
     def test_acceptance_threshold_is_rate_times_dt(self):
-        kernel = two_state_kernel(1.0, 2.0)
-        assert sd.switch_step(kernel, np.zeros(1), 1, 0.05, 0.049, 0.5) == 2
-        assert sd.switch_step(kernel, np.zeros(1), 1, 0.05, 0.051, 0.5) == 1
+        # one unguarded step jumps exactly when its acceptance uniform is below q dt
+        q, dt = 1.0, 0.05
+        spec = with_kernel(single_regime_linear(-1.0), absorbing_kernel(q))
+        jumped = []
+        for p in range(200):
+            cfg = sd.SimConfig(dt=dt, horizon=dt, seed=8, path_index=p)
+            traj = sd.simulate(spec, cfg, np.array([1.0]), 1)
+            u = sd.path_streams(8, p)[1].random(1)[0]
+            assert bool(traj.jumps) == (u < q * dt)
+            jumped.append(bool(traj.jumps))
+        assert any(jumped) and not all(jumped)
 
     def test_target_selection_splits_by_rate_mass(self):
-        def row(x, i):
-            return ((2, 0.3), (3, 0.7))
-
-        kernel = sd.RateKernel(row=row, global_bound=1.0, x_independent=True)
-        assert sd.switch_step(kernel, np.zeros(1), 1, 0.01, 0.0, 0.2) == 2
-        assert sd.switch_step(kernel, np.zeros(1), 1, 0.01, 0.0, 0.3001) == 3
-        assert sd.switch_step(kernel, np.zeros(1), 1, 0.01, 0.0, 0.99999) == 3
-
-    def test_guard_rejects_coarse_steps(self):
-        kernel = two_state_kernel(3.0, 1.0)
-        with pytest.raises(sd.GuardError):
-            sd.switch_step(kernel, np.zeros(1), 1, 0.05, 0.5, 0.5)
+        row = ((2, 0.3), (3, 0.7))
+        assert _select_target(row, 0.2) == 2
+        assert _select_target(row, 0.3001) == 3
+        assert _select_target(row, 0.99999) == 3
 
 
 class TestSimConfigValidation:
@@ -106,6 +106,20 @@ class TestSimulatePaths:
         assert np.array_equal(a.x_path, b.x_path)
         c = sd.simulate(spec, dataclasses.replace(cfg, path_index=5), np.array([0.3]), 1)
         assert not np.array_equal(a.x_path, c.x_path)
+
+    def test_stream_chunk_size_does_not_change_the_path(self, monkeypatch):
+        # noise and accept uniforms are drawn in chunks; the split must not show
+        fast = with_kernel(single_regime_linear(-0.5, s=0.4), two_state_kernel(2.0, 2.0))
+        slow = dataclasses.replace(fast, scalar_drift=None, scalar_diffusion=None)
+        cfg = sd.SimConfig(dt=0.01, horizon=2.0, seed=13, record_stride=3)
+        for spec in (fast, slow):
+            a = sd.simulate(spec, cfg, np.array([0.3]), 1)
+            monkeypatch.setattr(sd.simulator, "STREAM_CHUNK", 7)
+            b = sd.simulate(spec, cfg, np.array([0.3]), 1)
+            monkeypatch.undo()
+            assert a.jumps
+            assert np.array_equal(a.x_path, b.x_path)
+            assert a.jumps == b.jumps
 
     def test_scalar_and_vector_engines_agree(self):
         fast = with_kernel(single_regime_linear(-0.5, s=0.4), two_state_kernel(2.0, 2.0))
@@ -260,6 +274,20 @@ class TestCoupledPaths:
         se = math.sqrt(occ_coupled.var(ddof=1) / n + occ_plain.var(ddof=1) / n)
         assert abs(diff) < 3.0 * se
 
+    def test_guarded_steps_do_not_bias_the_driving_regime(self):
+        # q dt = 0.2 exceeds the guard, so every step is sub-divided.  With an
+        # x-independent kernel alpha_hat never leaves alpha, and alpha must make
+        # the same jumps as the plain simulation on the same streams.
+        spec = with_kernel(single_regime_linear(-1.0, s=0.2), two_state_kernel(100.0, 100.0))
+        coupled = plain = 0
+        for p in range(200):
+            cfg = sd.SimConfig(dt=0.002, horizon=1.0, seed=44, path_index=p)
+            ct = sd.simulate_coupled(spec, cfg, np.array([0.5]), 1)
+            assert not ct.decoupled
+            coupled += len(ct.jumps_alpha)
+            plain += len(sd.simulate(spec, cfg, np.array([0.5]), 1).jumps)
+        assert coupled == plain
+
 
 class TestFunctionals:
     def make_traj(self, xs, times=None, **flags):
@@ -342,43 +370,6 @@ class TestEnsembles:
         assert len(set(endpoints)) == 4  # distinct noise per path slot
         again = sd.simulate(spec, dataclasses.replace(cfg, path_index=102), np.array([0.5]), 1)
         assert endpoints[2] == float(again.x_path[-1, 0])
-
-    def test_results_do_not_depend_on_the_thread_count(self, monkeypatch):
-        spec = single_regime_linear(-0.5, s=0.4)
-        cfg = sd.SimConfig(dt=0.01, horizon=1.0, seed=31)
-        outs = {}
-        for threads in ("1", "3"):
-            monkeypatch.setenv("SWITCHDIFF_THREADS", threads)
-            summary, collected = sd.run_ensemble(
-                spec,
-                None,
-                cfg,
-                12,
-                [sd.StayInBall(2.0), sd.Occupation(1)],
-                np.array([0.5]),
-                1,
-                collect=lambda tr: tr.x_path,
-            )
-            outs[threads] = (summary, collected)
-        s1, c1 = outs["1"]
-        s3, c3 = outs["3"]
-        assert s1.threads == 1 and s3.threads == 3
-        for f1, f3 in zip(s1.functionals, s3.functionals):
-            assert (f1.estimate, f1.ci_low, f1.ci_high) == (f3.estimate, f3.ci_low, f3.ci_high)
-        for a, b in zip(c1, c3):
-            assert np.array_equal(a, b)
-
-    def test_thread_count_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("SWITCHDIFF_THREADS", raising=False)
-        assert sd.thread_count() == 1
-        monkeypatch.setenv("SWITCHDIFF_THREADS", "4")
-        assert sd.thread_count() == 4
-        monkeypatch.setenv("SWITCHDIFF_THREADS", "zero")
-        with pytest.raises(sd.ConfigurationError):
-            sd.thread_count()
-        monkeypatch.setenv("SWITCHDIFF_THREADS", "0")
-        with pytest.raises(sd.ConfigurationError):
-            sd.thread_count()
 
     def test_trajectory_csv_roundtrips_exactly(self, tmp_path):
         spec = single_regime_linear(-0.5, s=0.4)
