@@ -38,6 +38,7 @@ from .markov_chain import (
 )
 from .model import (
     DriftReport,
+    DriftView,
     DriftViolation,
     ExactLinearization,
     LyapunovSpec,
@@ -61,15 +62,14 @@ from .rates import (
     write_quantile_curve,
 )
 from .scenarios import (
-    PRESETS,
     build_kernel,
     build_model,
     ScenarioBundle,
     load_scenario,
     parse_scenario,
     preset,
+    preset_names,
     scenario_hash,
-    write_preset_files,
 )
 from .simulator import (
     ConvergesToZero,

@@ -35,7 +35,7 @@ from .markov_chain import (
 )
 from .model import radial_grid, verify_drift_condition
 from .rates import estimate_pathwise_rate, write_quantile_curve
-from .scenarios import PRESETS, ScenarioBundle, load_scenario, preset
+from .scenarios import ScenarioBundle, load_scenario, preset, preset_names
 from .simulator import (
     SCHEMES,
     ConvergesToZero,
@@ -56,7 +56,6 @@ from .stability import (
     scan_mg,
 )
 
-_INSTABILITY_CRITERIA = ("T3_5_ergodic", "T3_5_strong")
 _KERNEL_CRITERIA = ("T3_1", "T3_3", "T3_5_strong")
 _ANALYZE_PRESETS = (
     "example51_stable",
@@ -96,11 +95,12 @@ def _provenance(seed: int) -> dict:
 def _resolve_scenario(ref: str) -> ScenarioBundle:
     if os.path.exists(ref):
         return load_scenario(ref)
-    if ref in PRESETS:
+    names = preset_names()
+    if ref in names:
         return preset(ref)
     raise SwitchDiffError(
         f"scenario {ref!r} is neither a file nor a bundled preset "
-        f"(presets: {', '.join(sorted(PRESETS))})"
+        f"(presets: {', '.join(names)})"
     )
 
 
@@ -157,14 +157,14 @@ def _ergodicity_times(chain, nu) -> np.ndarray:
     return np.geomspace(t / 4.0, 4.0 * t, 12)
 
 
-def _drift_dict(rep) -> dict:
-    worst = sorted(rep.violations, key=lambda v: -v.residual)[:5]
+def _drift_dict(view, is_reversed: bool) -> dict:
+    worst = sorted(view.violations, key=lambda v: -v.residual)[:5]
     return {
-        "ok": rep.ok,
-        "reversed": rep.reversed_inequality,
-        "n_checked": rep.n_checked,
-        "max_residual": rep.max_residual,
-        "n_violations": len(rep.violations),
+        "ok": view.ok,
+        "reversed": is_reversed,
+        "n_checked": view.n_checked,
+        "max_residual": view.max_residual,
+        "n_violations": len(view.violations),
         "worst_violations": [
             {
                 "x": [float(v) for v in np.atleast_1d(viol.x)],
@@ -206,10 +206,9 @@ def _analyze_core(bundle: ScenarioBundle, truncation_override, report: dict, evi
     regimes = range(1, K + 1)
     radii = np.geomspace(1e-6, lyap.domain_radius, 18)
     grid = radial_grid(model.dim, radii, regimes)
-    fwd = verify_drift_condition(model, lyap, grid)
-    rev = verify_drift_condition(model, lyap, grid, reversed_inequality=True)
-    report["drift_forward"] = _drift_dict(fwd)
-    report["drift_reversed"] = _drift_dict(rev)
+    drift = verify_drift_condition(model, lyap, grid)
+    report["drift_forward"] = _drift_dict(drift.forward, False)
+    report["drift_reversed"] = _drift_dict(drift.reversed, True)
 
     mg = scan_mg(model, lyap, regimes=regimes)
     report["mg_scan"] = mg.to_dict()
@@ -223,13 +222,12 @@ def _analyze_core(bundle: ScenarioBundle, truncation_override, report: dict, evi
 
     criteria = []
     for which in THEOREMS:
-        insta = which in _INSTABILITY_CRITERIA
         criteria.append(
             check_theorem_hypotheses(
                 which,
                 lyap,
                 nu,
-                drift_report=rev if insta else fwd,
+                drift_report=drift,
                 mg_scan=mg,
                 kernel_scan=kscan if which in _KERNEL_CRITERIA else None,
                 ergodicity=diag,

@@ -7,8 +7,8 @@ from i to j at state-dependent rate q_ij(X(t)).  The operator split is
     L f(x, i) = L_i f(x, i) + sum_{j != i} q_ij(x) [f(x, j) - f(x, i)],
     L_i V(x)  = grad V(x) . b(x, i) + (1/2) tr(hess V(x) A(x, i)),
 
-with A = sigma sigma^T.  Drift conditions L_i V <= c_i g(V) (or the reversed
-inequality) are checked pointwise on caller-supplied grids.
+with A = sigma sigma^T.  The drift condition L_i V <= c_i g(V) and the
+reversed inequality are checked together, pointwise on caller-supplied grids.
 """
 
 from __future__ import annotations
@@ -256,17 +256,36 @@ class DriftViolation:
 
 
 @dataclass
-class DriftReport:
-    """Grid scan of L_i V <=> c_i g(V)."""
+class DriftView:
+    """One direction of a drift scan: residuals L_i V - c_i g(V) (forward)
+    or c_i g(V) - L_i V (reversed); a residual above tol is a violation."""
 
     violations: list = field(default_factory=list)
     max_residual: float = -math.inf
     n_checked: int = 0
-    reversed_inequality: bool = False
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def add(self, x: np.ndarray, i: int, residual: float, tol: float) -> None:
+        self.n_checked += 1
+        self.max_residual = max(self.max_residual, residual)
+        if residual > tol:
+            self.violations.append(DriftViolation(x=x, regime=i, residual=residual))
+
+
+@dataclass
+class DriftReport:
+    """Grid scan of L_i V against c_i g(V), seen in both directions: forward
+    (L_i V <= c_i g(V), stability) and reversed (>=, instability)."""
+
+    forward: DriftView = field(default_factory=DriftView)
+    reversed: DriftView = field(default_factory=DriftView)
+
+    @property
+    def n_checked(self) -> int:
+        return self.forward.n_checked
 
 
 def verify_drift_condition(
@@ -274,11 +293,11 @@ def verify_drift_condition(
     lyap: LyapunovSpec,
     grid: Iterable[tuple[np.ndarray, int]],
     tol: float = DRIFT_TOL,
-    reversed_inequality: bool = False,
 ) -> DriftReport:
-    """Check L_i V(x) <= c_i g(V(x)) (or >= with reversed_inequality) on the
-    grid; points at the origin or outside the domain ball are rejected."""
-    report = DriftReport(reversed_inequality=reversed_inequality)
+    """Evaluate L_i V(x) - c_i g(V(x)) once per grid point and report both
+    inequalities; points at the origin or outside the domain ball are
+    rejected."""
+    report = DriftReport()
     for x, i in grid:
         x = np.asarray(x, dtype=float).reshape(spec.dim)
         r = float(np.linalg.norm(x))
@@ -288,11 +307,8 @@ def verify_drift_condition(
             )
         li = apply_generator_Li(spec, lyap, x, i)
         bound = float(lyap.c(i)) * float(lyap.g.g(float(lyap.V(x))))
-        residual = (li - bound) if not reversed_inequality else (bound - li)
-        report.n_checked += 1
-        report.max_residual = max(report.max_residual, residual)
-        if residual > tol:
-            report.violations.append(DriftViolation(x=x, regime=i, residual=residual))
+        report.forward.add(x, i, li - bound, tol)
+        report.reversed.add(x, i, bound - li, tol)
     if report.n_checked == 0:
         raise ConfigurationError("empty drift-condition grid")
     return report

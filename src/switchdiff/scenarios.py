@@ -5,7 +5,8 @@ linear), a switching-kernel family (birth_death, example52_q, two_state,
 custom_table), a Lyapunov family (square, power_p) with a rate profile g and
 a c-sequence, plus chain truncation, simulation, and Monte Carlo settings.
 Numeric parameters live in the file so runs are reproducible; the bundle
-carries a sha256 of the canonical document for provenance.
+carries the sha256 of the file's bytes for provenance.  The bundled presets
+are the files under scenarios/, read through the package's presets link.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ def _norm(x) -> float:
 def _pick(values, i: int) -> float:
     """Regime lookup with a saturating tail: values[-1] covers i beyond it."""
     return float(values[min(i, len(values)) - 1])
+
+
+def _optional_float(value) -> Optional[float]:
+    return None if value is None else float(value)
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -196,6 +201,9 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             raise ConfigurationError("model.params: b and sigma must be nonempty")
         two_gamma = 2.0 * gamma
         nb, ns = len(b), len(sigma)
+        # for gamma in (0,1) both b x|x|^(2 gamma) and sigma sin^2 x have
+        # derivative 0 at the origin: the linear part is exactly zero
+        zero = np.zeros((1, 1))
 
         # inline _pick: these run once per Euler step
         def scalar_drift(x: float, i: int) -> float:
@@ -220,6 +228,7 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             zero_fixed=True,
             scalar_drift=scalar_drift,
             scalar_diffusion=scalar_diffusion,
+            linearization=ExactLinearization(lambda i: zero, lambda i: [zero]),
         )
 
     if family in ("example52", "linear"):
@@ -377,19 +386,26 @@ def _compile_expr(node):
     raise ConfigurationError(f"lyapunov.c expr: unsupported syntax {kind.__name__}")
 
 
+def _check_c_bound(values: list, bound: float) -> None:
+    """A declared bound must dominate every tabulated |c_i|."""
+    worst = max(values, key=abs)
+    if abs(worst) > bound:
+        raise ConfigurationError(f"lyapunov.c value {worst} exceeds the declared bound {bound}")
+
+
 def build_c(c_cfg: dict, model_cfg: dict):
     """Return (c callable, c_bound) from a c-sequence declaration."""
     kind = _require(c_cfg, "kind", "lyapunov.c")
     if kind == "constant":
         value = float(_require(c_cfg, "value", "lyapunov.c"))
         bound = float(c_cfg.get("bound", abs(value)))
+        _check_c_bound([value], bound)
         return (lambda i: value), bound
     if kind == "table":
         values = [float(v) for v in _require(c_cfg, "values", "lyapunov.c")]
         tail = float(c_cfg.get("tail", values[-1]))
-        bound = float(
-            c_cfg.get("bound", max([abs(tail)] + [abs(v) for v in values]))
-        )
+        bound = float(c_cfg.get("bound", max(abs(v) for v in values + [tail])))
+        _check_c_bound(values + [tail], bound)
 
         def c(i: int) -> float:
             return values[i - 1] if i <= len(values) else tail
@@ -569,11 +585,7 @@ def parse_scenario(doc: dict, sha: Optional[str] = None) -> ScenarioBundle:
         seed=int(sim_cfg.get("seed", 0)),
         path_index=int(sim_cfg.get("path_index", 0)),
         switch_scheme=str(sim_cfg.get("switch_scheme", "per_step_thinning")),
-        stop_radius=(
-            None
-            if sim_cfg.get("stop_radius") is None
-            else float(sim_cfg["stop_radius"])
-        ),
+        stop_radius=_optional_float(sim_cfg.get("stop_radius")),
         record_stride=int(sim_cfg.get("record_stride", 1)),
     )
     mc = McSettings(
@@ -581,12 +593,8 @@ def parse_scenario(doc: dict, sha: Optional[str] = None) -> ScenarioBundle:
         epsilon=float(mc_cfg.get("epsilon", 0.25)),
         delta_sweep=[float(v) for v in mc_cfg.get("delta_sweep", [0.05, 0.03, 0.02])],
         rate_paths=int(mc_cfg.get("rate_paths", 300)),
-        rate_horizon=(
-            None
-            if mc_cfg.get("rate_horizon") is None
-            else float(mc_cfg["rate_horizon"])
-        ),
-        rate_T0=(None if mc_cfg.get("rate_T0") is None else float(mc_cfg["rate_T0"])),
+        rate_horizon=_optional_float(mc_cfg.get("rate_horizon")),
+        rate_T0=_optional_float(mc_cfg.get("rate_T0")),
     )
     if not (0.0 < mc.epsilon < 1.0):
         raise ConfigurationError("mc.epsilon must be in (0, 1)")
@@ -618,208 +626,30 @@ def load_scenario(path: str) -> ScenarioBundle:
         raise ConfigurationError(f"{path}: {exc}")
     try:
         doc = json.loads(raw_bytes.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        detail = (
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            if isinstance(exc, json.JSONDecodeError)
-            else f"not UTF-8: {exc}"
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
-        raise ConfigurationError(f"{path}: {detail}")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8: {exc}")
     return parse_scenario(doc, sha=hashlib.sha256(raw_bytes).hexdigest())
 
 
 # ---------------------------------------------------------------------------
 # Bundled presets
 
+# scenarios/*.json, shipped as package data through the presets symlink
+PRESET_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "presets")
 
-PRESETS: dict = {
-    "example51_stable": {
-        "name": "example51_stable",
-        "model": {
-            "family": "example51",
-            "params": {"b": [1.0, -2.0], "sigma": [0.3, 0.4], "gamma": 0.5},
-        },
-        "kernel": {
-            "family": "birth_death",
-            "params": {"up": 10.0, "down": 20.0, "modulation": 0.0},
-        },
-        "lyapunov": {
-            "family": "square",
-            "domain_radius": 0.5,
-            "g": {"kind": "power_1_plus_gamma", "gamma": 0.5},
-            "c": {
-                "kind": "expr",
-                "expr": "2*b + eps",
-                "params": {"eps": 0.2},
-                "bound": 4.2,
-            },
-        },
-        "chain": {"N": 40, "mode": "lump"},
-        "sim": {
-            "dt": 0.002,
-            "horizon": 15.0,
-            "stop_radius": 0.5,
-            "record_stride": 10,
-            "x0": [0.02],
-            "i0": 1,
-            "seed": 20260816,
-        },
-        "mc": {
-            "n_paths": 10000,
-            "epsilon": 0.25,
-            "delta_sweep": [0.05, 0.03, 0.02],
-            "rate_paths": 300,
-            "rate_horizon": 100.0,
-            "rate_T0": 10.0,
-        },
-        "outputs": "out/example51_stable",
-    },
-    "example51_unstable": {
-        "name": "example51_unstable",
-        "model": {
-            "family": "example51",
-            "params": {"b": [1.0, 2.0], "sigma": [0.3, 0.4], "gamma": 0.5},
-        },
-        "kernel": {
-            "family": "birth_death",
-            "params": {"up": 10.0, "down": 20.0, "modulation": 0.0},
-        },
-        "lyapunov": {
-            "family": "square",
-            "domain_radius": 0.5,
-            "g": {"kind": "power_1_plus_gamma", "gamma": 0.5},
-            "c": {"kind": "expr", "expr": "2*b", "params": {}, "bound": 4.0},
-        },
-        "chain": {"N": 40, "mode": "lump"},
-        "sim": {
-            "dt": 0.002,
-            "horizon": 40.0,
-            "stop_radius": 0.5,
-            "record_stride": 10,
-            "x0": [0.02],
-            "i0": 1,
-            "seed": 20260816,
-        },
-        "mc": {"n_paths": 10000, "epsilon": 0.25, "delta_sweep": [0.05, 0.03, 0.02]},
-        "outputs": "out/example51_unstable",
-    },
-    "example52_stable": {
-        "name": "example52_stable",
-        "model": {
-            "family": "example52",
-            "params": {"matrices": [[[-6.0, 1.0], [0.0, -6.0]], [[1.0, 0.5], [0.0, 1.0]]]},
-        },
-        "kernel": {"family": "example52_q", "params": {"scale": 1.0}},
-        "lyapunov": {
-            "family": "square",
-            "domain_radius": 0.5,
-            "g": {"kind": "identity"},
-            "c": {"kind": "expr", "expr": "2*Lam1", "params": {}, "bound": 11.5},
-        },
-        "chain": {"N": 30, "mode": "lump"},
-        "sim": {
-            "dt": 0.002,
-            "horizon": 10.0,
-            "stop_radius": 0.5,
-            "record_stride": 5,
-            "x0": [0.001, 0.0],
-            "i0": 1,
-            "seed": 20260816,
-        },
-        "mc": {"n_paths": 10000, "epsilon": 0.25, "delta_sweep": [0.01, 0.005, 0.001]},
-        "outputs": "out/example52_stable",
-    },
-    "example52_unstable": {
-        "name": "example52_unstable",
-        "model": {
-            "family": "example52",
-            "params": {"matrices": [[[4.0, 0.5], [0.0, 4.0]], [[-1.0, 0.25], [0.0, -1.0]]]},
-        },
-        "kernel": {"family": "example52_q", "params": {"scale": 1.0}},
-        "lyapunov": {
-            "family": "square",
-            "domain_radius": 0.5,
-            "g": {"kind": "identity"},
-            "c": {"kind": "expr", "expr": "2*lam1", "params": {}, "bound": 8.0},
-        },
-        "chain": {"N": 30, "mode": "lump"},
-        "sim": {
-            "dt": 0.002,
-            "horizon": 10.0,
-            "stop_radius": 0.5,
-            "record_stride": 5,
-            "x0": [0.001, 0.0],
-            "i0": 1,
-            "seed": 20260816,
-        },
-        "mc": {"n_paths": 10000, "epsilon": 0.25, "delta_sweep": [0.01, 0.005, 0.001]},
-        "outputs": "out/example52_unstable",
-    },
-    "contraction_benchmark": {
-        "name": "contraction_benchmark",
-        "model": {"family": "linear", "params": {"matrices": [[[-1.0]]]}},
-        "kernel": {"family": "custom_table", "params": {"rows": {}, "global_bound": 1.0}},
-        "lyapunov": {
-            "family": "square",
-            "domain_radius": 1.0,
-            "g": {"kind": "identity"},
-            "c": {"kind": "constant", "value": -2.0, "bound": 2.0},
-        },
-        "chain": {"N": 1, "mode": "drop"},
-        "sim": {
-            "dt": 0.001,
-            "horizon": 10.0,
-            "stop_radius": None,
-            "record_stride": 10,
-            "x0": [1.0],
-            "i0": 1,
-            "seed": 7,
-        },
-        "mc": {"n_paths": 8, "epsilon": 0.25, "rate_paths": 8, "rate_horizon": 10.0},
-        "outputs": "out/contraction_benchmark",
-    },
-    "two_state_switching": {
-        "name": "two_state_switching",
-        "model": {"family": "linear", "params": {"matrices": [[[0.0]]]}},
-        "kernel": {"family": "two_state", "params": {"q12": 1.0, "q21": 2.0}},
-        "lyapunov": {
-            "family": "square",
-            "domain_radius": 1.0,
-            "g": {"kind": "identity"},
-            "c": {"kind": "constant", "value": 0.0, "bound": 0.0},
-        },
-        "chain": {"N": 2, "mode": "drop"},
-        "sim": {
-            "dt": 0.001,
-            "horizon": 10000.0,
-            "stop_radius": None,
-            "record_stride": 100000,
-            "x0": [0.1],
-            "i0": 1,
-            "seed": 11,
-        },
-        "mc": {"n_paths": 1, "epsilon": 0.25},
-        "outputs": "out/two_state_switching",
-    },
-}
+
+def preset_names() -> list:
+    """Names of the bundled presets: the scenario files in PRESET_DIR."""
+    return sorted(f[: -len(".json")] for f in os.listdir(PRESET_DIR) if f.endswith(".json"))
 
 
 def preset(name: str) -> ScenarioBundle:
-    if name not in PRESETS:
-        raise ConfigurationError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        )
-    return parse_scenario(json.loads(json.dumps(PRESETS[name])))
-
-
-def write_preset_files(directory: str) -> list:
-    """Dump every bundled preset as a JSON scenario file; returns the paths."""
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for name, doc in sorted(PRESETS.items()):
-        path = os.path.join(directory, f"{name}.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths.append(path)
-    return paths
+    """Load a bundled preset; it hashes exactly like the same file run by path."""
+    names = preset_names()
+    if name not in names:
+        raise ConfigurationError(f"unknown preset {name!r}; available: {', '.join(names)}")
+    return load_scenario(os.path.join(PRESET_DIR, f"{name}.json"))

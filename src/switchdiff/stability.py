@@ -1,7 +1,7 @@
 """Stability and instability certificates for the hybrid system.
 
 Certificates combine grid evidence: a drift-condition scan L_i V <= c_i g(V)
-(or the reversed inequality for instability), the averaged coefficient
+(read in reverse for instability), the averaged coefficient
 sum c_i nu_i over a chain truncation with a conservative tail bound, tail
 behavior of the c_i sequence, finiteness of M_g = sup |V_x sigma / g(V)|,
 and continuity of the switching kernel at the origin.  Numeric scans are
@@ -278,10 +278,10 @@ def check_theorem_hypotheses(
 ) -> CriterionReport:
     """Assemble the certificate for one criterion from scan evidence.
 
-    Stability criteria need the forward drift scan; the instability criteria
-    need the reversed one, a positive averaged drift, and (for the ergodic
-    variant) a positive tail of c_i.  A missing required input raises a
-    configuration error naming the gap.
+    Stability criteria read the forward view of the drift scan; the
+    instability criteria read the reversed view and need a positive averaged
+    drift and (for the ergodic variant) a positive tail of c_i.  A missing
+    required input raises a configuration error naming the gap.
     """
     if which not in THEOREMS:
         raise ConfigurationError(f"unknown criterion {which!r}; choose from {THEOREMS}")
@@ -297,12 +297,7 @@ def check_theorem_hypotheses(
             f"{which} needs inputs that were not supplied: {', '.join(missing)}"
         )
     instability = which in _INSTABILITY
-    if drift_report.reversed_inequality != instability:
-        want = "reversed" if instability else "forward"
-        raise ConfigurationError(
-            f"{which} needs the {want} drift-condition scan; "
-            f"got reversed_inequality={drift_report.reversed_inequality}"
-        )
+    drift = drift_report.reversed if instability else drift_report.forward
 
     K = k_scan(nu.truncation_size)
     k0 = K // 2
@@ -329,12 +324,12 @@ def check_theorem_hypotheses(
         mark("strong_ergodicity", strong_ok)
         mark("kernel_continuity", kernel_scan.vanishing)
         mark("g_is_identity", lyap.g.kind == "identity")
-        mark("drift_condition", drift_report.ok)
+        mark("drift_condition", drift.ok)
         mark("c_bounded", bool(np.max(np.abs(all_cs)) <= lyap.c_bound * (1 + 1e-12)))
         mark("mean_drift_negative", md.sign == "negative")
     elif which == "T3_2":
         mark("ergodicity", ergodic_ok if strong_ok is None else (ergodic_ok or strong_ok))
-        mark("drift_condition", drift_report.ok)
+        mark("drift_condition", drift.ok)
         mark("c_bounded", bool(np.max(np.abs(all_cs)) <= lyap.c_bound * (1 + 1e-12)))
         mark("limsup_tail_c_negative", limsup_tail < 0.0)
         mark("mg_finite", mg_scan.finite)
@@ -344,13 +339,13 @@ def check_theorem_hypotheses(
     elif which == "T3_3":
         mark("strong_ergodicity", strong_ok)
         mark("kernel_continuity", kernel_scan.vanishing)
-        mark("drift_condition", drift_report.ok)
+        mark("drift_condition", drift.ok)
         mark("c_bounded", bool(np.max(np.abs(all_cs)) <= lyap.c_bound * (1 + 1e-12)))
         mark("mg_finite", mg_scan.finite)
         mark("mean_drift_negative", md.sign == "negative")
     elif which == "T3_5_ergodic":
         mark("ergodicity", ergodic_ok if strong_ok is None else (ergodic_ok or strong_ok))
-        mark("reversed_drift_condition", drift_report.ok)
+        mark("reversed_drift_condition", drift.ok)
         mark("c_bounded", bool(np.max(np.abs(all_cs)) <= lyap.c_bound * (1 + 1e-12)))
         mark("liminf_tail_c_positive", liminf_tail > 0.0)
         mark("mg_finite", mg_scan.finite)
@@ -358,7 +353,7 @@ def check_theorem_hypotheses(
     else:  # T3_5_strong
         mark("strong_ergodicity", strong_ok)
         mark("kernel_continuity", kernel_scan.vanishing)
-        mark("reversed_drift_condition", drift_report.ok)
+        mark("reversed_drift_condition", drift.ok)
         mark("c_bounded", bool(np.max(np.abs(all_cs)) <= lyap.c_bound * (1 + 1e-12)))
         mark("mg_finite", mg_scan.finite)
         mark("mean_drift_positive", md.sign == "positive")
@@ -380,7 +375,7 @@ def check_theorem_hypotheses(
             "K_scan": K,
             "tail_window_start": k0 + 1,
             "truncation_size": nu.truncation_size,
-            "drift_grid_points": getattr(drift_report, "n_checked", 0),
+            "drift_grid_points": drift.n_checked,
         },
         notes=notes,
     )

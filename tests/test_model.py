@@ -200,7 +200,7 @@ class TestDriftConditionScan:
         spec = single_regime_linear(-1.0)
         lyap = square_lyapunov(c=-2.0, c_bound=2.0)
         grid = sd.radial_grid(1, np.geomspace(1e-4, 1.0, 9), [1])
-        report = sd.verify_drift_condition(spec, lyap, grid)
+        report = sd.verify_drift_condition(spec, lyap, grid).forward
         assert report.ok
         assert report.n_checked == 18
         assert report.max_residual <= 1e-12
@@ -209,7 +209,7 @@ class TestDriftConditionScan:
         spec = single_regime_linear(-1.0)
         lyap = square_lyapunov(c=-3.0, c_bound=3.0)
         grid = sd.radial_grid(1, [0.5], [1])
-        report = sd.verify_drift_condition(spec, lyap, grid)
+        report = sd.verify_drift_condition(spec, lyap, grid).forward
         assert not report.ok
         # residual = L V - c g(V) = -2 V + 3 V = V = 0.25 at |x| = 0.5
         assert report.violations[0].residual == pytest.approx(0.25, abs=1e-10)
@@ -219,8 +219,26 @@ class TestDriftConditionScan:
         spec = single_regime_linear(+1.0)
         lyap = square_lyapunov(c=2.0, c_bound=2.0)
         grid = sd.radial_grid(1, np.geomspace(1e-4, 1.0, 9), [1])
-        report = sd.verify_drift_condition(spec, lyap, grid, reversed_inequality=True)
-        assert report.ok and report.reversed_inequality
+        report = sd.verify_drift_condition(spec, lyap, grid)
+        assert report.reversed.ok
+
+    def test_one_scan_reports_both_directions(self):
+        # dX = -X dt, V = x^2, c = -1: L V - c V = -V, so the forward
+        # inequality holds with room to spare and the reversed one fails
+        spec = single_regime_linear(-1.0)
+        lyap = square_lyapunov(c=-1.0, c_bound=1.0)
+        grid = sd.radial_grid(1, np.geomspace(1e-3, 1.0, 7), [1])
+        report = sd.verify_drift_condition(spec, lyap, grid)
+        assert report.forward.ok and not report.reversed.ok
+        assert report.forward.n_checked == report.reversed.n_checked == report.n_checked
+        assert report.n_checked == len(grid)
+        gaps = [
+            sd.apply_generator_Li(spec, lyap, x, i) - lyap.c(i) * lyap.g.g(lyap.V(x))
+            for x, i in grid
+        ]
+        assert report.forward.max_residual == max(gaps)
+        assert report.reversed.max_residual == -min(gaps)
+        assert len(report.reversed.violations) == len(grid)
 
     def test_grid_points_outside_the_domain_ball_are_rejected(self):
         spec = single_regime_linear(-1.0)

@@ -1,8 +1,8 @@
 """Scenario documents and the command-line pipelines built on them.
 
 Covers the JSON-to-bundle parsing layer (families, validation, hashing,
-preset round trips) and each CLI subcommand end to end on small workloads,
-including the partial-artifact exit paths.
+presets read from scenarios/) and each CLI subcommand end to end on small
+workloads, including the partial-artifact exit paths.
 """
 
 import hashlib
@@ -28,9 +28,12 @@ ALL_PRESETS = (
 )
 
 
+SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scenarios")
+
+
 def doc_of(name: str) -> dict:
-    # deep copy through JSON so tampering never touches the bundled table
-    return json.loads(json.dumps(sc.PRESETS[name]))
+    # every call parses the preset file afresh, so tampering stays local
+    return sd.preset(name).raw
 
 
 def small_doc(name="tiny", rows=None, global_bound="auto") -> dict:
@@ -57,14 +60,17 @@ def small_doc(name="tiny", rows=None, global_bound="auto") -> dict:
 
 class TestPresets:
     def test_every_preset_parses_with_consistent_provenance(self):
-        assert tuple(sorted(sc.PRESETS)) == ALL_PRESETS
+        assert tuple(sd.preset_names()) == ALL_PRESETS
         for name in ALL_PRESETS:
+            path = os.path.join(SCENARIO_DIR, f"{name}.json")
+            with open(path, "rb") as fh:
+                file_sha = hashlib.sha256(fh.read()).hexdigest()
             bundle = sd.preset(name)
+            loaded = sd.load_scenario(path)
             assert bundle.name == name
-            assert bundle.raw == sc.PRESETS[name]
-            assert len(bundle.sha256) == 64
-            int(bundle.sha256, 16)
-            assert bundle.sha256 == sc.scenario_hash(sc.PRESETS[name])
+            # one scenario, one hash: a preset run is a run of its file
+            assert bundle.sha256 == loaded.sha256 == file_sha
+            assert bundle.raw == loaded.raw
             assert bundle.model.dim == bundle.x0.shape[0]
             assert bundle.chain_N >= 1
 
@@ -113,11 +119,19 @@ class TestPresets:
         first.raw["sim"]["dt"] = 99.0
         again = sd.preset("two_state_switching")
         assert again.sim.dt == 0.001
-        assert sc.PRESETS["two_state_switching"]["sim"]["dt"] == 0.001
+        assert again.raw["sim"]["dt"] == 0.001
 
     def test_unknown_preset_name(self):
         with pytest.raises(ConfigurationError, match="unknown preset"):
             sd.preset("example53")
+
+    def test_preset_name_with_a_path_separator_opens_no_file(self, monkeypatch):
+        def no_open(path):
+            raise AssertionError(f"preset lookup opened {path}")
+
+        monkeypatch.setattr(sc, "load_scenario", no_open)
+        with pytest.raises(ConfigurationError, match="unknown preset"):
+            sd.preset("../pyproject")
 
 
 class TestKernelBuilders:
@@ -324,6 +338,16 @@ class TestCExpressions:
         assert c(1) == pytest.approx(2.0)   # b=1 clipped to 0
         assert c(2) == pytest.approx(0.0)   # b=-2
 
+    def test_declared_bound_is_checked_at_parse(self):
+        doc = doc_of("contraction_benchmark")
+        doc["lyapunov"]["c"] = {"kind": "constant", "value": 2.0, "bound": 0.1}
+        with pytest.raises(ConfigurationError, match="exceeds the declared bound"):
+            sc.parse_scenario(doc)
+        # a table's tail counts against the bound too
+        doc["lyapunov"]["c"] = {"kind": "table", "values": [-0.1], "tail": 2.0, "bound": 0.1}
+        with pytest.raises(ConfigurationError, match="exceeds the declared bound"):
+            sc.parse_scenario(doc)
+
     def test_table_tail_and_default_bound(self):
         c, bound = sc.build_c(
             {"kind": "table", "values": [1.0, -2.0], "tail": -3.0}, {}
@@ -366,20 +390,6 @@ class TestHashing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no_such"):
             sd.load_scenario(str(tmp_path / "no_such.json"))
-
-
-class TestPresetFiles:
-    def test_write_then_load_round_trips(self, tmp_path):
-        paths = sc.write_preset_files(str(tmp_path))
-        assert [os.path.splitext(os.path.basename(p))[0] for p in paths] == list(
-            ALL_PRESETS
-        )
-        for path in paths:
-            name = os.path.splitext(os.path.basename(path))[0]
-            loaded = sd.load_scenario(path)
-            assert loaded.name == name
-            assert loaded.raw == sc.PRESETS[name]
-            assert loaded.sim.dt == sd.preset(name).sim.dt
 
 
 class TestCliAnalyze:

@@ -160,21 +160,18 @@ def contraction_evidence():
     chain = sd.truncate(spec.rate_kernel, 1, mode="drop")
     nu = sd.invariant_measure(chain)
     grid = sd.radial_grid(1, np.geomspace(1e-5, 1.0, 9), [1])
-    fwd = sd.verify_drift_condition(spec, lyap, grid)
-    rev = sd.verify_drift_condition(
-        spec, square_lyapunov(c=-2.0, c_bound=2.0), grid, reversed_inequality=True
-    )
+    drift = sd.verify_drift_condition(spec, lyap, grid)
     mg = sd.scan_mg(spec, lyap, regimes=[1])
     ker = sd.scan_kernel_continuity(spec.rate_kernel, dim=1, regimes=[1])
     erg = sd.ergodicity_diagnostic(chain, [0.5, 1.0, 2.0, 4.0])
-    return spec, lyap, nu, fwd, rev, mg, ker, erg
+    return spec, lyap, nu, drift, mg, ker, erg
 
 
 class TestTheoremChecks:
     def test_contraction_certifies_the_identity_profile_criterion(self):
-        _, lyap, nu, fwd, _, mg, ker, erg = contraction_evidence()
+        _, lyap, nu, drift, mg, ker, erg = contraction_evidence()
         report = sd.check_theorem_hypotheses(
-            "T3_1", lyap, nu, drift_report=fwd, kernel_scan=ker, ergodicity=erg
+            "T3_1", lyap, nu, drift_report=drift, kernel_scan=ker, ergodicity=erg
         )
         assert report.verdict == "stable_certified"
         assert report.hypotheses == {
@@ -192,18 +189,18 @@ class TestTheoremChecks:
         assert report.notes[-1] == "numeric scans are grid evidence, not proof"
         assert report.scan_cutoffs["K_scan"] == 100
         assert report.scan_cutoffs["tail_window_start"] == 51
-        assert report.scan_cutoffs["drift_grid_points"] == fwd.n_checked
+        assert report.scan_cutoffs["drift_grid_points"] == drift.n_checked
 
     def test_negative_tail_variant_also_certifies(self):
-        _, lyap, nu, fwd, _, mg, ker, erg = contraction_evidence()
+        _, lyap, nu, drift, mg, ker, erg = contraction_evidence()
         report = sd.check_theorem_hypotheses(
-            "T3_2", lyap, nu, drift_report=fwd, mg_scan=mg, ergodicity=erg
+            "T3_2", lyap, nu, drift_report=drift, mg_scan=mg, ergodicity=erg
         )
         assert report.verdict == "stable_certified"
         assert report.limsup_tail_c == pytest.approx(-2.0)
         assert "kernel_continuity" not in report.hypotheses
         with_scan = sd.check_theorem_hypotheses(
-            "T3_2", lyap, nu, drift_report=fwd, mg_scan=mg, kernel_scan=ker, ergodicity=erg
+            "T3_2", lyap, nu, drift_report=drift, mg_scan=mg, kernel_scan=ker, ergodicity=erg
         )
         assert with_scan.hypotheses["kernel_continuity"] == "holds"
 
@@ -213,18 +210,18 @@ class TestTheoremChecks:
         chain = sd.truncate(spec.rate_kernel, 1, mode="drop")
         nu = sd.invariant_measure(chain)
         grid = sd.radial_grid(1, np.geomspace(1e-5, 1.0, 9), [1])
-        rev = sd.verify_drift_condition(spec, lyap, grid, reversed_inequality=True)
+        drift = sd.verify_drift_condition(spec, lyap, grid)
         mg = sd.scan_mg(spec, lyap, regimes=[1])
         ker = sd.scan_kernel_continuity(spec.rate_kernel, dim=1, regimes=[1])
         erg = sd.ergodicity_diagnostic(chain, [0.5, 1.0, 2.0, 4.0])
         ergodic = sd.check_theorem_hypotheses(
-            "T3_5_ergodic", lyap, nu, drift_report=rev, mg_scan=mg, ergodicity=erg
+            "T3_5_ergodic", lyap, nu, drift_report=drift, mg_scan=mg, ergodicity=erg
         )
         strong = sd.check_theorem_hypotheses(
             "T3_5_strong",
             lyap,
             nu,
-            drift_report=rev,
+            drift_report=drift,
             mg_scan=mg,
             kernel_scan=ker,
             ergodicity=erg,
@@ -234,44 +231,27 @@ class TestTheoremChecks:
         assert strong.verdict == "unstable_certified"
 
     def test_failed_hypothesis_downgrades_to_inconclusive(self):
-        _, lyap, nu, fwd, _, mg, ker, erg = contraction_evidence()
+        _, lyap, nu, drift, mg, ker, erg = contraction_evidence()
         power_lyap = square_lyapunov(
             c=-2.0, c_bound=2.0, profile=sd.power_profile(0.5, h=1.0)
         )
         report = sd.check_theorem_hypotheses(
-            "T3_1", power_lyap, nu, drift_report=fwd, kernel_scan=ker, ergodicity=erg
+            "T3_1", power_lyap, nu, drift_report=drift, kernel_scan=ker, ergodicity=erg
         )
         assert report.hypotheses["g_is_identity"] == "fails"
         assert report.verdict == "inconclusive"
 
     def test_missing_evidence_is_named(self):
-        _, lyap, nu, fwd, _, mg, ker, erg = contraction_evidence()
+        _, lyap, nu, drift, mg, ker, erg = contraction_evidence()
         with pytest.raises(sd.ConfigurationError, match="mg_scan"):
             sd.check_theorem_hypotheses(
-                "T3_3", lyap, nu, drift_report=fwd, kernel_scan=ker, ergodicity=erg
-            )
-
-    def test_wrong_scan_direction_is_rejected(self):
-        _, lyap, nu, fwd, rev, mg, ker, erg = contraction_evidence()
-        with pytest.raises(sd.ConfigurationError, match="reversed"):
-            sd.check_theorem_hypotheses(
-                "T3_5_strong",
-                lyap,
-                nu,
-                drift_report=fwd,
-                mg_scan=mg,
-                kernel_scan=ker,
-                ergodicity=erg,
-            )
-        with pytest.raises(sd.ConfigurationError, match="forward"):
-            sd.check_theorem_hypotheses(
-                "T3_1", lyap, nu, drift_report=rev, kernel_scan=ker, ergodicity=erg
+                "T3_3", lyap, nu, drift_report=drift, kernel_scan=ker, ergodicity=erg
             )
 
     def test_unknown_criterion_name(self):
-        _, lyap, nu, fwd, _, mg, ker, erg = contraction_evidence()
+        _, lyap, nu, drift, mg, ker, erg = contraction_evidence()
         with pytest.raises(sd.ConfigurationError):
-            sd.check_theorem_hypotheses("T9_9", lyap, nu, drift_report=fwd)
+            sd.check_theorem_hypotheses("T9_9", lyap, nu, drift_report=drift)
 
 
 class TestLinearize:
@@ -293,11 +273,20 @@ class TestLinearize:
 
     def test_superlinear_drift_linearizes_to_zero(self, stable51):
         data = sd.linearize(stable51.model, [1, 2])
-        # drift b x |x| has zero derivative at 0; the FD probe sees O(step)
-        assert abs(data.Lam1[1]) <= 1e-5
-        assert abs(data.Lam1[2]) <= 1e-5
+        # b x |x| and sigma sin^2 x both have zero derivative at 0
+        assert data.Lam1 == {1: 0.0, 2: 0.0} and data.lam1 == {1: 0.0, 2: 0.0}
+        assert data.Lam2 == {1: [0.0], 2: [0.0]} and data.lam2 == {1: [0.0], 2: [0.0]}
         assert data.warning is None
         assert data.residuals[0] > data.residuals[-1]
+
+    def test_example51_criterion_is_inconclusive(self, stable51, unstable51):
+        # a zero linear part carries no sign, so Prop. 4.1 must not decide
+        for bundle in (stable51, unstable51):
+            chain = sd.truncate(bundle.model.rate_kernel, bundle.chain_N, bundle.chain_mode)
+            data = sd.linearize(bundle.model, range(1, bundle.chain_N + 1))
+            report = sd.proposition41_criterion(data, sd.invariant_measure(chain))
+            assert report.verdict == "inconclusive"
+            assert report.stable_value == 0.0 and report.unstable_value == 0.0
 
     def test_sublinear_drift_raises_the_residual_warning(self):
         def row(x, i):
