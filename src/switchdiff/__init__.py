@@ -33,7 +33,6 @@ from .markov_chain import (
     solve_poisson_integral,
     transition_matrix,
     truncate,
-    write_matrix_csv,
     write_measure_csv,
 )
 from .model import (

@@ -25,6 +25,7 @@ from dataclasses import replace
 import numpy as np
 import scipy
 
+from .artifacts import atomic_open
 from .errors import ConfigurationError, SwitchDiffError
 from .markov_chain import (
     ergodicity_diagnostic,
@@ -78,7 +79,7 @@ def _json_default(obj):
 def _write_json(path: str, doc: dict) -> None:
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, default=_json_default)
         fh.write("\n")
 

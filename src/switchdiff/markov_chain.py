@@ -20,6 +20,7 @@ from scipy import integrate
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .artifacts import atomic_open
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -360,15 +361,8 @@ def solve_poisson_integral(
     return val
 
 
-def write_matrix_csv(path: str, M: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(M):
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def write_measure_csv(path: str, measure: InvariantMeasure) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["state", "nu"])
         for i, v in enumerate(measure.nu, start=1):

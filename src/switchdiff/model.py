@@ -39,15 +39,13 @@ class RateKernel:
 
     row(x, i) returns the off-diagonal entries ((j, rate), ...) of row i at x;
     targets must be positive integers distinct from i and rates nonnegative.
-    global_bound, if set, dominates sup_{x,i} q_i(x); local_bound(H) dominates
-    the total rate over |x| <= H.  x_independent kernels allow row caching in
-    the simulator hot loop.  Callbacks must accept a length-n array and, when
-    n = 1, a bare float.
+    global_bound, if set, dominates sup_{x,i} q_i(x).  x_independent kernels
+    allow row caching in the simulator hot loop.  Callbacks must accept a
+    length-n array and, when n = 1, a bare float.
     """
 
     row: Callable[[np.ndarray, int], Row]
     global_bound: Optional[float] = None
-    local_bound: Optional[Callable[[float], float]] = None
     x_independent: bool = False
 
     def total_rate(self, x, i: int) -> float:

@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import integrate
 
+from .artifacts import atomic_open
 from .errors import ConfigurationError, DomainError, NumericError, RateEstimationError
 
 # Below this Lyapunov value the custom-g quadrature is not attempted; G is
@@ -38,6 +39,13 @@ LAMBDA_GRID_SIZE = 64
 # makes the ratio infinite, which decides the test identically but would
 # poison quantile interpolation and JSON export.
 RATIO_CAP = 1e300
+
+# Element budget of one (lambda x time) block of the sup-ratio scan.  Rows of
+# the lambda grid are processed max(1, SUP_RATIO_BLOCK // n_times) at a time,
+# so each temporary holds one block (64 kB here, or one lambda row of a longer
+# path) instead of the whole grid.  Larger blocks measured no faster and
+# raised peak memory.
+SUP_RATIO_BLOCK = 8192
 
 _VALID_KINDS = ("identity", "power_1_plus_gamma", "custom")
 
@@ -113,51 +121,68 @@ def _validate_custom_g(g: Callable[[float], float]) -> None:
         raise ConfigurationError("custom g must be strictly increasing on [0, 1]")
 
 
-def _check_y(profile: RateProfile, y: float) -> float:
-    y = float(y)
-    if not math.isfinite(y) or y <= 0.0:
-        raise DomainError(f"G is defined on (0, h]; got y = {y}")
-    if y > profile.h * (1.0 + 1e-12):
-        raise DomainError(f"G is defined on (0, h] with h = {profile.h}; got y = {y}")
-    return min(y, profile.h)
+def _check_y(profile: RateProfile, y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    bad = ~np.isfinite(y) | (y <= 0.0)
+    if np.any(bad):
+        raise DomainError(f"G is defined on (0, h]; got y = {y[bad].flat[0]}")
+    over = y > profile.h * (1.0 + 1e-12)
+    if np.any(over):
+        raise DomainError(
+            f"G is defined on (0, h] with h = {profile.h}; got y = {y[over].flat[0]}"
+        )
+    return np.minimum(y, profile.h)
 
 
-def G(profile: RateProfile, y) -> float:
-    """Envelope transform G(y) = -int_y^h dz/g(z); vectorizes over y."""
-    if np.ndim(y):
-        return np.array([G(profile, float(v)) for v in np.ravel(y)]).reshape(np.shape(y))
+def _float_if_scalar(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
+
+
+def G(profile: RateProfile, y):
+    """Envelope transform G(y) = -int_y^h dz/g(z); vectorizes over y.
+
+    Returns a float for scalar y and an array of y's shape otherwise.
+    """
     y = _check_y(profile, y)
     h = profile.h
     if profile.kind == "identity":
-        return math.log(y / h)
-    if profile.kind == "power_1_plus_gamma":
+        out = np.log(y / h)
+    elif profile.kind == "power_1_plus_gamma":
         gam = profile.gamma
-        return (h ** (-gam) - y ** (-gam)) / gam
+        out = (h ** (-gam) - y ** (-gam)) / gam
+    else:
+        out = np.array([_quad_G(profile, float(v)) for v in y.ravel()]).reshape(y.shape)
+    return _float_if_scalar(out)
+
+
+def _quad_G(profile: RateProfile, y: float) -> float:
     if y < CUSTOM_G_FLOOR:
         return -math.inf
     val, err = integrate.quad(
-        lambda z: 1.0 / profile.g_fn(z), y, h, epsabs=1e-10, epsrel=1e-10, limit=200
+        lambda z: 1.0 / profile.g_fn(z), y, profile.h, epsabs=1e-10, epsrel=1e-10, limit=200
     )
     return -float(val)
 
 
-def G_inverse(profile: RateProfile, s) -> float:
-    """Inverse of G: maps s <= 0 to y in (0, h].  Vectorizes over s."""
-    if np.ndim(s):
-        return np.array([G_inverse(profile, float(v)) for v in np.ravel(s)]).reshape(
-            np.shape(s)
-        )
-    s = float(s)
-    if s > 1e-12:
-        raise DomainError(f"G_inverse is defined on (-inf, 0]; got s = {s}")
-    s = min(s, 0.0)
+def G_inverse(profile: RateProfile, s):
+    """Inverse of G: maps s <= 0 to y in (0, h].  Vectorizes over s.
+
+    Returns a float for scalar s and an array of s's shape otherwise.
+    """
+    s = np.asarray(s, dtype=float)
+    over = s > 1e-12
+    if np.any(over):
+        raise DomainError(f"G_inverse is defined on (-inf, 0]; got s = {s[over].flat[0]}")
+    s = np.minimum(s, 0.0)
     h = profile.h
     if profile.kind == "identity":
-        return h * math.exp(s)
-    if profile.kind == "power_1_plus_gamma":
+        out = h * np.exp(s)
+    elif profile.kind == "power_1_plus_gamma":
         gam = profile.gamma
-        return (h ** (-gam) - gam * s) ** (-1.0 / gam)
-    return _bisect_G(profile, s)
+        out = (h ** (-gam) - gam * s) ** (-1.0 / gam)
+    else:
+        out = np.array([_bisect_G(profile, float(v)) for v in s.ravel()]).reshape(s.shape)
+    return _float_if_scalar(out)
 
 
 def _bisect_G(profile: RateProfile, s: float) -> float:
@@ -171,13 +196,13 @@ def _bisect_G(profile: RateProfile, s: float) -> float:
         lo *= 0.5
         if lo < CUSTOM_G_FLOOR:
             return lo  # envelope below the quadrature floor
-        if G(profile, lo) <= s:
+        if _quad_G(profile, lo) <= s:
             break
     else:
         raise NumericError(f"bisection for G_inverse({s}) failed to bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if G(profile, mid) <= s:
+        if _quad_G(profile, mid) <= s:
             lo = mid
         else:
             hi = mid
@@ -220,6 +245,27 @@ def _lyapunov_values(lyap, xs: np.ndarray) -> np.ndarray:
     return np.array([float(V(np.asarray(x, dtype=float))) for x in xs])
 
 
+def sup_ratios(
+    ts: np.ndarray, vs: np.ndarray, profile: RateProfile, lambdas: np.ndarray
+) -> np.ndarray:
+    """R(lam) = max_k vs[k] / G_inverse(-lam * ts[k]) for every lam in lambdas.
+
+    A point with V = 0 contributes 0; an envelope that underflows to 0 while
+    V > 0 makes the ratio infinite.  Each R is capped at RATIO_CAP.  The
+    (lambda x time) grid is evaluated in blocks of SUP_RATIO_BLOCK elements.
+    """
+    out = np.empty(lambdas.size)
+    step = max(1, SUP_RATIO_BLOCK // ts.size)
+    for start in range(0, lambdas.size, step):
+        lam = lambdas[start : start + step, None]
+        env = G_inverse(profile, -lam * ts)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = np.where(vs == 0.0, 0.0, vs / env)
+        r = np.where((env == 0.0) & (vs > 0.0), np.inf, r)
+        out[start : start + step] = np.minimum(r.max(axis=1), RATIO_CAP)
+    return out
+
+
 def estimate_pathwise_rate(
     trajectories: Sequence,
     lyap,
@@ -242,7 +288,7 @@ def estimate_pathwise_rate(
     if lambdas.size == 0 or np.any(np.diff(lambdas) <= 0) or lambdas[0] <= 0:
         raise ConfigurationError("lambda grid must be positive and increasing")
 
-    survivors = []
+    rows = []
     n_excluded = 0
     for traj in trajectories:
         if getattr(traj, "exited", False) or getattr(traj, "blew_up", False):
@@ -253,26 +299,16 @@ def estimate_pathwise_rate(
             raise ConfigurationError(
                 f"no recorded times at or beyond T0 = {T0}; shrink T0 or record more"
             )
-        survivors.append((traj.times[mask], _lyapunov_values(lyap, traj.x_path[mask])))
-    if not survivors:
+        vs = _lyapunov_values(lyap, traj.x_path[mask])
+        rows.append(sup_ratios(traj.times[mask], vs, profile, lambdas))
+    if not rows:
         raise RateEstimationError("all paths exited or blew up; nothing to estimate")
 
-    n_surviving = len(survivors)
-    curve = []
-    lambda_hat = None
-    for lam in lambdas:
-        ratios = np.empty(n_surviving)
-        for p, (ts, vs) in enumerate(survivors):
-            env = G_inverse(profile, -lam * ts)
-            env = np.atleast_1d(np.asarray(env, dtype=float))
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                r = np.where(vs == 0.0, 0.0, vs / env)
-            r = np.where((env == 0.0) & (vs > 0.0), np.inf, r)
-            ratios[p] = min(float(np.max(r)), RATIO_CAP)
-        q = float(np.quantile(ratios, 1.0 - epsilon))
-        curve.append((float(lam), q, n_surviving))
-        if q <= 1.0 + 1e-12:
-            lambda_hat = float(lam)
+    n_surviving = len(rows)
+    qs = np.quantile(np.array(rows), 1.0 - epsilon, axis=0)
+    curve = [(float(lam), float(q), n_surviving) for lam, q in zip(lambdas, qs)]
+    passed = lambdas[qs <= 1.0 + 1e-12]
+    lambda_hat = float(passed[-1]) if passed.size else None
 
     return RateEstimate(
         lambda_hat=lambda_hat,
@@ -286,7 +322,7 @@ def estimate_pathwise_rate(
 
 def write_quantile_curve(path: str, estimate: RateEstimate) -> None:
     """CSV export of the quantile curve: (lambda, quantile, n_surviving)."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "quantile", "n_surviving"])
         for lam, q, n in estimate.quantile_curve:

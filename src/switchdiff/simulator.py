@@ -24,9 +24,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .artifacts import atomic_open
 from .errors import ConfigurationError, GuardError
 from .model import ModelSpec, RateKernel
-from .rates import G_inverse, RateProfile
+from .rates import RateProfile, sup_ratios
 
 SCHEMES = ("per_step_thinning", "exponential_proposals")
 THINNING_GUARD = 0.1  # largest admissible q_i(x) * dt without sub-division
@@ -463,13 +464,8 @@ class SupRatio:
         if not np.any(mask):
             return 0.0
         vs = np.array([float(self.V(xx)) for xx in traj.x_path[mask]])
-        env = np.atleast_1d(
-            np.asarray(G_inverse(self.profile, -self.lam * traj.times[mask]), dtype=float)
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(vs == 0.0, 0.0, vs / env)
-        ratios = np.where((env == 0.0) & (vs > 0.0), np.inf, ratios)
-        return 1.0 if float(np.max(ratios)) <= 1.0 + 1e-12 else 0.0
+        ratio = sup_ratios(traj.times[mask], vs, self.profile, np.array([float(self.lam)]))[0]
+        return 1.0 if ratio <= 1.0 + 1e-12 else 0.0
 
 
 class Occupation:
@@ -605,7 +601,7 @@ def run_ensemble(
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     """Columns (t, x_1..x_n, regime); shortest-roundtrip float formatting."""
     n = traj.x_path.shape[1]
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x{k+1}" for k in range(n)] + ["regime"])
         for m in range(traj.times.size):

@@ -18,6 +18,71 @@ def synthetic_path(decay, T=5.0, n=501, x0=1.0):
 V_SQUARE = SimpleNamespace(V=lambda x: float(np.dot(x, x)))
 
 
+def reference_G_inverse(profile, s):
+    """Scalar G_inverse as computed point by point with math before the
+    array kernel; custom profiles share the bisection route."""
+    if s > 1e-12:
+        raise sd.DomainError(f"G_inverse is defined on (-inf, 0]; got s = {s}")
+    s = min(s, 0.0)
+    h = profile.h
+    if profile.kind == "identity":
+        return h * math.exp(s)
+    if profile.kind == "power_1_plus_gamma":
+        gam = profile.gamma
+        return (h ** (-gam) - gam * s) ** (-1.0 / gam)
+    return sd.rates._bisect_G(profile, s)
+
+
+def reference_estimate(trajectories, lyap, profile, T0, epsilon, lambdas):
+    """The per-path, per-lambda, per-point scan that the blocked kernel replaced.
+
+    Returns (lambda_hat, curve, n_excluded) with curve = [(lam, q, n_surviving)].
+    """
+    survivors = []
+    n_excluded = 0
+    for traj in trajectories:
+        if traj.exited or traj.blew_up:
+            n_excluded += 1
+            continue
+        mask = traj.times >= T0
+        vs = np.array([float(lyap.V(np.asarray(x, dtype=float))) for x in traj.x_path[mask]])
+        survivors.append((traj.times[mask], vs))
+    curve = []
+    lambda_hat = None
+    for lam in lambdas:
+        ratios = np.empty(len(survivors))
+        for p, (ts, vs) in enumerate(survivors):
+            env = np.array([reference_G_inverse(profile, float(v)) for v in -lam * ts])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                r = np.where(vs == 0.0, 0.0, vs / env)
+            r = np.where((env == 0.0) & (vs > 0.0), np.inf, r)
+            ratios[p] = min(float(np.max(r)), sd.rates.RATIO_CAP)
+        q = float(np.quantile(ratios, 1.0 - epsilon))
+        curve.append((float(lam), q, len(survivors)))
+        if q <= 1.0 + 1e-12:
+            lambda_hat = float(lam)
+    return lambda_hat, curve, n_excluded
+
+
+def oracle_paths(T=10.0, n=401):
+    """Decaying paths with multiplicative wiggle, one that reaches V = 0, one
+    exited and one blown-up path."""
+    rng = np.random.default_rng(7)
+    paths = []
+    for decay in (0.3, 0.6, 0.9, 1.2):
+        p = synthetic_path(decay, T=T, n=n)
+        p.x_path = p.x_path * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=p.x_path.shape))
+        paths.append(p)
+    zeroed = synthetic_path(0.8, T=T, n=n)
+    zeroed.x_path[zeroed.times >= 0.5 * T] = 0.0
+    paths.append(zeroed)
+    exited = synthetic_path(0.1, T=T, n=n)
+    exited.exited = True
+    blown = synthetic_path(-0.5, T=T, n=n)
+    blown.blew_up = True
+    return paths + [exited, blown]
+
+
 class TestEnvelopeTransform:
     def test_identity_profile_closed_form(self):
         prof = sd.identity_profile(h=1.0)
@@ -76,6 +141,12 @@ class TestEnvelopeTransform:
             sd.G(prof, 1.5)
         with pytest.raises(sd.DomainError):
             sd.G_inverse(prof, 0.5)
+        # one bad element anywhere in an array is enough
+        for bad_y in ([0.5, 0.0], [[0.5, 1.5]], [0.5, float("nan")]):
+            with pytest.raises(sd.DomainError):
+                sd.G(prof, np.array(bad_y))
+        with pytest.raises(sd.DomainError):
+            sd.G_inverse(prof, np.array([-1.0, 0.5]))
 
     def test_vectorized_evaluation_keeps_shape(self):
         prof = sd.power_profile(0.5, h=1.0)
@@ -83,6 +154,9 @@ class TestEnvelopeTransform:
         out = sd.G(prof, ys)
         assert out.shape == ys.shape
         assert sd.G_inverse(prof, sd.G(prof, ys)) == pytest.approx(ys)
+        assert type(sd.G(prof, 0.5)) is float
+        assert type(sd.G_inverse(prof, np.float64(-1.0))) is float
+        assert sd.G_inverse(prof, np.array([-1.0])).shape == (1,)
 
 
 class TestProfileValidation:
@@ -175,6 +249,70 @@ class TestPathwiseRateEstimate:
                 T0=1.0,
                 lambdas=np.array([1.0, 0.5]),
             )
+
+    @pytest.mark.parametrize(
+        "prof",
+        [
+            sd.identity_profile(h=1.0),
+            sd.power_profile(0.25, h=1.0),
+            sd.power_profile(0.5, h=0.5),
+            sd.power_profile(0.75, h=2.0),
+        ],
+        ids=["identity", "power_0.25", "power_0.5", "power_0.75"],
+    )
+    def test_blocked_kernel_matches_the_per_point_scan(self, prof):
+        paths = oracle_paths()
+        lambdas = sd.default_lambda_grid()
+        est = sd.estimate_pathwise_rate(paths, V_SQUARE, prof, T0=1.0, epsilon=0.3)
+        lam_hat, curve, n_excluded = reference_estimate(paths, V_SQUARE, prof, 1.0, 0.3, lambdas)
+        assert est.lambda_hat == lam_hat
+        assert est.n_excluded == n_excluded == 2
+        assert [c[0] for c in est.quantile_curve] == [c[0] for c in curve]
+        assert [c[2] for c in est.quantile_curve] == [c[2] for c in curve] == [5] * lambdas.size
+        for (_, q, _), (_, q_ref, _) in zip(est.quantile_curve, curve):
+            assert q == q_ref or abs(q - q_ref) <= 1e-12 * abs(q_ref)
+        if prof.kind == "identity":
+            # lam * t > 750 underflows exp: the capped ratio, never NaN
+            assert est.quantile_curve[-1][1] == sd.rates.RATIO_CAP
+
+    def test_custom_profile_matches_the_per_point_scan(self):
+        prof = sd.custom_profile(lambda y: y + y * y, h=1.0)
+        paths = oracle_paths(T=4.0, n=9)
+        lambdas = np.array([0.1, 0.5, 2.0])
+        est = sd.estimate_pathwise_rate(
+            paths, V_SQUARE, prof, T0=1.0, epsilon=0.3, lambdas=lambdas
+        )
+        lam_hat, curve, n_excluded = reference_estimate(paths, V_SQUARE, prof, 1.0, 0.3, lambdas)
+        assert est.lambda_hat == lam_hat
+        assert est.n_excluded == n_excluded
+        assert est.quantile_curve == curve
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_lambda_block_size_does_not_change_the_curve(self, monkeypatch, rows):
+        paths = oracle_paths()
+        prof = sd.power_profile(0.5, h=1.0)
+        n_t = int((paths[0].times >= 1.0).sum())
+        a = sd.estimate_pathwise_rate(paths, V_SQUARE, prof, T0=1.0, epsilon=0.3)
+        monkeypatch.setattr(sd.rates, "SUP_RATIO_BLOCK", rows * n_t)
+        b = sd.estimate_pathwise_rate(paths, V_SQUARE, prof, T0=1.0, epsilon=0.3)
+        assert a.quantile_curve == b.quantile_curve
+        assert a.lambda_hat == b.lambda_hat
+
+    @pytest.mark.parametrize(
+        "prof", [sd.identity_profile(h=1.0), sd.power_profile(0.5, h=1.0)], ids=["identity", "power"]
+    )
+    def test_sup_ratio_functional_reads_the_same_statistic(self, prof):
+        path = oracle_paths()[0]
+        traj = sd.Trajectory(
+            times=path.times, x_path=path.x_path, regime_path=np.ones(path.times.size, dtype=np.int64)
+        )
+        est = sd.estimate_pathwise_rate([traj], V_SQUARE, prof, T0=1.0)
+        outcomes = set()
+        for lam, q, _ in est.quantile_curve:
+            got = sd.SupRatio(V_SQUARE.V, prof, lam, T0=1.0).evaluate(traj)
+            assert got == (1.0 if q <= 1.0 + 1e-12 else 0.0)
+            outcomes.add(got)
+        assert outcomes == {0.0, 1.0}
 
     def test_quantile_curve_csv_roundtrip(self, tmp_path):
         est = sd.estimate_pathwise_rate(

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -390,6 +391,45 @@ class TestHashing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no_such"):
             sd.load_scenario(str(tmp_path / "no_such.json"))
+
+
+class TestAtomicArtifacts:
+    @pytest.mark.parametrize(
+        "name, write, error",
+        [
+            ("report.json", lambda p: cli._write_json(p, {"a": 1, "b": object()}), TypeError),
+            (
+                "measure.csv",
+                lambda p: cli.write_measure_csv(p, SimpleNamespace(nu=[0.5, "x"])),
+                ValueError,
+            ),
+            (
+                "quantile_curve.csv",
+                lambda p: cli.write_quantile_curve(
+                    p, SimpleNamespace(quantile_curve=[(1.0, 0.5, 2), None])
+                ),
+                TypeError,
+            ),
+            (
+                "trajectory.csv",
+                lambda p: cli.write_trajectory_csv(
+                    p,
+                    SimpleNamespace(
+                        times=np.array([0.0, 1.0]), x_path=np.zeros((2, 1)), regime_path=[1, None]
+                    ),
+                ),
+                TypeError,
+            ),
+        ],
+        ids=["report", "measure", "quantile_curve", "trajectory"],
+    )
+    def test_a_write_that_fails_midway_keeps_the_previous_file(self, tmp_path, name, write, error):
+        path = tmp_path / name
+        path.write_bytes(b"previous artifact\n")
+        with pytest.raises(error):
+            write(str(path))
+        assert path.read_bytes() == b"previous artifact\n"
+        assert os.listdir(tmp_path) == [name]
 
 
 class TestCliAnalyze:
