@@ -1,0 +1,98 @@
+"""Write one snapshot of the benchmark to BENCH_<n>.json.
+
+    python3 scripts/bench_snapshot.py --number 8
+    python3 scripts/bench_snapshot.py --root <other source tree> --out before.json
+
+For each workload in BENCHMARK.json it runs
+
+    python3 bench/run.py --workload <w> --seed <seed> --seconds <s> --trace 0|1
+
+from the root of the source tree, and keeps the JSON result that run.py
+prints on its last line: the end-to-end medians at --trace 0, the per-layer
+medians at --trace 1.  The machine fingerprint comes from run.py's run record.
+A run that exits nonzero, or prints no result, is recorded with its exit code
+and the tail of its error output; it is not retried.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_one(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    argv = [
+        sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", repr(seconds), "--trace", str(trace),
+    ]
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    entry: dict = {"exit_code": done.returncode}
+    lines = done.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if done.returncode != 0 or result is None:
+        entry["error"] = done.stderr.strip().splitlines()[-5:]
+        return entry
+    entry["correct"] = result["correct"]
+    entry["attempted"] = result["attempted"]
+    entry["failed"] = result["failed"]
+    entry["metrics"] = {k: m["value"] for k, m in result["metrics"].items()}
+    return entry
+
+
+def read_fingerprint(root: str, workload: str, seed: int):
+    path = os.path.join(root, "bench", "out", f"record-{workload}-seed{seed}-trace0.json")
+    try:
+        with open(path) as fh:
+            return json.load(fh)["fingerprint"]
+    except (OSError, KeyError, json.JSONDecodeError):
+        return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--root", default=REPO, help="source tree to benchmark")
+    parser.add_argument("--number", type=int, help="write BENCH_<number>.json in this repository")
+    parser.add_argument("--out", help="output path (instead of --number)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
+    args = parser.parse_args(argv)
+    if (args.number is None) == (args.out is None):
+        parser.error("give exactly one of --number and --out")
+    out = args.out or os.path.join(REPO, f"BENCH_{args.number}.json")
+
+    with open(os.path.join(args.root, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    seconds = args.seconds if args.seconds is not None else float(spec["run_seconds"])
+    names = [w["name"] for w in spec["workloads"]]
+
+    snapshot: dict = {"seed": args.seed, "seconds": seconds, "fingerprint": None, "workloads": {}}
+    for name in names:
+        runs = {}
+        for trace in (0, 1):
+            runs[f"trace{trace}"] = entry = run_one(args.root, name, args.seed, seconds, trace)
+            status = "ok" if "metrics" in entry else f"exit code {entry['exit_code']}"
+            print(f"{name} --trace {trace}: {status}", file=sys.stderr)
+        snapshot["workloads"][name] = runs
+        if snapshot["fingerprint"] is None:
+            snapshot["fingerprint"] = read_fingerprint(args.root, name, args.seed)
+
+    with open(out, "w") as fh:
+        json.dump(snapshot, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    failed = [
+        f"{w} {t}" for w, runs in snapshot["workloads"].items()
+        for t, e in runs.items() if "metrics" not in e
+    ]
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

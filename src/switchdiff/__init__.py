@@ -43,8 +43,10 @@ from .model import (
     LyapunovSpec,
     ModelSpec,
     RateKernel,
+    ScanGrid,
     apply_full_generator,
     apply_generator_Li,
+    generator_Li,
     radial_grid,
     verify_drift_condition,
 )

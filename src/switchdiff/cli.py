@@ -159,20 +159,19 @@ def _ergodicity_times(chain, nu) -> np.ndarray:
 
 
 def _drift_dict(view, is_reversed: bool) -> dict:
-    worst = sorted(view.violations, key=lambda v: -v.residual)[:5]
     return {
         "ok": view.ok,
         "reversed": is_reversed,
         "n_checked": view.n_checked,
         "max_residual": view.max_residual,
-        "n_violations": len(view.violations),
+        "n_violations": view.n_violations,
         "worst_violations": [
             {
-                "x": [float(v) for v in np.atleast_1d(viol.x)],
+                "x": [float(v) for v in viol.x],
                 "regime": viol.regime,
                 "residual": viol.residual,
             }
-            for viol in worst
+            for viol in view.worst(5)
         ],
     }
 

@@ -8,13 +8,19 @@ from i to j at state-dependent rate q_ij(X(t)).  The operator split is
     L_i V(x)  = grad V(x) . b(x, i) + (1/2) tr(hess V(x) A(x, i)),
 
 with A = sigma sigma^T.  The drift condition L_i V <= c_i g(V) and the
-reversed inequality are checked together, pointwise on caller-supplied grids.
+reversed inequality are checked together on caller-supplied grids.
+
+Every scan works on a batch of points: X of shape (P, n) with regimes I of
+shape (P,).  A spec built by a scenario family carries batch forms of its
+callables (batch_drift, batch_V, batch_rows, ...); a spec that has only
+per-point callables is evaluated point by point through _per_point, the one
+adapter between the two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -41,12 +47,14 @@ class RateKernel:
     targets must be positive integers distinct from i and rates nonnegative.
     global_bound, if set, dominates sup_{x,i} q_i(x).  x_independent kernels
     allow row caching in the simulator hot loop.  Callbacks must accept a
-    length-n array and, when n = 1, a bare float.
+    length-n array and, when n = 1, a bare float.  batch_rows(X, I), if set,
+    returns the same rows for a batch as padded arrays (see padded_rows).
     """
 
     row: Callable[[np.ndarray, int], Row]
     global_bound: Optional[float] = None
     x_independent: bool = False
+    batch_rows: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
 
     def total_rate(self, x, i: int) -> float:
         return float(sum(r for _, r in self.row(x, i)))
@@ -60,6 +68,30 @@ class RateKernel:
             if not (r >= 0.0 and math.isfinite(r)):
                 raise EvaluationError(f"row {i} has invalid rate {r} toward {j}")
         return entries
+
+    def padded_rows(self, X: np.ndarray, I: np.ndarray) -> tuple:
+        """Rows at every (X[p], I[p]) as arrays (targets, rates) of shape
+        (P, m), entry by entry in row order; target 0 with rate 0 pads a row
+        shorter than m.  Rows are validated like check_row."""
+        if self.batch_rows is None:
+            rows = _per_point(self.check_row, X, I)
+            width = max(map(len, rows), default=0)
+            targets = np.zeros((len(rows), width), dtype=np.int64)
+            rates = np.zeros((len(rows), width))
+            for p, row in enumerate(rows):
+                for k, (j, r) in enumerate(row):
+                    targets[p, k] = j
+                    rates[p, k] = r
+            return targets, rates
+        targets, rates = self.batch_rows(X, I)
+        bad = (targets == I[:, None]) | ((targets < 1) & (rates != 0.0))
+        bad |= ~(rates >= 0.0) | ~np.isfinite(rates)
+        if bad.any():
+            p, k = np.argwhere(bad)[0]
+            raise EvaluationError(
+                f"row {I[p]} has invalid entry ({targets[p, k]}, {rates[p, k]})"
+            )
+        return targets, rates
 
 
 @dataclass
@@ -78,6 +110,8 @@ class ModelSpec:
     the origin is an equilibrium of every regime (b(0,i) = 0, sigma(0,i) = 0).
     scalar_drift/scalar_diffusion are optional float fast paths used by the
     simulator when n = d = 1; they must agree with the array callbacks.
+    batch_drift(X, I) -> (P, n) and batch_diffusion(X, I) -> (P, n, d) are
+    optional batch forms; they must agree with the callbacks bit for bit.
     """
 
     dim: int
@@ -89,10 +123,26 @@ class ModelSpec:
     scalar_drift: Optional[Callable[[float, int], float]] = None
     scalar_diffusion: Optional[Callable[[float, int], float]] = None
     linearization: Optional[ExactLinearization] = None
+    batch_drift: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    batch_diffusion: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.noise_dim < 1:
             raise ConfigurationError("dim and noise_dim must be >= 1")
+
+    def drifts(self, X: np.ndarray, I: np.ndarray) -> np.ndarray:
+        """b(X[p], I[p]) for every p, shape (P, n)."""
+        if self.batch_drift is not None:
+            return self.batch_drift(X, I)
+        out = np.array(_per_point(self.drift_at, X, I), dtype=float)
+        return out.reshape(len(I), self.dim)
+
+    def diffusions(self, X: np.ndarray, I: np.ndarray) -> np.ndarray:
+        """sigma(X[p], I[p]) for every p, shape (P, n, d)."""
+        if self.batch_diffusion is not None:
+            return self.batch_diffusion(X, I)
+        out = np.array(_per_point(self.diffusion_at, X, I), dtype=float)
+        return out.reshape(len(I), self.dim, self.noise_dim)
 
     def drift_at(self, x, i: int) -> np.ndarray:
         b = np.asarray(self.drift(np.asarray(x, dtype=float), i), dtype=float)
@@ -136,6 +186,9 @@ class LyapunovSpec:
     V must be positive away from 0 with V(0) = 0 on the domain ball; grad_V
     and hess_V are optional (central finite differences otherwise).  c(i)
     gives the drift-condition coefficient for regime i, |c(i)| <= c_bound.
+    batch_V, batch_grad_V and batch_hess_V map X of shape (P, n) to shapes
+    (P,), (P, n) and (P, n, n); they are optional and must agree with the
+    per-point callables bit for bit.
     """
 
     V: Callable[[np.ndarray], float]
@@ -145,6 +198,30 @@ class LyapunovSpec:
     domain_radius: float
     grad_V: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_V: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    batch_V: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    batch_grad_V: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    batch_hess_V: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """V(X[p]) for every p, shape (P,)."""
+        if self.batch_V is not None:
+            return self.batch_V(X)
+        return np.array(_per_point(self.V, X), dtype=float).reshape(len(X))
+
+    def gradients(self, X: np.ndarray) -> np.ndarray:
+        """grad V(X[p]) for every p, shape (P, n)."""
+        if self.batch_grad_V is not None:
+            return self.batch_grad_V(X)
+        grad = self.grad_V or (lambda x: _fd_gradient(self.V, x))
+        return np.array(_per_point(grad, X), dtype=float).reshape(X.shape)
+
+    def hessians(self, X: np.ndarray) -> np.ndarray:
+        """hess V(X[p]) for every p, shape (P, n, n)."""
+        if self.batch_hess_V is not None:
+            return self.batch_hess_V(X)
+        hess = self.hess_V or (lambda x: _fd_hessian(self.V, x))
+        out = np.array(_per_point(hess, X), dtype=float)
+        return out.reshape(X.shape + X.shape[1:])
 
     def c_vector(self, n: int) -> np.ndarray:
         return np.array([float(self.c(i)) for i in range(1, n + 1)])
@@ -161,6 +238,20 @@ class LyapunovSpec:
         for i in range(1, 50):
             if abs(float(self.c(i))) > self.c_bound + 1e-12:
                 raise EvaluationError(f"|c({i})| exceeds c_bound = {self.c_bound}")
+
+
+def _per_point(fn: Callable, X: np.ndarray, I: Optional[np.ndarray] = None) -> list:
+    """[fn(X[p], I[p]) for every p], or [fn(X[p])] without I: the adapter
+    that evaluates a callable taking one point on a batch of points."""
+    if I is None:
+        return [fn(x) for x in X]
+    return [fn(x, i) for x, i in zip(X, I.tolist())]
+
+
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """|X[p]| for every row p, equal bit for bit to np.linalg.norm of the row
+    (np.linalg.norm(X, axis=1) sums in another order)."""
+    return np.sqrt(np.vecdot(X, X))
 
 
 def _fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
@@ -199,27 +290,32 @@ def _fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     return H
 
 
-def apply_generator_Li(spec: ModelSpec, lyap: LyapunovSpec, x, i: int) -> float:
-    """Diffusion-part generator L_i V(x); x = 0 is outside the domain."""
-    x = np.asarray(x, dtype=float).reshape(spec.dim)
-    if float(np.linalg.norm(x)) == 0.0:
-        raise DomainError("L_i V is evaluated away from the origin")
-    grad = (
-        np.asarray(lyap.grad_V(x), dtype=float)
-        if lyap.grad_V is not None
-        else _fd_gradient(lyap.V, x)
-    )
-    hess = (
-        np.asarray(lyap.hess_V(x), dtype=float)
-        if lyap.hess_V is not None
-        else _fd_hessian(lyap.V, x)
-    )
-    b = spec.drift_at(x, i)
-    sig = spec.diffusion_at(x, i)
-    val = float(grad @ b) + 0.5 * float(np.trace(hess @ (sig @ sig.T)))
-    if not math.isfinite(val):
-        raise EvaluationError(f"L_i V non-finite at x={x}, i={i}")
+def generator_Li(spec: ModelSpec, lyap: LyapunovSpec, X: np.ndarray, I: np.ndarray) -> np.ndarray:
+    """Diffusion-part generator L_i V at every (X[p], I[p]), shape (P,).
+
+    Dot products go through np.vecdot and matmul, which match the per-point
+    `grad @ b` and `hess @ A` bit for bit; an elementwise (G * B).sum(1)
+    would not.
+    """
+    grad = lyap.gradients(X)
+    hess = lyap.hessians(X)
+    b = spec.drifts(X, I)
+    sig = spec.diffusions(X, I)
+    gram = np.matmul(sig, sig.transpose(0, 2, 1))
+    val = np.vecdot(grad, b) + 0.5 * np.trace(np.matmul(hess, gram), axis1=1, axis2=2)
+    bad = ~np.isfinite(val)
+    if bad.any():
+        p = int(np.argmax(bad))
+        raise EvaluationError(f"L_i V non-finite at x={X[p]}, i={I[p]}")
     return val
+
+
+def apply_generator_Li(spec: ModelSpec, lyap: LyapunovSpec, x, i: int) -> float:
+    """L_i V(x) at one point, as a batch of one; x = 0 is outside the domain."""
+    X = np.asarray(x, dtype=float).reshape(1, spec.dim)
+    if row_norms(X)[0] == 0.0:
+        raise DomainError("L_i V is evaluated away from the origin")
+    return float(generator_Li(spec, lyap, X, np.array([i]))[0])
 
 
 def apply_full_generator(
@@ -253,24 +349,72 @@ class DriftViolation:
     residual: float
 
 
+@dataclass(frozen=True)
+class ScanGrid:
+    """Scan points as arrays: X[p] in R^n, shape (P, n), in regime I[p].
+    Iterating yields the (x, i) pairs."""
+
+    X: np.ndarray
+    I: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.I)
+
+    def __iter__(self):
+        return zip(self.X, self.I.tolist())
+
+
+def as_scan_grid(points, dim: int) -> ScanGrid:
+    """A ScanGrid as is, or one built from an iterable of (x, i) pairs."""
+    if isinstance(points, ScanGrid):
+        return points
+    pairs = list(points)
+    X = np.array([np.asarray(x, dtype=float).reshape(dim) for x, _ in pairs])
+    I = np.array([int(i) for _, i in pairs], dtype=np.int64)
+    return ScanGrid(X.reshape(len(pairs), dim), I)
+
+
 @dataclass
 class DriftView:
-    """One direction of a drift scan: residuals L_i V - c_i g(V) (forward)
-    or c_i g(V) - L_i V (reversed); a residual above tol is a violation."""
+    """One direction of a drift scan: the residual of every grid point,
+    L_i V - c_i g(V) (forward) or c_i g(V) - L_i V (reversed), and the mask
+    of violations, the residuals above tol."""
 
-    violations: list = field(default_factory=list)
-    max_residual: float = -math.inf
-    n_checked: int = 0
+    grid: ScanGrid
+    residuals: np.ndarray
+    violated: np.ndarray
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violated.any()
 
-    def add(self, x: np.ndarray, i: int, residual: float, tol: float) -> None:
-        self.n_checked += 1
-        self.max_residual = max(self.max_residual, residual)
-        if residual > tol:
-            self.violations.append(DriftViolation(x=x, regime=i, residual=residual))
+    @property
+    def n_checked(self) -> int:
+        return len(self.residuals)
+
+    @property
+    def n_violations(self) -> int:
+        return int(np.count_nonzero(self.violated))
+
+    @property
+    def max_residual(self) -> float:
+        return float(np.max(self.residuals))
+
+    def _violation(self, p: int) -> DriftViolation:
+        return DriftViolation(
+            x=self.grid.X[p], regime=int(self.grid.I[p]), residual=float(self.residuals[p])
+        )
+
+    @property
+    def violations(self) -> list:
+        """The violations in grid order."""
+        return [self._violation(p) for p in np.flatnonzero(self.violated)]
+
+    def worst(self, k: int) -> list:
+        """The k largest violations, largest first; ties keep grid order."""
+        where = np.flatnonzero(self.violated)
+        order = np.argsort(-self.residuals[where], kind="stable")[:k]
+        return [self._violation(p) for p in where[order]]
 
 
 @dataclass
@@ -278,8 +422,8 @@ class DriftReport:
     """Grid scan of L_i V against c_i g(V), seen in both directions: forward
     (L_i V <= c_i g(V), stability) and reversed (>=, instability)."""
 
-    forward: DriftView = field(default_factory=DriftView)
-    reversed: DriftView = field(default_factory=DriftView)
+    forward: DriftView
+    reversed: DriftView
 
     @property
     def n_checked(self) -> int:
@@ -289,27 +433,33 @@ class DriftReport:
 def verify_drift_condition(
     spec: ModelSpec,
     lyap: LyapunovSpec,
-    grid: Iterable[tuple[np.ndarray, int]],
+    grid,
     tol: float = DRIFT_TOL,
 ) -> DriftReport:
     """Evaluate L_i V(x) - c_i g(V(x)) once per grid point and report both
-    inequalities; points at the origin or outside the domain ball are
-    rejected."""
-    report = DriftReport()
-    for x, i in grid:
-        x = np.asarray(x, dtype=float).reshape(spec.dim)
-        r = float(np.linalg.norm(x))
-        if r == 0.0 or r > lyap.domain_radius * (1.0 + 1e-12):
-            raise DomainError(
-                f"drift-condition grid point |x| = {r} outside (0, {lyap.domain_radius}]"
-            )
-        li = apply_generator_Li(spec, lyap, x, i)
-        bound = float(lyap.c(i)) * float(lyap.g.g(float(lyap.V(x))))
-        report.forward.add(x, i, li - bound, tol)
-        report.reversed.add(x, i, bound - li, tol)
-    if report.n_checked == 0:
+    inequalities.  grid is a ScanGrid or an iterable of (x, i) pairs; points
+    at the origin or outside the domain ball are rejected."""
+    grid = as_scan_grid(grid, spec.dim)
+    if len(grid) == 0:
         raise ConfigurationError("empty drift-condition grid")
-    return report
+    X, I = grid.X, grid.I
+    r = row_norms(X)
+    outside = (r == 0.0) | (r > lyap.domain_radius * (1.0 + 1e-12))
+    if outside.any():
+        raise DomainError(
+            f"drift-condition grid point |x| = {r[np.argmax(outside)]} "
+            f"outside (0, {lyap.domain_radius}]"
+        )
+    li = generator_Li(spec, lyap, X, I)
+    regimes, where = np.unique(I, return_inverse=True)
+    c = np.array([float(lyap.c(i)) for i in regimes.tolist()])[where]
+    bound = c * lyap.g.g(lyap.values(X))
+    forward = li - bound
+    backward = bound - li
+    return DriftReport(
+        forward=DriftView(grid, forward, forward > tol),
+        reversed=DriftView(grid, backward, backward > tol),
+    )
 
 
 def radial_grid(
@@ -317,8 +467,9 @@ def radial_grid(
     radii: Sequence[float],
     regimes: Sequence[int],
     directions: Optional[Sequence[np.ndarray]] = None,
-) -> list:
-    """Default (x, i) grid: radii x directions x regimes.
+) -> ScanGrid:
+    """Default (x, i) grid: radii x directions x regimes, regimes varying
+    fastest.
 
     Directions default to +/- axes plus the normalized all-ones vector; all
     are deterministic so scans are reproducible.
@@ -334,9 +485,10 @@ def radial_grid(
             dirs.append(np.full(dim, 1.0 / math.sqrt(dim)))
     else:
         dirs = [np.asarray(d, dtype=float) / np.linalg.norm(d) for d in directions]
-    grid = []
-    for r in radii:
-        for d in dirs:
-            for i in regimes:
-                grid.append((r * d, i))
-    return grid
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    regimes = np.asarray(list(regimes), dtype=np.int64)
+    points = (radii[:, None, None] * np.array(dirs)[None]).reshape(-1, dim)
+    return ScanGrid(
+        X=np.repeat(points, len(regimes), axis=0),
+        I=np.tile(regimes, len(points)),
+    )

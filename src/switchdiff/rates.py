@@ -241,6 +241,10 @@ class RateEstimate:
 
 
 def _lyapunov_values(lyap, xs: np.ndarray) -> np.ndarray:
+    """V at every recorded point: a LyapunovSpec's batch values, or V point
+    by point for a bare callable or any object with a V attribute."""
+    if hasattr(lyap, "values"):
+        return lyap.values(xs)
     V = getattr(lyap, "V", lyap)
     return np.array([float(V(np.asarray(x, dtype=float))) for x in xs])
 

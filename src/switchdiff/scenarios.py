@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import ExactLinearization, LyapunovSpec, ModelSpec, RateKernel
+from .model import ExactLinearization, LyapunovSpec, ModelSpec, RateKernel, row_norms
 from .rates import RateProfile, identity_profile, power_profile
 from .simulator import SimConfig
 
@@ -70,6 +70,13 @@ def _norm(x) -> float:
     return float(np.linalg.norm(x))
 
 
+def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base ** exponent element by element with float's own power, as the
+    per-point forms compute it; numpy's vectorized power can differ from it
+    in the last bit."""
+    return np.array([b**exponent for b in base.tolist()]).reshape(base.shape)
+
+
 def _pick(values, i: int) -> float:
     """Regime lookup with a saturating tail: values[-1] covers i beyond it."""
     return float(values[min(i, len(values)) - 1])
@@ -99,6 +106,12 @@ def build_kernel(family: str, params: dict) -> RateKernel:
                 "kernel.params: need up >= 0, down > 0, modulation >= 0"
             )
 
+        def unit_rows(I):
+            first = I == 1
+            targets = np.stack([np.where(first, 2, I - 1), np.where(first, 0, I + 1)], axis=1)
+            rates = np.stack([np.where(first, up, down), np.where(first, 0.0, up)], axis=1)
+            return targets, rates
+
         if mod == 0.0:
             def row(x, i):
                 if i == 1:
@@ -106,7 +119,10 @@ def build_kernel(family: str, params: dict) -> RateKernel:
                 return ((i - 1, down), (i + 1, up))
 
             return RateKernel(
-                row=row, global_bound=up + down, x_independent=True
+                row=row,
+                global_bound=up + down,
+                x_independent=True,
+                batch_rows=lambda X, I: unit_rows(I),
             )
 
         def row(x, i):
@@ -115,10 +131,16 @@ def build_kernel(family: str, params: dict) -> RateKernel:
                 return ((2, up * f),)
             return ((i - 1, down * f), (i + 1, up * f))
 
+        def batch_rows(X, I):
+            targets, rates = unit_rows(I)
+            f = 1.0 + mod * np.sin(row_norms(X)) ** 2
+            return targets, rates * f[:, None]
+
         return RateKernel(
             row=row,
             global_bound=(up + down) * (1.0 + mod),
             x_independent=False,
+            batch_rows=batch_rows,
         )
 
     if family == "example52_q":
@@ -132,7 +154,15 @@ def build_kernel(family: str, params: dict) -> RateKernel:
                 return ((2, r),)
             return ((1, r), (i + 1, r))
 
-        return RateKernel(row=row, global_bound=4.0 * scale, x_independent=False)
+        def batch_rows(X, I):
+            r = scale * (1.0 + np.sin(row_norms(X)))
+            first = I == 1
+            targets = np.stack([np.where(first, 2, 1), np.where(first, 0, I + 1)], axis=1)
+            return targets, np.stack([r, np.where(first, 0.0, r)], axis=1)
+
+        return RateKernel(
+            row=row, global_bound=4.0 * scale, x_independent=False, batch_rows=batch_rows
+        )
 
     if family == "two_state":
         q12 = float(_require(params, "q12", "kernel.params"))
@@ -147,7 +177,17 @@ def build_kernel(family: str, params: dict) -> RateKernel:
                 return ((1, q21),)
             return ()
 
-        return RateKernel(row=row, global_bound=max(q12, q21), x_independent=True)
+        def batch_rows(X, I):
+            targets = np.select([I == 1, I == 2], [2, 1], 0)
+            rates = np.select([I == 1, I == 2], [q12, q21], 0.0)
+            return targets[:, None], rates[:, None]
+
+        return RateKernel(
+            row=row,
+            global_bound=max(q12, q21),
+            x_independent=True,
+            batch_rows=batch_rows,
+        )
 
     if family == "custom_table":
         raw = _require(params, "rows", "kernel.params")
@@ -176,7 +216,21 @@ def build_kernel(family: str, params: dict) -> RateKernel:
         def row(x, i):
             return table.get(i, ())
 
-        return RateKernel(row=row, global_bound=bound, x_independent=True)
+        width = max(map(len, table.values()), default=0)
+
+        def batch_rows(X, I):
+            regimes, where = np.unique(I, return_inverse=True)
+            targets = np.zeros((regimes.size, width), dtype=np.int64)
+            rates = np.zeros((regimes.size, width))
+            for k, i in enumerate(regimes.tolist()):
+                for m, (j, r) in enumerate(table.get(i, ())):
+                    targets[k, m] = j
+                    rates[k, m] = r
+            return targets[where], rates[where]
+
+        return RateKernel(
+            row=row, global_bound=bound, x_independent=True, batch_rows=batch_rows
+        )
 
     raise ConfigurationError(
         f"unknown kernel family {family!r}; choose from {KERNEL_FAMILIES}"
@@ -219,6 +273,16 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
         def diffusion(x, i):
             return np.array([[scalar_diffusion(float(x[0]), i)]])
 
+        b_arr, sigma_arr = np.array(b), np.array(sigma)
+
+        def batch_drift(X, I):
+            x = X[:, 0]
+            return (b_arr[np.minimum(I, nb) - 1] * x * _pow(np.abs(x), two_gamma))[:, None]
+
+        def batch_diffusion(X, I):
+            s = np.sin(X[:, 0])
+            return (sigma_arr[np.minimum(I, ns) - 1] * s * s)[:, None, None]
+
         return ModelSpec(
             dim=1,
             noise_dim=1,
@@ -229,6 +293,8 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             scalar_drift=scalar_drift,
             scalar_diffusion=scalar_diffusion,
             linearization=ExactLinearization(lambda i: zero, lambda i: [zero]),
+            batch_drift=batch_drift,
+            batch_diffusion=batch_diffusion,
         )
 
     if family in ("example52", "linear"):
@@ -272,6 +338,24 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
         def diffusion(x, i):
             return np.column_stack([m @ x for m in S(i)])
 
+        # stacked per-regime matrices, saturating like A and S; batched matmul
+        # matches the per-point products bit for bit
+        a_stack = np.stack(mats)
+        s_stack = (
+            np.zeros((1, noise_dim, n, n))
+            if sig_mats is None
+            else np.stack([np.stack(regime) for regime in sig_mats])
+        )
+
+        def batch_drift(X, I):
+            a = a_stack[np.minimum(I, len(a_stack)) - 1]
+            return np.matmul(a, X[:, :, None])[:, :, 0]
+
+        def batch_diffusion(X, I):
+            s = s_stack[np.minimum(I, len(s_stack)) - 1]
+            cols = np.matmul(s, X[:, None, :, None])[..., 0]
+            return np.ascontiguousarray(cols.transpose(0, 2, 1))
+
         scalar_drift = None
         scalar_diffusion = None
         if n == 1 and noise_dim == 1:
@@ -295,6 +379,8 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             scalar_drift=scalar_drift,
             scalar_diffusion=scalar_diffusion,
             linearization=ExactLinearization(drift_matrix=A, diffusion_matrices=S),
+            batch_drift=batch_drift,
+            batch_diffusion=batch_diffusion,
         )
 
     raise ConfigurationError(
@@ -468,6 +554,9 @@ def build_lyapunov(lyap_cfg: dict, model_cfg: dict, dim: int) -> LyapunovSpec:
         V = lambda x: float(np.dot(x, x))
         grad = lambda x: 2.0 * np.asarray(x, dtype=float)
         hess = lambda x: 2.0 * np.eye(dim)
+        batch_V = lambda X: np.vecdot(X, X)
+        batch_grad = lambda X: 2.0 * X
+        batch_hess = lambda X: np.broadcast_to(2.0 * np.eye(dim), (len(X), dim, dim))
         v_at_radius = radius**2
     elif family == "power_p":
         p = float(_require(lyap_cfg, "p", "lyapunov"))
@@ -490,6 +579,18 @@ def build_lyapunov(lyap_cfg: dict, model_cfg: dict, dim: int) -> LyapunovSpec:
                 x, x
             )
 
+        def batch_V(X):
+            return _pow(row_norms(X), p)
+
+        def batch_grad(X):
+            return (p * _pow(row_norms(X), p - 2.0))[:, None] * X
+
+        def batch_hess(X):
+            r = row_norms(X)
+            a = (p * _pow(r, p - 2.0))[:, None, None]
+            b = (p * (p - 2.0) * _pow(r, p - 4.0))[:, None, None]
+            return a * np.eye(dim) + b * (X[:, :, None] * X[:, None, :])
+
         v_at_radius = radius**p
     else:
         raise ConfigurationError(
@@ -506,6 +607,9 @@ def build_lyapunov(lyap_cfg: dict, model_cfg: dict, dim: int) -> LyapunovSpec:
         domain_radius=radius,
         grad_V=grad,
         hess_V=hess,
+        batch_V=batch_V,
+        batch_grad_V=batch_grad,
+        batch_hess_V=batch_hess,
     )
 
 

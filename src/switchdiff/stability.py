@@ -18,13 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .markov_chain import ErgodicityDiagnostic, InvariantMeasure
-from .model import (
-    LyapunovSpec,
-    ModelSpec,
-    RateKernel,
-    _fd_gradient,
-    radial_grid,
-)
+from .model import LyapunovSpec, ModelSpec, RateKernel, radial_grid, row_norms
 
 K_SCAN_FLOOR = 100
 K_SCAN_FACTOR = 4
@@ -92,6 +86,11 @@ def mean_drift_criterion(
     return MeanDriftResult(value=value, tail_bound=tail, sign=sign)
 
 
+def _positive_sup(values: np.ndarray, axis=None):
+    """The largest positive value, 0.0 if there is none; NaN is skipped."""
+    return np.where(values > 0.0, values, 0.0).max(axis=axis, initial=0.0)
+
+
 @dataclass
 class MgScan:
     """Grid evidence for M_g = sup |V_x(x) sigma(x, i)| / g(V(x)) < inf."""
@@ -132,28 +131,23 @@ def scan_mg(
     if regimes is None:
         regimes = range(1, K_SCAN_FLOOR + 1)
     regimes = list(regimes)
-    grid_dirs = radial_grid(spec.dim, [1.0], [1])
-    dirs = [g[0] for g in grid_dirs]
-
+    # V, g(V) and grad V depend on x alone: evaluate them once per point and
+    # repeat them across the regimes, which vary fastest in the grid
+    points = radial_grid(spec.dim, radii, [1]).X
+    n_dirs = len(points) // radii.size
+    gvs = lyap.g.g(lyap.values(points))
+    grads = lyap.gradients(points)
     values = np.zeros(radii.size)
-    for ri, r in enumerate(radii):
-        worst = 0.0
-        for d in dirs:
-            x = r * d
-            v = float(lyap.V(x))
-            gv = float(lyap.g.g(v))
-            grad = (
-                np.asarray(lyap.grad_V(x), dtype=float)
-                if lyap.grad_V is not None
-                else _fd_gradient(lyap.V, x)
-            )
-            for i in regimes:
-                sig = spec.diffusion_at(x, i)
-                num = float(np.linalg.norm(grad @ sig))
-                ratio = math.inf if gv == 0.0 and num > 0.0 else (num / gv if gv else 0.0)
-                if ratio > worst:
-                    worst = ratio
-        values[ri] = worst
+    for k, r in enumerate(radii):
+        # one radius at a time keeps temporaries at directions x regimes rows
+        at_r = slice(k * n_dirs, (k + 1) * n_dirs)
+        gv = np.repeat(gvs[at_r], len(regimes))
+        grad = np.repeat(grads[at_r], len(regimes), axis=0)
+        grid = radial_grid(spec.dim, [r], regimes)
+        num = row_norms(np.matmul(grad[:, None, :], spec.diffusions(grid.X, grid.I))[:, 0, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(gv == 0.0, np.where(num > 0.0, math.inf, 0.0), num / gv)
+        values[k] = _positive_sup(ratio)
 
     finite = bool(np.all(np.isfinite(values)))
     if finite and radii.size >= 8:
@@ -168,6 +162,15 @@ def scan_mg(
         values_by_radius=values,
         regimes_scanned=len(regimes),
     )
+
+
+def _row_distance(t1: np.ndarray, r1: np.ndarray, t2: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """sum_j |q1_j - q2_j| over the union of targets, row by row, of two
+    batches of padded rows (targets, rates)."""
+    same = t1[:, :, None] == t2[:, None, :]
+    matched = (same * r2[:, None, :]).sum(axis=2)
+    unmatched = np.where(same.any(axis=1), 0.0, r2)
+    return np.abs(r1 - matched).sum(axis=1) + np.abs(unmatched).sum(axis=1)
 
 
 @dataclass
@@ -206,28 +209,22 @@ def scan_kernel_continuity(
         raise ConfigurationError("scan radii must be positive")
     if regimes is None:
         regimes = range(1, K_SCAN_FLOOR + 1)
-    regimes = list(regimes)
-    dirs = [g[0] for g in radial_grid(dim, [1.0], [1])]
-    zero = np.zeros(dim)
-    base = {i: dict(kernel.check_row(zero, i)) for i in regimes}
-
+    regimes = np.asarray(list(regimes), dtype=np.int64)
+    # the grid of one radius runs through the regimes once per direction, so
+    # the rows at the origin tile it
+    n_dirs = len(radial_grid(dim, [1.0], [1]))
+    base_t, base_r = kernel.padded_rows(np.zeros((regimes.size, dim)), regimes)
+    base_t, base_r = np.tile(base_t, (n_dirs, 1)), np.tile(base_r, (n_dirs, 1))
     s = np.zeros(radii.size)
-    for ri, r in enumerate(radii):
-        worst = 0.0
-        for d in dirs:
-            x = r * d
-            for i in regimes:
-                here = dict(kernel.check_row(x, i))
-                total = 0.0
-                for j in set(here) | set(base[i]):
-                    total += abs(here.get(j, 0.0) - base[i].get(j, 0.0))
-                if total > worst:
-                    worst = total
-        s[ri] = worst
+    for k, r in enumerate(radii):
+        # one radius at a time, as in scan_mg
+        grid = radial_grid(dim, [r], regimes)
+        here_t, here_r = kernel.padded_rows(grid.X, grid.I)
+        s[k] = _positive_sup(_row_distance(here_t, here_r, base_t, base_r))
     s_max = float(np.max(s))
     vanishing = bool(s[0] <= max(KERNEL_VANISH_ABS, KERNEL_VANISH_REL * s_max))
     return KernelContinuityScan(
-        radii=radii, s_values=s, vanishing=vanishing, regimes_scanned=len(regimes)
+        radii=radii, s_values=s, vanishing=vanishing, regimes_scanned=regimes.size
     )
 
 
@@ -486,22 +483,19 @@ def linearize(
             lam2[i].append(max(0.0, float(gram_eigs[0])))
 
     probe_radii = sorted(probe_radii, reverse=True)
-    dirs = [g[0] for g in radial_grid(n, [1.0], [1])]
-    residuals = []
-    for r in probe_radii:
-        worst = 0.0
-        for dvec in dirs:
-            x = r * dvec
-            for i in regimes:
-                xi = spec.drift_at(x, i) - b_mats[i] @ x
-                lin_sigma = np.column_stack([m @ x for m in s_mats[i]])
-                zeta = spec.diffusion_at(x, i) - lin_sigma
-                ratio = max(
-                    float(np.linalg.norm(xi)), float(np.linalg.norm(zeta))
-                ) / r
-                if ratio > worst:
-                    worst = ratio
-        residuals.append(worst)
+    grid = radial_grid(n, probe_radii, regimes)
+    X, I = grid.X, grid.I
+    # grid regimes cycle fastest, so the stacked matrices tile the grid
+    reps = len(grid) // len(regimes)
+    b_lin = np.tile(np.stack([b_mats[i] for i in regimes]), (reps, 1, 1))
+    s_lin = np.tile(np.stack([np.stack(s_mats[i]) for i in regimes]), (reps, 1, 1, 1))
+    xi = spec.drifts(X, I) - np.matmul(b_lin, X[:, :, None])[:, :, 0]
+    lin_sigma = np.matmul(s_lin, X[:, None, :, None])[..., 0].transpose(0, 2, 1)
+    zeta = (spec.diffusions(X, I) - lin_sigma).reshape(len(grid), n * d)
+    xi_norm, zeta_norm = row_norms(xi), row_norms(zeta)
+    radius = np.repeat(probe_radii, len(grid) // max(len(probe_radii), 1))
+    ratio = np.where(zeta_norm > xi_norm, zeta_norm, xi_norm) / radius
+    residuals = [float(v) for v in _positive_sup(ratio.reshape(len(probe_radii), -1), axis=1)]
     warning = None
     tolerance = 1e-12 + 1e-9 * max(residuals, default=0.0)
     decreasing = all(

@@ -1,0 +1,253 @@
+"""The batch coefficient protocol against the per-point callables.
+
+Every scenario family's batch form must equal its per-point form bit for bit,
+and the batched scans must give what the per-point scans gave, both through
+the families' batch forms and through the per-point adapter.  The reference
+scans below are the per-point loops the batched scans replaced.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import switchdiff as sd
+from conftest import single_regime_linear, square_lyapunov, two_state_kernel
+from switchdiff.model import DRIFT_TOL, _fd_gradient, _fd_hessian
+
+
+def assert_bits_equal(got, want):
+    got = np.ascontiguousarray(got, dtype=float)
+    want = np.ascontiguousarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def scenario(model, kernel, lyapunov=None):
+    lyapunov = lyapunov or {"family": "square", "g": {"kind": "identity"}}
+    lyapunov = {"domain_radius": 1.0, "c": {"kind": "constant", "value": -1.0}, **lyapunov}
+    return sd.parse_scenario({"model": model, "kernel": kernel, "lyapunov": lyapunov})
+
+
+def random_batch(dim, size=64, seed=7):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(size, dim))
+    X[:4] = 0.0  # the origin
+    X[4:8] *= 1e-7  # tiny radii
+    I = rng.integers(1, 13, size=size)
+    return X, I
+
+
+B51 = {"b": [1.0, -0.5, 2.0], "sigma": [0.3, 0.7], "gamma": 0.3}
+M2 = [[[-1.0, 0.3], [0.2, -0.7]], [[0.4, -1.1], [0.9, 0.25]], [[1.3, 0.0], [-0.6, 2.0]]]
+S2 = [[[[0.1, 0.2], [0.0, 0.3]], [[0.5, 0.0], [0.1, 0.2]]],
+      [[[0.3, -0.1], [0.2, 0.1]], [[0.0, 0.4], [0.7, -0.2]]]]
+M3 = [np.diag([-1.0, 0.5, 2.0]).tolist(), [[0.1, 0.2, 0.3], [0.4, -0.5, 0.6], [0.7, 0.8, -0.9]]]
+NO_SWITCHING = {"family": "custom_table", "params": {"rows": {}}}
+
+MODELS = {
+    "example51": (1, {"family": "example51", "params": B51}),
+    "linear_1d": (1, {"family": "linear", "params": {"matrices": [[[-1.0]], [[0.5]]]}}),
+    "linear_1d_sigma": (1, {"family": "linear", "params": {
+        "matrices": [[[-1.0]], [[0.5]]], "sigma_matrices": [[[[0.3]]], [[[-0.2]]]]}}),
+    "linear_2d": (2, {"family": "example52", "params": {"matrices": M2, "noise_dim": 2}}),
+    "linear_2d_sigma": (2, {"family": "linear", "params": {"matrices": M2, "sigma_matrices": S2}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_model_batch_forms_equal_per_point(name):
+    dim, model = MODELS[name]
+    spec = scenario(model, NO_SWITCHING).model
+    assert spec.batch_drift is not None and spec.batch_diffusion is not None
+    X, I = random_batch(dim)
+    pairs = list(zip(X, I.tolist()))
+    assert_bits_equal(spec.drifts(X, I), [spec.drift_at(x, i) for x, i in pairs])
+    assert_bits_equal(spec.diffusions(X, I), [spec.diffusion_at(x, i) for x, i in pairs])
+
+
+LYAPUNOV = {
+    "square_1d": (1, {"family": "square", "g": {"kind": "identity"}}),
+    "square_3d": (3, {"family": "square", "g": {"kind": "identity"}}),
+    "power_p_1d": (1, {"family": "power_p", "p": 1.7, "g": {"kind": "identity"}}),
+    "power_p_3d": (3, {"family": "power_p", "p": 2.6, "g": {"kind": "identity"}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LYAPUNOV))
+def test_lyapunov_batch_forms_equal_per_point(name):
+    dim, lyapunov = LYAPUNOV[name]
+    model = MODELS["linear_1d"][1] if dim == 1 else {
+        "family": "linear", "params": {"matrices": M3}}
+    lyap = scenario(model, NO_SWITCHING, lyapunov).lyap
+    X, _ = random_batch(dim)
+    assert_bits_equal(lyap.values(X), [lyap.V(x) for x in X])
+    away = X[8:]  # the derivatives of power_p are singular at the origin
+    assert_bits_equal(lyap.gradients(away), [lyap.grad_V(x) for x in away])
+    assert_bits_equal(lyap.hessians(away), [lyap.hess_V(x) for x in away])
+
+
+KERNELS = {
+    "birth_death": {"family": "birth_death", "params": {"up": 1.5, "down": 2.5}},
+    "birth_death_modulated": {
+        "family": "birth_death", "params": {"up": 1.5, "down": 2.5, "modulation": 0.7}},
+    "example52_q": {"family": "example52_q", "params": {"scale": 1.3}},
+    "two_state": {"family": "two_state", "params": {"q12": 1.0, "q21": 2.0}},
+    "custom_table": {"family": "custom_table", "params": {
+        "rows": {
+            "1": [[2, 1.0], [4, 0.5]], "2": [[1, 3.0]], "4": [[1, 0.25], [2, 0.0], [3, 2.0]]}}},
+}
+
+
+def pad(rows):
+    width = max(map(len, rows), default=0)
+    targets = np.zeros((len(rows), width), dtype=np.int64)
+    rates = np.zeros((len(rows), width))
+    for p, row in enumerate(rows):
+        for k, (j, r) in enumerate(row):
+            targets[p, k], rates[p, k] = j, r
+    return targets, rates
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_batch_rows_equal_per_point(name, dim):
+    model = MODELS["linear_1d" if dim == 1 else "linear_2d"][1]
+    kernel = scenario(model, KERNELS[name]).model.rate_kernel
+    assert kernel.batch_rows is not None
+    X, I = random_batch(dim)
+    targets, rates = kernel.padded_rows(X, I)
+    want_t, want_r = pad([kernel.row(x, i) for x, i in zip(X, I.tolist())])
+    # a family pads every row to its widest possible row
+    want_t = np.pad(want_t, ((0, 0), (0, targets.shape[1] - want_t.shape[1])))
+    want_r = np.pad(want_r, ((0, 0), (0, rates.shape[1] - want_r.shape[1])))
+    np.testing.assert_array_equal(targets, want_t)
+    assert_bits_equal(rates, want_r)
+
+
+# ---------------------------------------------------------------------------
+# Reference scans: the per-point loops that the batched scans replaced
+
+
+def reference_Li(spec, lyap, x, i):
+    grad = lyap.grad_V(x) if lyap.grad_V is not None else _fd_gradient(lyap.V, x)
+    hess = lyap.hess_V(x) if lyap.hess_V is not None else _fd_hessian(lyap.V, x)
+    b = spec.drift_at(x, i)
+    sig = spec.diffusion_at(x, i)
+    return float(np.asarray(grad) @ b) + 0.5 * float(np.trace(np.asarray(hess) @ (sig @ sig.T)))
+
+
+def reference_drift_residuals(spec, lyap, grid):
+    return [
+        reference_Li(spec, lyap, x, i) - float(lyap.c(i)) * float(lyap.g.g(float(lyap.V(x))))
+        for x, i in grid
+    ]
+
+
+def reference_mg(spec, lyap, radii, regimes):
+    dirs = [x for x, _ in sd.radial_grid(spec.dim, [1.0], [1])]
+    values = []
+    for r in radii:
+        worst = 0.0
+        for d in dirs:
+            x = r * d
+            gv = float(lyap.g.g(float(lyap.V(x))))
+            grad = lyap.grad_V(x) if lyap.grad_V is not None else _fd_gradient(lyap.V, x)
+            for i in regimes:
+                num = float(np.linalg.norm(np.asarray(grad) @ spec.diffusion_at(x, i)))
+                ratio = math.inf if gv == 0.0 and num > 0.0 else (num / gv if gv else 0.0)
+                worst = max(worst, ratio)
+        values.append(worst)
+    return values
+
+
+def reference_kernel_scan(kernel, dim, radii, regimes):
+    dirs = [x for x, _ in sd.radial_grid(dim, [1.0], [1])]
+    base = {i: dict(kernel.check_row(np.zeros(dim), i)) for i in regimes}
+    s = []
+    for r in radii:
+        worst = 0.0
+        for d in dirs:
+            for i in regimes:
+                here = dict(kernel.check_row(r * d, i))
+                total = 0.0
+                for j in set(here) | set(base[i]):
+                    total += abs(here.get(j, 0.0) - base[i].get(j, 0.0))
+                worst = max(worst, total)
+        s.append(worst)
+    return s
+
+
+def per_point_case():
+    """Only per-point callables: conftest fixtures, V without derivatives
+    (finite differences) and an x-dependent kernel callable whose targets
+    change away from the origin."""
+    spec = single_regime_linear(-0.8, s=0.6)
+    two_state = two_state_kernel(1.0, 2.0)
+
+    def row(x, i):
+        r = float(np.linalg.norm(x))
+        if i == 3:
+            return ((4, r),) if r > 1e-2 else ((5, 0.2),)
+        return tuple((j, q * (1.0 + r)) for j, q in two_state.row(x, i))
+
+    spec.rate_kernel = sd.RateKernel(row=row)
+    fixture = square_lyapunov(c=lambda i: -1.0 + 0.1 * i, c_bound=2.0)
+    lyap = sd.LyapunovSpec(
+        V=fixture.V, g=fixture.g, c=fixture.c, c_bound=2.0, domain_radius=1.0
+    )
+    assert spec.batch_drift is None and lyap.batch_V is None and lyap.grad_V is None
+    return spec, lyap
+
+
+@pytest.mark.parametrize("case", ["per_point", "example51_unstable", "example52_unstable"])
+def test_batched_scans_equal_the_per_point_scans(case):
+    if case == "per_point":
+        spec, lyap = per_point_case()
+    else:
+        bundle = sd.preset(case)
+        spec, lyap = bundle.model, bundle.lyap
+    regimes = range(1, 7)
+    radii = np.geomspace(1e-6, lyap.domain_radius, 9)
+    grid = sd.radial_grid(spec.dim, radii, regimes)
+
+    drift = sd.verify_drift_condition(spec, lyap, grid)
+    want = reference_drift_residuals(spec, lyap, grid)
+    assert_bits_equal(drift.forward.residuals, want)
+    assert_bits_equal(drift.reversed.residuals, [-w for w in want])
+    assert drift.forward.max_residual == max(want)
+    assert [v.residual for v in drift.forward.violations] == [w for w in want if w > DRIFT_TOL]
+
+    mg = sd.scan_mg(spec, lyap, radii=radii, regimes=regimes)
+    assert_bits_equal(mg.values_by_radius, reference_mg(spec, lyap, mg.radii, regimes))
+
+    kernel = spec.rate_kernel
+    ker = sd.scan_kernel_continuity(kernel, spec.dim, radii=radii, regimes=regimes)
+    assert_bits_equal(ker.s_values, reference_kernel_scan(kernel, spec.dim, radii, regimes))
+
+
+@pytest.mark.parametrize("name", ["example51_stable", "example52_unstable"])
+def test_drift_residuals_do_not_depend_on_how_the_grid_is_split(name):
+    bundle = sd.preset(name)
+    grid = sd.radial_grid(bundle.model.dim, np.geomspace(1e-6, 0.5, 5), range(1, 21))
+    whole = sd.verify_drift_condition(bundle.model, bundle.lyap, grid).forward.residuals
+    for size in (1, 7):
+        pieces = [
+            sd.verify_drift_condition(
+                bundle.model, bundle.lyap, sd.ScanGrid(grid.X[k : k + size], grid.I[k : k + size])
+            ).forward.residuals
+            for k in range(0, len(grid), size)
+        ]
+        assert_bits_equal(np.concatenate(pieces), whole)
+
+
+def test_worst_violations_break_ties_in_grid_order():
+    spec = single_regime_linear(-1.0)
+    lyap = square_lyapunov(c=-3.0, c_bound=3.0)
+    # +/- x give equal residuals; the +x point comes first in the grid
+    view = sd.verify_drift_condition(spec, lyap, sd.radial_grid(1, [0.25, 0.5], [1])).forward
+    want = sorted(view.violations, key=lambda v: -v.residual)
+    got = view.worst(3)
+    assert [(float(v.x[0]), v.residual) for v in got] == [
+        (float(v.x[0]), v.residual) for v in want[:3]
+    ]
