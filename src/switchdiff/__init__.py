@@ -15,7 +15,6 @@ from .errors import (
     DomainError,
     ErgodicityError,
     EvaluationError,
-    GuardError,
     NumericError,
     RateEstimationError,
     StructuralError,
@@ -80,7 +79,6 @@ from .simulator import (
     Occupation,
     SimConfig,
     StayInBall,
-    SupRatio,
     Trajectory,
     occupation_fraction,
     path_streams,

@@ -38,7 +38,6 @@ from .model import radial_grid, verify_drift_condition
 from .rates import estimate_pathwise_rate, write_quantile_curve
 from .scenarios import ScenarioBundle, load_scenario, preset, preset_names
 from .simulator import (
-    SCHEMES,
     ConvergesToZero,
     Occupation,
     StayInBall,
@@ -113,8 +112,6 @@ def _apply_sim_overrides(config, args):
         kwargs["dt"] = args.dt
     if getattr(args, "horizon", None) is not None:
         kwargs["horizon"] = args.horizon
-    if getattr(args, "scheme", None) is not None:
-        kwargs["switch_scheme"] = args.scheme
     return replace(config, **kwargs) if kwargs else config
 
 
@@ -308,7 +305,6 @@ def cmd_simulate(args) -> int:
         "config": {
             "dt": config.dt,
             "horizon": config.horizon,
-            "switch_scheme": config.switch_scheme,
             "stop_radius": config.stop_radius,
             "record_stride": config.record_stride,
             "x0": [float(v) for v in bundle.x0],
@@ -502,7 +498,6 @@ def _namespace(**kwargs) -> argparse.Namespace:
         "horizon": None,
         "out": None,
         "truncation": None,
-        "scheme": None,
     }
     base.update(kwargs)
     return argparse.Namespace(**base)
@@ -562,9 +557,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument(
         "--truncation", type=int, default=None, help="override the chain truncation size"
-    )
-    sp.add_argument(
-        "--scheme", choices=list(SCHEMES), default=None, help="switching scheme"
     )
 
 

@@ -10,15 +10,11 @@ class DomainError(SwitchDiffError, ValueError):
 
 
 class ConfigurationError(SwitchDiffError, ValueError):
-    """Inconsistent or incomplete configuration (scenario, scheme, inputs)."""
+    """Inconsistent or incomplete configuration (scenario, inputs)."""
 
 
 class EvaluationError(SwitchDiffError, RuntimeError):
     """A user callback returned something unusable (shape, sign, non-finite)."""
-
-
-class GuardError(SwitchDiffError, RuntimeError):
-    """A discretization guard was violated (e.g. q_i(x)*dt too large)."""
 
 
 class StructuralError(SwitchDiffError, ValueError):

@@ -45,7 +45,8 @@ class RateKernel:
 
     row(x, i) returns the off-diagonal entries ((j, rate), ...) of row i at x;
     targets must be positive integers distinct from i and rates nonnegative.
-    global_bound, if set, dominates sup_{x,i} q_i(x).  x_independent kernels
+    global_bound, if set, declares a bound on sup_{x,i} q_i(x); ModelSpec.validate
+    spot-checks it and nothing else reads it.  x_independent kernels
     allow row caching in the simulator hot loop.  Callbacks must accept a
     length-n array and, when n = 1, a bare float.  batch_rows(X, I), if set,
     returns the same rows for a batch as padded arrays (see padded_rows).
@@ -55,9 +56,6 @@ class RateKernel:
     global_bound: Optional[float] = None
     x_independent: bool = False
     batch_rows: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
-
-    def total_rate(self, x, i: int) -> float:
-        return float(sum(r for _, r in self.row(x, i)))
 
     def check_row(self, x, i: int) -> Row:
         """Row with structural validation; used by scans, not hot loops."""
@@ -226,7 +224,14 @@ class LyapunovSpec:
     def c_vector(self, n: int) -> np.ndarray:
         return np.array([float(self.c(i)) for i in range(1, n + 1)])
 
-    def validate(self, dim: int, sample_radii: Sequence[float] = (1e-3, 1e-1)) -> None:
+    def validate(
+        self,
+        dim: int,
+        sample_radii: Sequence[float] = (1e-3, 1e-1),
+        regimes: Iterable[int] = range(1, 50),
+    ) -> None:
+        """Spot-check V(0) = 0, V > 0 at the sample radii, and |c_i| <=
+        c_bound in the given regimes."""
         zero = np.zeros(dim)
         v0 = float(self.V(zero))
         if abs(v0) > 1e-14:
@@ -235,7 +240,7 @@ class LyapunovSpec:
             x = np.full(dim, r / math.sqrt(dim))
             if not float(self.V(x)) > 0.0:
                 raise EvaluationError(f"V not positive at |x| = {r}")
-        for i in range(1, 50):
+        for i in regimes:
             if abs(float(self.c(i))) > self.c_bound + 1e-12:
                 raise EvaluationError(f"|c({i})| exceeds c_bound = {self.c_bound}")
 

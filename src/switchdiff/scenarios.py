@@ -529,6 +529,7 @@ def build_c(c_cfg: dict, model_cfg: dict):
             cache[i] = val
             return val
 
+        _check_c_bound([c(i) for i in range(1, 50)], bound)  # as LyapunovSpec.validate
         return c, bound
     raise ConfigurationError(f"unknown c kind {kind!r}; choose from {C_KINDS}")
 
@@ -669,6 +670,9 @@ def parse_scenario(doc: dict, sha: Optional[str] = None) -> ScenarioBundle:
     )
     model = build_model(model_cfg, kernel)
     lyap = build_lyapunov(lyap_cfg, model_cfg, dim=model.dim)
+    model.validate()
+    # build_c has checked c against its bound wherever c can be evaluated
+    lyap.validate(model.dim, regimes=())
 
     N = int(chain_cfg.get("N", 30))
     mode = str(chain_cfg.get("mode", "lump"))
@@ -683,12 +687,17 @@ def parse_scenario(doc: dict, sha: Optional[str] = None) -> ScenarioBundle:
     i0 = int(sim_cfg.pop("i0", 1))
     if i0 < 1:
         raise ConfigurationError("sim.i0 must be a positive regime index")
+    scheme = sim_cfg.get("switch_scheme", "per_step_thinning")
+    if scheme != "per_step_thinning":
+        raise ConfigurationError(
+            f"sim.switch_scheme {scheme!r} is not supported; switching is "
+            "always by per-step thinning"
+        )
     sim = SimConfig(
         dt=float(sim_cfg.get("dt", 1e-3)),
         horizon=float(sim_cfg.get("horizon", 10.0)),
         seed=int(sim_cfg.get("seed", 0)),
         path_index=int(sim_cfg.get("path_index", 0)),
-        switch_scheme=str(sim_cfg.get("switch_scheme", "per_step_thinning")),
         stop_radius=_optional_float(sim_cfg.get("stop_radius")),
         record_stride=int(sim_cfg.get("record_stride", 1)),
     )

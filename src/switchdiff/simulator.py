@@ -6,12 +6,11 @@ the pair (alpha, alpha_hat) of the basic coupling for simulate_coupled.
 
 Each path owns three named substreams derived from (seed, path_index):
 diffusion noise and per-step acceptance uniforms are drawn in chunks of
-STREAM_CHUNK steps as the path advances, while jump-target selection, guard
-sub-division, and exponential proposal clocks draw lazily from the event
-stream.  Chunked draws equal one bulk draw, so the chunk size does not enter
-the path.  A path is therefore bit-identical for a fixed (seed, path_index,
-config), whatever the size of its ensemble and whatever ran before it in the
-process.
+STREAM_CHUNK steps as the path advances, while jump-target selection and
+guard sub-division draw lazily from the event stream.  Chunked draws equal
+one bulk draw, so the chunk size does not enter the path.  A path is
+therefore bit-identical for a fixed (seed, path_index, config), whatever the
+size of its ensemble and whatever ran before it in the process.
 """
 
 from __future__ import annotations
@@ -25,11 +24,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .artifacts import atomic_open
-from .errors import ConfigurationError, GuardError
+from .errors import ConfigurationError
 from .model import ModelSpec, RateKernel
-from .rates import RateProfile, sup_ratios
 
-SCHEMES = ("per_step_thinning", "exponential_proposals")
 THINNING_GUARD = 0.1  # largest admissible q_i(x) * dt without sub-division
 SUBDIVISION_TARGET = 0.05  # sub-step jump probability aimed for when splitting
 BLOWUP_RADIUS = 1e12
@@ -45,7 +42,6 @@ class SimConfig:
     horizon: float
     seed: int = 0
     path_index: int = 0
-    switch_scheme: str = "per_step_thinning"
     stop_radius: Optional[float] = None
     record_stride: int = 1
 
@@ -56,8 +52,6 @@ class SimConfig:
             raise ConfigurationError(
                 f"horizon {self.horizon} must be at least one step dt = {self.dt}"
             )
-        if self.switch_scheme not in SCHEMES:
-            raise ConfigurationError(f"unknown switch scheme {self.switch_scheme!r}")
         if self.stop_radius is not None and not self.stop_radius > 0:
             raise ConfigurationError("stop_radius must be positive when set")
         if self.record_stride < 1 or self.record_stride != int(self.record_stride):
@@ -106,8 +100,6 @@ def path_streams(seed: int, path_index: int):
     root = np.random.SeedSequence(entropy=(int(seed), int(path_index)))
     children = root.spawn(3)
     return tuple(np.random.default_rng(c) for c in children)
-
-
 
 
 def _select_target(row, mass: float):
@@ -198,15 +190,8 @@ def _integrate(spec: ModelSpec, config: SimConfig, x0, i0: int, coupled: bool):
     if n_steps < 1:
         raise ConfigurationError("horizon shorter than one step")
     kernel = spec.rate_kernel
-    M = kernel.global_bound
-    thinning = coupled or config.switch_scheme == "per_step_thinning"
-    if not thinning and M is None:
-        raise ConfigurationError(
-            "exponential_proposals needs kernel.global_bound; none declared"
-        )
     rng_noise, rng_accept, rng_event = path_streams(config.seed, config.path_index)
     event = rng_event.random
-    expo = rng_event.exponential
     dt = config.dt
     sq = math.sqrt(dt)
     i = int(i0)  # the regime that drives X
@@ -265,9 +250,7 @@ def _integrate(spec: ModelSpec, config: SimConfig, x0, i0: int, coupled: bool):
     if norm(x) >= h:
         tau_h, exited = 0.0, True
         n_steps = 0
-    if not thinning:
-        next_prop = expo(1.0 / M) if n_steps else math.inf
-    elif not x_dep and n_steps:
+    if not x_dep and n_steps:
         # rows of an x-independent kernel change only when s jumps
         row, q = rows(x, s)
         p = q * dt
@@ -289,43 +272,30 @@ def _integrate(spec: ModelSpec, config: SimConfig, x0, i0: int, coupled: bool):
             rec_t[ri], rec_x[ri], rec_s[ri] = (k + 1) * dt, x, s
             break
 
-        if thinning:
-            if x_dep:
-                row, q = rows(ox, s)
-                p = q * dt
-            if p > THINNING_GUARD:
-                m = int(math.ceil(p / SUBDIVISION_TARGET))
-                sub = dt / m
-                t = (k + 1) * dt
-                base = t - dt
-                for n in range(m):
-                    if event() < q * sub:
-                        j = _select_target(row, event() * q)
-                        jumps.append((base + (n + 1) * sub, s, j))
-                        s = j
-                        row, q = rows(ox, s)
-                p = q * dt
-                i = s[0] if coupled else s
-            elif u < p:
-                j = _select_target(row, event() * q)
-                jumps.append(((k + 1) * dt, s, j))
-                s = j
-                i = s[0] if coupled else s
-                if not x_dep:
-                    row, q = rows(ox, s)
-                    p = q * dt
-        else:
+        if x_dep:
+            row, q = rows(ox, s)
+            p = q * dt
+        if p > THINNING_GUARD:
+            m = int(math.ceil(p / SUBDIVISION_TARGET))
+            sub = dt / m
             t = (k + 1) * dt
-            while next_prop <= t:
-                row, q = rows(ox, s)
-                if q > M * (1 + 1e-12):
-                    raise GuardError(f"total rate {q} exceeds global bound {M}")
-                if q > 0.0 and event() < q / M:
+            base = t - dt
+            for n in range(m):
+                if event() < q * sub:
                     j = _select_target(row, event() * q)
-                    jumps.append((next_prop, s, j))
+                    jumps.append((base + (n + 1) * sub, s, j))
                     s = j
-                next_prop += expo(1.0 / M)
+                    row, q = rows(ox, s)
+            p = q * dt
             i = s[0] if coupled else s
+        elif u < p:
+            j = _select_target(row, event() * q)
+            jumps.append(((k + 1) * dt, s, j))
+            s = j
+            i = s[0] if coupled else s
+            if not x_dep:
+                row, q = rows(ox, s)
+                p = q * dt
 
         if r >= h or k == next_rec:
             t = (k + 1) * dt
@@ -365,8 +335,7 @@ def simulate_coupled(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Coupled
     """Basic coupling of (alpha, alpha_hat): alpha drives X with rates
     q(X(t)), alpha_hat runs on the frozen kernel q(0); matched moves fire
     jointly at rate min(q_kj(x), q_lj(0)), discrepancy moves at the positive
-    parts.  vartheta is the first time the regimes differ.  Switching uses
-    per-step thinning on the pair chain regardless of config.switch_scheme.
+    parts.  vartheta is the first time the regimes differ.
     """
     times, x_path, pairs, log, tau_h, exited, blew = _integrate(
         spec, config, x0, i0, coupled=True
@@ -443,29 +412,6 @@ class ConvergesToZero:
         if idx < 0:
             return 0.0
         return 1.0 if float(np.linalg.norm(traj.x_path[idx])) < self.tol else 0.0
-
-
-class SupRatio:
-    """Indicator that sup_{t in [T0, T]} V(X(t)) / G_inverse(-lam t) <= 1."""
-
-    kind = "binary"
-
-    def __init__(self, V: Callable, profile: RateProfile, lam: float, T0: float) -> None:
-        self.V = V
-        self.profile = profile
-        self.lam = lam
-        self.T0 = T0
-        self.name = f"sup_ratio(lambda={lam:g})"
-
-    def evaluate(self, traj: Trajectory) -> float:
-        if traj.blew_up or traj.exited:
-            return 0.0
-        mask = traj.times >= self.T0
-        if not np.any(mask):
-            return 0.0
-        vs = np.array([float(self.V(xx)) for xx in traj.x_path[mask]])
-        ratio = sup_ratios(traj.times[mask], vs, self.profile, np.array([float(self.lam)]))[0]
-        return 1.0 if ratio <= 1.0 + 1e-12 else 0.0
 
 
 class Occupation:

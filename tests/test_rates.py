@@ -298,22 +298,6 @@ class TestPathwiseRateEstimate:
         assert a.quantile_curve == b.quantile_curve
         assert a.lambda_hat == b.lambda_hat
 
-    @pytest.mark.parametrize(
-        "prof", [sd.identity_profile(h=1.0), sd.power_profile(0.5, h=1.0)], ids=["identity", "power"]
-    )
-    def test_sup_ratio_functional_reads_the_same_statistic(self, prof):
-        path = oracle_paths()[0]
-        traj = sd.Trajectory(
-            times=path.times, x_path=path.x_path, regime_path=np.ones(path.times.size, dtype=np.int64)
-        )
-        est = sd.estimate_pathwise_rate([traj], V_SQUARE, prof, T0=1.0)
-        outcomes = set()
-        for lam, q, _ in est.quantile_curve:
-            got = sd.SupRatio(V_SQUARE.V, prof, lam, T0=1.0).evaluate(traj)
-            assert got == (1.0 if q <= 1.0 + 1e-12 else 0.0)
-            outcomes.add(got)
-        assert outcomes == {0.0, 1.0}
-
     def test_quantile_curve_csv_roundtrip(self, tmp_path):
         est = sd.estimate_pathwise_rate(
             [synthetic_path(1.0)], V_SQUARE, sd.identity_profile(1.0), T0=1.0

@@ -17,7 +17,7 @@ import pytest
 import switchdiff as sd
 from switchdiff import cli
 from switchdiff import scenarios as sc
-from switchdiff.errors import ConfigurationError, SwitchDiffError
+from switchdiff.errors import ConfigurationError, EvaluationError, SwitchDiffError
 
 ALL_PRESETS = (
     "contraction_benchmark",
@@ -239,6 +239,11 @@ BAD_DOCS = [
     ("x0_wrong_shape", lambda d: d["sim"].update(x0=[0.1, 0.2]), "sim.x0 has shape"),
     ("i0_zero", lambda d: d["sim"].update(i0=0), "i0 must be a positive regime"),
     (
+        "switch_scheme_not_thinning",
+        lambda d: d["sim"].update(switch_scheme="exponential_proposals"),
+        "sim.switch_scheme 'exponential_proposals' is not supported",
+    ),
+    (
         "epsilon_zero",
         lambda d: d["mc"].update(epsilon=0.0),
         r"epsilon must be in \(0, 1\)",
@@ -294,6 +299,16 @@ class TestParseValidation:
         with pytest.raises(ConfigurationError, match="must all be 1x1"):
             sc.parse_scenario(doc)
 
+    def test_per_step_thinning_is_still_a_valid_switch_scheme(self):
+        doc = small_doc()
+        doc["sim"]["switch_scheme"] = "per_step_thinning"
+        sc.parse_scenario(doc)
+
+    def test_understated_global_bound_is_rejected_at_parse(self):
+        doc = small_doc(rows={"1": [[2, 5.0]], "2": [[1, 5.0]]}, global_bound=0.1)
+        with pytest.raises(EvaluationError, match="exceeds declared global bound"):
+            sc.parse_scenario(doc)
+
 
 class TestCExpressions:
     def test_unknown_name_raises_on_evaluation(self):
@@ -346,6 +361,12 @@ class TestCExpressions:
             sc.parse_scenario(doc)
         # a table's tail counts against the bound too
         doc["lyapunov"]["c"] = {"kind": "table", "values": [-0.1], "tail": 2.0, "bound": 0.1}
+        with pytest.raises(ConfigurationError, match="exceeds the declared bound"):
+            sc.parse_scenario(doc)
+
+    def test_expr_bound_is_checked_at_parse(self):
+        doc = doc_of("example51_stable")
+        doc["lyapunov"]["c"] = {"kind": "expr", "expr": "2*b + 10", "bound": 1.0}
         with pytest.raises(ConfigurationError, match="exceeds the declared bound"):
             sc.parse_scenario(doc)
 
@@ -535,26 +556,21 @@ class TestCliSimulate:
         assert header.startswith("t,")
         assert "blow-ups:" in capsys.readouterr().out
 
-    def test_missing_bound_for_exponential_scheme_is_partial(self, tmp_path, capsys):
-        doc = small_doc(name="unbounded", global_bound=None)
-        path = tmp_path / "unbounded.json"
-        path.write_text(json.dumps(doc) + "\n")
+    def test_missing_bound_for_exponential_scheme_is_partial(self, tmp_path, capsys, monkeypatch):
+        # no scenario file makes the ensemble fail mid-run, so the failure is injected
+        def fail(*args, **kwargs):
+            raise EvaluationError("drift returned a non-finite value")
+
+        monkeypatch.setattr(cli, "run_ensemble", fail)
         out = tmp_path / "out"
         rc = cli.main(
-            [
-                "simulate",
-                "--scenario",
-                str(path),
-                "--scheme",
-                "exponential_proposals",
-                "--out",
-                str(out),
-            ]
+            ["simulate", "--scenario", "two_state_switching", "--out", str(out)]
         )
         assert rc == 3
         doc = json.loads((out / "ensemble.json").read_text())
         assert doc["partial"] is True
-        assert doc["error"]
+        assert doc["error"] == "drift returned a non-finite value"
+        assert "switch_scheme" not in doc["config"]
         assert "pipeline stopped early" in capsys.readouterr().err
 
 
@@ -725,6 +741,23 @@ class TestCliFlagValidation:
         )
         assert rc == 2
         assert "--paths must be >= 1" in capsys.readouterr().err
+
+    def test_scheme_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                [
+                    "simulate",
+                    "--scenario",
+                    "two_state_switching",
+                    "--scheme",
+                    "exponential_proposals",
+                    "--out",
+                    str(tmp_path),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scheme" in capsys.readouterr().err
+        assert not (tmp_path / "ensemble.json").exists()
 
     def test_reproduce_rejects_bad_flags_before_any_stage(self, tmp_path, capsys):
         rc = cli.main(["reproduce", "--paths", "0", "--out", str(tmp_path)])

@@ -69,7 +69,7 @@ class TestSimConfigValidation:
         [
             {"dt": 0.0, "horizon": 1.0},
             {"dt": 0.1, "horizon": 0.05},
-            {"dt": 0.1, "horizon": 1.0, "switch_scheme": "gillespie"},
+            {"dt": 0.1, "horizon": 1.0, "path_index": -1},
             {"dt": 0.1, "horizon": 1.0, "stop_radius": 0.0},
             {"dt": 0.1, "horizon": 1.0, "record_stride": 0},
             {"dt": 0.1, "horizon": 1.0, "seed": -1},
@@ -201,33 +201,14 @@ class TestSimulatePaths:
         q, T = 0.5, 1.0
         spec = with_kernel(single_regime_linear(0.0, s=0.0), absorbing_kernel(q))
         expected = 1.0 - math.exp(-q * T)
-        for scheme in ("per_step_thinning", "exponential_proposals"):
-            hits = 0
-            n = 400
-            for p in range(n):
-                cfg = sd.SimConfig(
-                    dt=0.01, horizon=T, seed=100, path_index=p, switch_scheme=scheme
-                )
-                traj = sd.simulate(spec, cfg, np.array([1.0]), 1)
-                hits += bool(traj.jumps)
-            se = math.sqrt(expected * (1.0 - expected) / n)
-            assert abs(hits / n - expected) < 3.5 * se, scheme
-
-    def test_exponential_proposals_require_a_global_bound(self):
-        kernel = sd.RateKernel(row=lambda x, i: (), global_bound=None)
-        spec = with_kernel(single_regime_linear(-1.0), kernel)
-        cfg = sd.SimConfig(dt=0.1, horizon=1.0, switch_scheme="exponential_proposals")
-        with pytest.raises(sd.ConfigurationError):
-            sd.simulate(spec, cfg, np.array([1.0]), 1)
-
-    def test_exponential_proposals_catch_understated_bounds(self):
-        kernel = sd.RateKernel(
-            row=lambda x, i: ((i + 1, 5.0),), global_bound=1.0, x_independent=True
-        )
-        spec = with_kernel(single_regime_linear(-1.0), kernel)
-        cfg = sd.SimConfig(dt=0.1, horizon=50.0, switch_scheme="exponential_proposals", seed=1)
-        with pytest.raises(sd.GuardError):
-            sd.simulate(spec, cfg, np.array([1.0]), 1)
+        hits = 0
+        n = 400
+        for p in range(n):
+            cfg = sd.SimConfig(dt=0.01, horizon=T, seed=100, path_index=p)
+            traj = sd.simulate(spec, cfg, np.array([1.0]), 1)
+            hits += bool(traj.jumps)
+        se = math.sqrt(expected * (1.0 - expected) / n)
+        assert abs(hits / n - expected) < 3.5 * se
 
 
 class TestCoupledPaths:
@@ -313,15 +294,6 @@ class TestFunctionals:
         assert f.evaluate(traj) == 1.0  # judged at t = 0.5, the last grid point <= T
         assert sd.ConvergesToZero(tol=0.1).evaluate(traj) == 0.0  # endpoint rule
         assert f.evaluate(self.make_traj([0.0], blew_up=True)) == 0.0
-
-    def test_sup_ratio_certifies_rates_below_the_true_decay(self):
-        times = np.linspace(0.0, 5.0, 201)
-        xs = np.exp(-times).reshape(-1, 1)
-        traj = sd.Trajectory(times=times, x_path=xs, regime_path=np.ones(201, dtype=np.int64))
-        prof = sd.identity_profile(h=1.0)
-        V = lambda x: float(np.dot(x, x))
-        assert sd.SupRatio(V, prof, lam=1.5, T0=1.0).evaluate(traj) == 1.0
-        assert sd.SupRatio(V, prof, lam=2.5, T0=1.0).evaluate(traj) == 0.0
 
     def test_occupation_uses_the_exact_jump_times(self):
         traj = sd.Trajectory(
