@@ -27,6 +27,7 @@ from .markov_chain import (
     TruncatedChain,
     birth_death_invariant,
     ergodicity_diagnostic,
+    ergodicity_times,
     invariant_measure,
     solve_poisson,
     solve_poisson_integral,

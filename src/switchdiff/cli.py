@@ -29,8 +29,9 @@ from .artifacts import atomic_open
 from .errors import ConfigurationError, SwitchDiffError
 from .markov_chain import (
     ergodicity_diagnostic,
+    ergodicity_times,
     invariant_measure,
-    transition_matrix,
+    transition_matrix,  # noqa: F401  bound here for bench/tracer.py, which wraps cli.transition_matrix
     truncate,
     write_measure_csv,
 )
@@ -47,6 +48,7 @@ from .simulator import (
     write_trajectory_csv,
 )
 from .stability import (
+    REQUIRED,
     THEOREMS,
     check_theorem_hypotheses,
     k_scan,
@@ -56,7 +58,6 @@ from .stability import (
     scan_mg,
 )
 
-_KERNEL_CRITERIA = ("T3_1", "T3_3", "T3_5_strong")
 _ANALYZE_PRESETS = (
     "example51_stable",
     "example51_unstable",
@@ -130,31 +131,6 @@ def _check_truncation_flag(args) -> None:
         )
 
 
-def _ergodicity_times(chain, nu) -> np.ndarray:
-    """Time grid for the exponential-decay fit, anchored at the chain's
-    measured half-decay time.
-
-    The spectral gap alone misjudges chains whose worst starting state needs
-    a long transport phase before the asymptotic decay shows (the distance
-    sits at the ceiling until then), so probe d(t) by doubling until it has
-    decayed to half and center the grid there.
-    """
-    base = np.geomspace(0.25, 10.0, 12)
-    if chain.N == 1:
-        return base
-    max_rate = float(np.max(-np.diag(chain.Q)))
-    t = 1.0 / max_rate if max_rate > 0 else 1.0
-
-    def dist(when: float) -> float:
-        return float(np.max(np.abs(transition_matrix(chain, when) - nu.nu).sum(axis=1)))
-
-    for _ in range(48):
-        if dist(t) < 1.0:
-            break
-        t *= 2.0
-    return np.geomspace(t / 4.0, 4.0 * t, 12)
-
-
 def _drift_dict(view, is_reversed: bool) -> dict:
     return {
         "ok": view.ok,
@@ -196,7 +172,7 @@ def _analyze_core(bundle: ScenarioBundle, truncation_override, report: dict, evi
         "sum": nu.sum(),
     }
 
-    diag = ergodicity_diagnostic(chain, _ergodicity_times(chain, nu), nu)
+    diag = ergodicity_diagnostic(chain, ergodicity_times(chain, nu), nu)
     report["ergodicity"] = diag.to_dict()
 
     K = k_scan(N)
@@ -226,7 +202,7 @@ def _analyze_core(bundle: ScenarioBundle, truncation_override, report: dict, evi
                 nu,
                 drift_report=drift,
                 mg_scan=mg,
-                kernel_scan=kscan if which in _KERNEL_CRITERIA else None,
+                kernel_scan=kscan if "kernel_scan" in REQUIRED[which] else None,
                 ergodicity=diag,
             )
         )

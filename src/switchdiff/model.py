@@ -45,8 +45,9 @@ class RateKernel:
 
     row(x, i) returns the off-diagonal entries ((j, rate), ...) of row i at x;
     targets must be positive integers distinct from i and rates nonnegative.
-    global_bound, if set, declares a bound on sup_{x,i} q_i(x); ModelSpec.validate
-    spot-checks it and nothing else reads it.  x_independent kernels
+    global_bound, if set, declares a bound on sup_{x,i} q_i(x); a custom_table
+    kernel checks it against every row when built, ModelSpec.validate
+    spot-checks it, and nothing else reads it.  x_independent kernels
     allow row caching in the simulator hot loop.  Callbacks must accept a
     length-n array and, when n = 1, a bare float.  batch_rows(X, I), if set,
     returns the same rows for a batch as padded arrays (see padded_rows).

@@ -55,15 +55,14 @@ class RateProfile:
     """A member g of the admissible family plus the anchor h.
 
     kind is one of "identity" (g(y) = y), "power_1_plus_gamma"
-    (g(y) = y**(1+gamma), gamma in (0,1)), or "custom" (callable g, optional
-    derivative dg).  Custom profiles are validated on a grid at construction.
+    (g(y) = y**(1+gamma), gamma in (0,1)), or "custom" (callable g).  Custom
+    profiles are validated on a grid at construction.
     """
 
     kind: str
     h: float
     gamma: Optional[float] = None
     g_fn: Optional[Callable[[float], float]] = None
-    dg_fn: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _VALID_KINDS:
@@ -99,12 +98,8 @@ def power_profile(gamma: float, h: float = 1.0) -> RateProfile:
     return RateProfile(kind="power_1_plus_gamma", h=h, gamma=gamma)
 
 
-def custom_profile(
-    g: Callable[[float], float],
-    h: float = 1.0,
-    dg: Optional[Callable[[float], float]] = None,
-) -> RateProfile:
-    return RateProfile(kind="custom", h=h, g_fn=g, dg_fn=dg)
+def custom_profile(g: Callable[[float], float], h: float = 1.0) -> RateProfile:
+    return RateProfile(kind="custom", h=h, g_fn=g)
 
 
 def _validate_custom_g(g: Callable[[float], float]) -> None:

@@ -210,8 +210,17 @@ def build_kernel(family: str, params: dict) -> RateKernel:
             bound = max(
                 (sum(r for _, r in row_) for row_ in table.values()), default=0.0
             )
+        elif declared is None:
+            bound = None
         else:
-            bound = None if declared is None else float(declared)
+            bound = float(declared)
+            for i, row_ in table.items():
+                total = sum(r for _, r in row_)
+                if total > bound + 1e-9:
+                    raise ConfigurationError(
+                        f"kernel.params.rows[{i}]: rate sum {total} exceeds "
+                        f"declared global bound {bound}"
+                    )
 
         def row(x, i):
             return table.get(i, ())

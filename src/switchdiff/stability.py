@@ -55,15 +55,22 @@ class MeanDriftResult:
         return {"value": self.value, "tail_bound": self.tail_bound, "sign": self.sign}
 
 
+def _tail_allowance(bound: float, nu: InvariantMeasure) -> float:
+    """Allowance for coefficients bounded by bound outside the truncation:
+    the unassigned probability mass plus twice the estimated beyond-truncation
+    mass (the boundary state's coefficient stands in for the whole tail, hence
+    the factor 2)."""
+    unassigned = max(0.0, 1.0 - nu.sum())
+    return bound * (unassigned + 2.0 * nu.tail_mass)
+
+
 def mean_drift_criterion(
     c: CSeq, nu: InvariantMeasure, c_bound: Optional[float] = None
 ) -> MeanDriftResult:
     """Evaluate sum_i c_i nu_i on the truncation.
 
-    The tail bound charges c_bound against unassigned probability mass plus
-    twice the estimated beyond-truncation mass (the boundary state's
-    coefficient stands in for the whole tail, hence the factor 2).  The sign
-    is certified only when the value clears its own tail bound.
+    The tail bound is _tail_allowance at c_bound.  The sign is certified only
+    when the value clears its own tail bound.
     """
     n = nu.truncation_size
     cs = np.array([_c_at(c, i) for i in range(1, n + 1)])
@@ -75,8 +82,7 @@ def mean_drift_criterion(
             f"max |c_i| = {np.max(np.abs(cs))} exceeds declared bound {bound}"
         )
     value = float(cs @ nu.nu)
-    unassigned = max(0.0, 1.0 - nu.sum())
-    tail = bound * (unassigned + 2.0 * nu.tail_mass)
+    tail = _tail_allowance(bound, nu)
     if value + tail < 0.0:
         sign = "negative"
     elif value - tail > 0.0:
@@ -254,13 +260,33 @@ class CriterionReport:
         }
 
 
-_REQUIRED = {
-    # hypothesis -> which evidence object supplies it
-    "T3_1": ("ergodicity_diag", "kernel_scan", "drift_report"),
-    "T3_2": ("drift_report", "mg_scan"),
-    "T3_3": ("ergodicity_diag", "kernel_scan", "drift_report", "mg_scan"),
-    "T3_5_ergodic": ("drift_report", "mg_scan"),
-    "T3_5_strong": ("ergodicity_diag", "kernel_scan", "drift_report", "mg_scan"),
+_HYPOTHESES = {
+    # criterion -> its hypotheses, in report order
+    "T3_1": ("strong_ergodicity", "kernel_continuity", "g_is_identity",
+             "drift_condition", "c_bounded", "mean_drift_negative"),
+    "T3_2": ("ergodicity", "drift_condition", "c_bounded",
+             "limsup_tail_c_negative", "mg_finite", "mean_drift_negative"),
+    "T3_3": ("strong_ergodicity", "kernel_continuity", "drift_condition",
+             "c_bounded", "mg_finite", "mean_drift_negative"),
+    "T3_5_ergodic": ("ergodicity", "reversed_drift_condition", "c_bounded",
+                     "liminf_tail_c_positive", "mg_finite", "mean_drift_positive"),
+    "T3_5_strong": ("strong_ergodicity", "kernel_continuity", "reversed_drift_condition",
+                    "c_bounded", "mg_finite", "mean_drift_positive"),
+}
+# hypotheses a criterion also reports, last, when their evidence is supplied
+_OPTIONAL = {"T3_2": ("kernel_continuity",)}
+# hypothesis -> the evidence object that supplies it
+_EVIDENCE = {
+    "strong_ergodicity": "ergodicity_diag",
+    "kernel_continuity": "kernel_scan",
+    "drift_condition": "drift_report",
+    "reversed_drift_condition": "drift_report",
+    "mg_finite": "mg_scan",
+}
+# criterion -> the evidence objects it needs, in hypothesis order
+REQUIRED = {
+    which: tuple(dict.fromkeys(_EVIDENCE[h] for h in names if h in _EVIDENCE))
+    for which, names in _HYPOTHESES.items()
 }
 
 
@@ -288,7 +314,7 @@ def check_theorem_hypotheses(
         "drift_report": drift_report,
         "mg_scan": mg_scan,
     }
-    missing = [name for name in _REQUIRED[which] if provided[name] is None]
+    missing = [name for name in REQUIRED[which] if provided[name] is None]
     if missing:
         raise ConfigurationError(
             f"{which} needs inputs that were not supplied: {', '.join(missing)}"
@@ -305,55 +331,33 @@ def check_theorem_hypotheses(
     md = mean_drift_criterion(lyap.c, nu, c_bound=lyap.c_bound)
 
     notes = []
-    hyp: dict = {}
-
-    def mark(name: str, ok: Optional[bool]) -> None:
-        hyp[name] = "unchecked" if ok is None else ("holds" if ok else "fails")
-
     strong_ok = None
     if ergodicity is not None:
         strong_ok = ergodicity.verdict in ("strongly_exponentially_ergodic", "mixed")
         if ergodicity.verdict == "mixed":
             notes.append("distance to nu hit the numerical floor: treated as strong ergodicity evidence")
     ergodic_ok = nu.residual <= ERGODIC_RESIDUAL_TOL
-
-    if which == "T3_1":
-        mark("strong_ergodicity", strong_ok)
-        mark("kernel_continuity", kernel_scan.vanishing)
-        mark("g_is_identity", lyap.g.kind == "identity")
-        mark("drift_condition", drift.ok)
-        mark("c_bounded", bool(np.max(np.abs(all_cs)) <= lyap.c_bound * (1 + 1e-12)))
-        mark("mean_drift_negative", md.sign == "negative")
-    elif which == "T3_2":
-        mark("ergodicity", ergodic_ok if strong_ok is None else (ergodic_ok or strong_ok))
-        mark("drift_condition", drift.ok)
-        mark("c_bounded", bool(np.max(np.abs(all_cs)) <= lyap.c_bound * (1 + 1e-12)))
-        mark("limsup_tail_c_negative", limsup_tail < 0.0)
-        mark("mg_finite", mg_scan.finite)
-        mark("mean_drift_negative", md.sign == "negative")
-        if kernel_scan is not None:
-            mark("kernel_continuity", kernel_scan.vanishing)
-    elif which == "T3_3":
-        mark("strong_ergodicity", strong_ok)
-        mark("kernel_continuity", kernel_scan.vanishing)
-        mark("drift_condition", drift.ok)
-        mark("c_bounded", bool(np.max(np.abs(all_cs)) <= lyap.c_bound * (1 + 1e-12)))
-        mark("mg_finite", mg_scan.finite)
-        mark("mean_drift_negative", md.sign == "negative")
-    elif which == "T3_5_ergodic":
-        mark("ergodicity", ergodic_ok if strong_ok is None else (ergodic_ok or strong_ok))
-        mark("reversed_drift_condition", drift.ok)
-        mark("c_bounded", bool(np.max(np.abs(all_cs)) <= lyap.c_bound * (1 + 1e-12)))
-        mark("liminf_tail_c_positive", liminf_tail > 0.0)
-        mark("mg_finite", mg_scan.finite)
-        mark("mean_drift_positive", md.sign == "positive")
-    else:  # T3_5_strong
-        mark("strong_ergodicity", strong_ok)
-        mark("kernel_continuity", kernel_scan.vanishing)
-        mark("reversed_drift_condition", drift.ok)
-        mark("c_bounded", bool(np.max(np.abs(all_cs)) <= lyap.c_bound * (1 + 1e-12)))
-        mark("mg_finite", mg_scan.finite)
-        mark("mean_drift_positive", md.sign == "positive")
+    checks = {
+        "strong_ergodicity": strong_ok,
+        "ergodicity": ergodic_ok if strong_ok is None else (ergodic_ok or strong_ok),
+        "kernel_continuity": None if kernel_scan is None else kernel_scan.vanishing,
+        "g_is_identity": lyap.g.kind == "identity",
+        "drift_condition": drift.ok,
+        "reversed_drift_condition": drift.ok,
+        "c_bounded": bool(np.max(np.abs(all_cs)) <= lyap.c_bound * (1 + 1e-12)),
+        "limsup_tail_c_negative": limsup_tail < 0.0,
+        "liminf_tail_c_positive": liminf_tail > 0.0,
+        "mg_finite": None if mg_scan is None else mg_scan.finite,
+        "mean_drift_negative": md.sign == "negative",
+        "mean_drift_positive": md.sign == "positive",
+    }
+    names = _HYPOTHESES[which]
+    if kernel_scan is not None:
+        names += _OPTIONAL.get(which, ())
+    hyp = {
+        name: "unchecked" if checks[name] is None else ("holds" if checks[name] else "fails")
+        for name in names
+    }
 
     all_hold = all(v == "holds" for v in hyp.values())
     if all_hold:
@@ -566,8 +570,7 @@ def proposition41_criterion(
     stable_value = float(up @ nu.nu)
     unstable_value = float(lo @ nu.nu)
     bound = float(max(np.max(np.abs(up)), np.max(np.abs(lo))))
-    unassigned = max(0.0, 1.0 - nu.sum())
-    tail = bound * (unassigned + 2.0 * nu.tail_mass)
+    tail = _tail_allowance(bound, nu)
     if stable_value + tail < 0.0:
         verdict = "stable_certified"
     elif unstable_value - tail > 0.0:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 import switchdiff as sd
 from conftest import two_state_kernel
@@ -80,12 +79,25 @@ class TestInvariantMeasure:
         assert measure.residual == 0.0
 
 
+def two_state_closed_form(a, b, t):
+    # P(t) = Pi + exp(-(a+b)t)(I - Pi) for the generator [[-a, a], [b, -b]]
+    Pi = np.array([[b, a], [b, a]]) / (a + b)
+    return Pi + np.exp(-(a + b) * t) * (np.eye(2) - Pi)
+
+
 class TestTransitionMatrix:
     def test_agrees_with_matrix_exponential(self):
+        for a, b in ((1.0, 2.0), (30.0, 40.0)):
+            chain = sd.truncate(two_state_kernel(a, b), 2, mode="drop")
+            for lam_t in np.geomspace(0.1, 2000.0, 25):
+                t = lam_t / max(a, b)
+                P = sd.transition_matrix(chain, t)
+                assert float(np.max(np.abs(P - two_state_closed_form(a, b, t)))) < 1e-13
         chain = sd.truncate(doubling_kernel(), 8, mode="lump")
-        for t in (0.05, 0.7, 3.0):
-            P = sd.transition_matrix(chain, t)
-            assert np.allclose(P, expm(chain.Q * t), atol=1e-12)
+        for s, t in ((0.05, 0.7), (0.7, 3.0), (3.0, 3.0)):
+            P = sd.transition_matrix(chain, s + t)
+            semigroup = sd.transition_matrix(chain, s) @ sd.transition_matrix(chain, t)
+            assert np.allclose(P, semigroup, rtol=0.0, atol=1e-13)
             assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(P >= -1e-14)
 
@@ -96,7 +108,8 @@ class TestTransitionMatrix:
     def test_large_times_stay_finite(self):
         chain = sd.truncate(two_state_kernel(30.0, 40.0), 2, mode="drop")
         P = sd.transition_matrix(chain, 50.0)
-        assert np.allclose(P, expm(chain.Q * 50.0), atol=1e-11)
+        assert np.all(np.isfinite(P))
+        assert float(np.max(np.abs(P - two_state_closed_form(30.0, 40.0, 50.0)))) < 1e-13
 
     def test_negative_time_is_rejected(self):
         chain = sd.truncate(two_state_kernel(1.0, 1.0), 2, mode="drop")
@@ -123,6 +136,13 @@ class TestErgodicityDiagnostic:
         diag = sd.ergodicity_diagnostic(chain, [0.5, 1.0, 2.0, 4.0])
         assert diag.verdict == "mixed"
         assert diag.lam is None
+
+    def test_time_grid_of_the_symmetric_two_state_chain(self):
+        # d(t) = exp(-2t) < 1 for every t > 0, so the first probe at
+        # 1 / max rate = 1 already passes and anchors the grid
+        chain = sd.truncate(two_state_kernel(1.0, 1.0), 2, mode="drop")
+        times = sd.ergodicity_times(chain, sd.invariant_measure(chain))
+        assert np.array_equal(times, np.geomspace(0.25, 4.0, 12))
 
     def test_grid_validation(self):
         chain = sd.truncate(two_state_kernel(1.0, 1.0), 2, mode="drop")

@@ -254,6 +254,20 @@ BAD_DOCS = [
         r"epsilon must be in \(0, 1\)",
     ),
     ("no_paths", lambda d: d["mc"].update(n_paths=0), "path counts must be >= 1"),
+    (
+        # regime 7 lies beyond the regimes ModelSpec.validate spot-checks
+        "global_bound_understated_in_a_far_row",
+        lambda d: d.update(
+            kernel={
+                "family": "custom_table",
+                "params": {
+                    "rows": {"1": [[2, 0.05]], "2": [[1, 0.05]], "7": [[8, 5.0]]},
+                    "global_bound": 0.1,
+                },
+            }
+        ),
+        r"rows\[7\]: rate sum 5.0 exceeds declared global bound 0.1",
+    ),
 ]
 
 
@@ -306,7 +320,7 @@ class TestParseValidation:
 
     def test_understated_global_bound_is_rejected_at_parse(self):
         doc = small_doc(rows={"1": [[2, 5.0]], "2": [[1, 5.0]]}, global_bound=0.1)
-        with pytest.raises(EvaluationError, match="exceeds declared global bound"):
+        with pytest.raises(ConfigurationError, match="exceeds declared global bound"):
             sc.parse_scenario(doc)
 
 
