@@ -44,7 +44,7 @@ from .simulator import (
     StayInBall,
     run_ensemble,
     simulate,  # noqa: F401  bound here for bench/tracer.py, which wraps cli.simulate
-    simulate_coupled,
+    simulate_coupled,  # noqa: F401  bound here for bench/tracer.py, which wraps cli.simulate_coupled
     write_trajectory_csv,
 )
 from .stability import (
@@ -426,14 +426,13 @@ def cmd_coupled_test(args) -> int:
         )
         sup_xi = float(np.max(kscan.s_values))
 
-        flags = np.zeros(n_paths, dtype=bool)
-        varthetas = np.full(n_paths, np.nan)
-        for p in range(n_paths):
-            cfg = replace(config, path_index=config.path_index + p)
-            tr = simulate_coupled(model, config=cfg, x0=bundle.x0, i0=bundle.i0)
-            flags[p] = tr.decoupled
-            if tr.vartheta is not None:
-                varthetas[p] = tr.vartheta
+        _, collected = run_ensemble(
+            model, lyap, config, n_paths, [], bundle.x0, bundle.i0,
+            collect=lambda tr: np.nan if tr.vartheta is None else tr.vartheta,
+            coupled=True,
+        )
+        varthetas = np.array(collected)
+        flags = ~np.isnan(varthetas)
 
         p_hat = float(np.mean(flags))
         sigma = math.sqrt(p_hat * (1.0 - p_hat) / n_paths)

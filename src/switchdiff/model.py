@@ -47,10 +47,14 @@ class RateKernel:
     targets must be positive integers distinct from i and rates nonnegative.
     global_bound, if set, declares a bound on sup_{x,i} q_i(x); a custom_table
     kernel checks it against every row when built, ModelSpec.validate
-    spot-checks it, and nothing else reads it.  x_independent kernels
-    allow row caching in the simulator hot loop.  Callbacks must accept a
-    length-n array and, when n = 1, a bare float.  batch_rows(X, I), if set,
-    returns the same rows for a batch as padded arrays (see padded_rows).
+    spot-checks it, and nothing else reads it.  x_independent declares that
+    no row depends on x; the simulator's float loop then keeps rows per
+    regime instead of re-reading them every step.  The flag is trusted, not
+    checked: the scenario families set it correctly by construction, but a
+    kernel built in Python that claims it falsely is simulated with stale
+    rates.  Callbacks must accept a length-n array and, when n = 1, a bare
+    float.  batch_rows(X, I), if set, returns the same rows for a batch as
+    padded arrays (see padded_rows).
     """
 
     row: Callable[[np.ndarray, int], Row]

@@ -1,16 +1,25 @@
 """Path simulation: Euler-Maruyama interleaved with thinned regime switching.
 
-One integrator runs every path.  It advances X with the regime that drives
-it and switches a chain on the time grid: the regime alpha for simulate, and
-the pair (alpha, alpha_hat) of the basic coupling for simulate_coupled.
+Every path takes Euler-Maruyama steps of X under the regime that drives it,
+each followed by a switching decision with rates read at the pre-step state
+and sub-divided when q dt breaks the thinning guard.  The switching state is
+the regime alpha (simulate) or the pair (alpha, alpha_hat) of the basic
+coupling (simulate_coupled).  Two integrators run the paths:
+
+- the float loop runs plain paths of models with scalar float forms (n = d
+  = 1, scalar_drift and scalar_diffusion set), one at a time on floats;
+- the batched engine runs every other path, vector or coupled.  All live
+  paths of a block step together as (P, n) arrays through
+  ModelSpec.drifts/diffusions and the kernel's batch_rows (padded_rows
+  without one); a single path is a batch of one, and run_ensemble passes
+  blocks of PATH_BLOCK paths, so memory does not grow with the path count.
 
 Each path owns three named substreams derived from (seed, path_index):
-diffusion noise and per-step acceptance uniforms are drawn in chunks of
-STREAM_CHUNK steps as the path advances, while jump-target selection and
-guard sub-division draw lazily from the event stream.  Chunked draws equal
-one bulk draw, so the chunk size does not enter the path.  A path is
-therefore bit-identical for a fixed (seed, path_index, config), whatever the
-size of its ensemble and whatever ran before it in the process.
+noise and accept uniforms are drawn in chunks of STREAM_CHUNK steps as the
+path advances; target selection and guard sub-division draw lazily from the
+event stream, only for the paths that need them.  Chunked draws equal one
+bulk draw, so neither the chunk size nor the rest of the batch enters a
+path: it is bit-identical for a fixed (seed, path_index, config).
 """
 
 from __future__ import annotations
@@ -25,12 +34,13 @@ import numpy as np
 
 from .artifacts import atomic_open
 from .errors import ConfigurationError
-from .model import ModelSpec, RateKernel
+from .model import ModelSpec, RateKernel, row_norms
 
 THINNING_GUARD = 0.1  # largest admissible q_i(x) * dt without sub-division
 SUBDIVISION_TARGET = 0.05  # sub-step jump probability aimed for when splitting
 BLOWUP_RADIUS = 1e12
 STREAM_CHUNK = 4096  # steps of noise and accept uniforms drawn at a time
+PATH_BLOCK = 256  # paths the batched engine advances together
 WILSON_Z = 1.959963984540054  # 95%
 
 
@@ -112,75 +122,33 @@ def _select_target(row, mass: float):
     return row[-1][0]
 
 
-def _regime_rows(kernel: RateKernel):
-    """Switching rows of alpha alone: (x, i) -> (row, q_i(x))."""
-
-    def rows(x, i):
-        row = kernel.row(x, i)
-        total = 0.0
-        for _, r in row:
-            total += r
-        return row, total
-
-    return rows
-
-
-def _pair_rows(kernel: RateKernel, dim: int):
-    """Switching rows of the basic coupling on pairs (alpha, alpha_hat).
-
-    alpha moves at the rates q(x), alpha_hat at the frozen rates q(0).  For
-    each target j in ascending order the pair jumps jointly to (j, j) at
-    min(q_aj(x), q_bj(0)), and each coordinate alone at its positive part;
-    the total is the sum of max(q_aj(x), q_bj(0)) over j.
-    """
-    zero = np.zeros(dim)
-    frozen: dict = {}
-
-    def rows(x, pair):
-        a, b = pair
-        rates_a = dict(kernel.row(x, a))
-        rates_b = frozen.get(b)
-        if rates_b is None:
-            rates_b = frozen[b] = dict(kernel.row(zero, b))
-        row = []
-        total = 0.0
-        for j in sorted(set(rates_a) | set(rates_b)):
-            ra = rates_a.get(j, 0.0) if j != a else 0.0
-            rb = rates_b.get(j, 0.0) if j != b else 0.0
-            m = ra if ra < rb else rb
-            if m > 0.0:
-                row.append(((j, j), m))
-            if ra - m > 0.0:
-                row.append(((j, b), ra - m))
-            if rb - m > 0.0:
-                row.append(((a, j), rb - m))
-            total += ra if ra > rb else rb
-        return row, total
-
-    return rows
+def _subdivide(rows, s, row, q: float, dt: float, t: float, event, jumps: list):
+    """A guarded step ending at t: m sub-steps of dt / m, each jumping with
+    probability q dt / m, where rows(s) -> (row, q) is re-read after every
+    jump.  Appends to jumps and returns the final (s, row, q)."""
+    m = int(math.ceil(q * dt / SUBDIVISION_TARGET))
+    sub = dt / m
+    base = t - dt
+    for n in range(m):
+        if event() < q * sub:
+            j = _select_target(row, event() * q)
+            jumps.append((base + (n + 1) * sub, s, j))
+            s = j
+            row, q = rows(s)
+    return s, row, q
 
 
-def _cached(rows):
-    """Memoize rows by switching state, for kernels that ignore x."""
-    table: dict = {}
-
-    def lookup(x, s):
-        hit = table.get(s)
-        if hit is None:
-            hit = table[s] = rows(x, s)
-        return hit
-
-    return lookup
+def _has_float_forms(spec: ModelSpec) -> bool:
+    return (
+        spec.dim == 1
+        and spec.noise_dim == 1
+        and spec.scalar_drift is not None
+        and spec.scalar_diffusion is not None
+    )
 
 
-def _integrate(spec: ModelSpec, config: SimConfig, x0, i0: int, coupled: bool):
-    """The path loop behind simulate and simulate_coupled.
-
-    The switching state s is alpha, or the pair (alpha, alpha_hat) when
-    coupled; alpha drives X.  A guarded step re-reads the
-    rates after each sub-step jump.  Returns the recorded times, X and s, the
-    jump log [(t, s, s')], tau_h, and the exit and blow-up flags.
-    """
+def _start(spec: ModelSpec, config: SimConfig, x0, i0: int):
+    """Validated (x0, i0, number of steps)."""
     if i0 < 1 or i0 != int(i0):
         raise ConfigurationError(f"initial regime must be a positive integer, got {i0}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -189,85 +157,68 @@ def _integrate(spec: ModelSpec, config: SimConfig, x0, i0: int, coupled: bool):
     n_steps = int(round(config.horizon / config.dt))
     if n_steps < 1:
         raise ConfigurationError("horizon shorter than one step")
+    return x0, int(i0), n_steps
+
+
+def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
+    """The float loop: one plain path of a model with scalar float forms."""
+    x0, s, n_steps = _start(spec, config, x0, i0)
     kernel = spec.rate_kernel
     rng_noise, rng_accept, rng_event = path_streams(config.seed, config.path_index)
     event = rng_event.random
+    drift, diffusion = spec.scalar_drift, spec.scalar_diffusion
     dt = config.dt
     sq = math.sqrt(dt)
-    i = int(i0)  # the regime that drives X
-    s = (i, i) if coupled else i
-
-    scalar = (
-        spec.dim == 1
-        and spec.noise_dim == 1
-        and spec.scalar_drift is not None
-        and spec.scalar_diffusion is not None
-    )
-    if scalar:
-        drift, diffusion = spec.scalar_drift, spec.scalar_diffusion
-        x = float(x0[0])
-        norm = abs
-    else:
-        # validated first evaluation catches shape bugs early
-        spec.drift_at(x0, i)
-        spec.diffusion_at(x0, i)
-        drift, diffusion = spec.drift, spec.diffusion
-        x = x0.copy()
-
-        def norm(x):
-            return float(np.linalg.norm(x))
+    x = float(x0[0])
 
     def chunks():
         """Per step: (k, sqrt(dt) * noise_k, accept_k), drawn a chunk at a
         time so that a path stopping early draws little beyond its stop."""
         for c0 in range(0, n_steps, STREAM_CHUNK):
             m = min(STREAM_CHUNK, n_steps - c0)
-            dw = rng_noise.standard_normal((m, spec.noise_dim)) * sq
-            yield zip(
-                range(c0, c0 + m),
-                dw[:, 0].tolist() if scalar else dw,
-                rng_accept.random(m).tolist(),
-            )
+            dw = rng_noise.standard_normal((m, 1)) * sq
+            yield zip(range(c0, c0 + m), dw[:, 0].tolist(), rng_accept.random(m).tolist())
 
-    rows = _pair_rows(kernel, spec.dim) if coupled else _regime_rows(kernel)
     x_dep = not kernel.x_independent
-    if not x_dep:
-        rows = _cached(rows)
+    table: dict = {}
+
+    def rows(x, s):
+        """(row, q_s(x)); an x-independent kernel's rows are kept per regime."""
+        hit = None if x_dep else table.get(s)
+        if hit is None:
+            row = kernel.row(x, s)
+            total = 0.0
+            for _, r in row:
+                total += r
+            hit = (row, total)
+            if not x_dep:
+                table[s] = hit
+        return hit
 
     stride = config.record_stride
     h = math.inf if config.stop_radius is None else config.stop_radius
     m_rec = n_steps // stride + 2
     rec_t = np.empty(m_rec)
-    rec_x = np.empty((m_rec, spec.dim))
-    rec_s = np.empty((m_rec, 2) if coupled else m_rec, dtype=np.int64)
+    rec_x = np.empty((m_rec, 1))
+    rec_s = np.empty(m_rec, dtype=np.int64)
     rec_t[0], rec_x[0], rec_s[0] = 0.0, x, s
     ri = 0
-    jumps: list = []
-    tau_h = None
-    exited = False
-    blew = False
+    traj = Trajectory(rec_t, rec_x, rec_s)
 
-    if norm(x) >= h:
-        tau_h, exited = 0.0, True
+    if abs(x) >= h:
+        traj.tau_h, traj.exited = 0.0, True
         n_steps = 0
     if not x_dep and n_steps:
-        # rows of an x-independent kernel change only when s jumps
         row, q = rows(x, s)
         p = q * dt
     next_rec = min(stride, n_steps) - 1
 
     for k, w, u in chain.from_iterable(chunks()):
         ox = x
-        if scalar:
-            x = ox + drift(ox, i) * dt + diffusion(ox, i) * w
-            r = abs(x)
-        else:
-            x = ox + np.asarray(drift(ox, i), dtype=float) * dt + np.asarray(
-                diffusion(ox, i), dtype=float
-            ) @ w
-            r = norm(x)
+        x = ox + drift(ox, s) * dt + diffusion(ox, s) * w
+        r = abs(x)
         if not (r < BLOWUP_RADIUS):
-            blew = True
+            traj.blew_up = True
             ri += 1
             rec_t[ri], rec_x[ri], rec_s[ri] = (k + 1) * dt, x, s
             break
@@ -276,23 +227,14 @@ def _integrate(spec: ModelSpec, config: SimConfig, x0, i0: int, coupled: bool):
             row, q = rows(ox, s)
             p = q * dt
         if p > THINNING_GUARD:
-            m = int(math.ceil(p / SUBDIVISION_TARGET))
-            sub = dt / m
-            t = (k + 1) * dt
-            base = t - dt
-            for n in range(m):
-                if event() < q * sub:
-                    j = _select_target(row, event() * q)
-                    jumps.append((base + (n + 1) * sub, s, j))
-                    s = j
-                    row, q = rows(ox, s)
+            s, row, q = _subdivide(
+                lambda s: rows(ox, s), s, row, q, dt, (k + 1) * dt, event, traj.jumps
+            )
             p = q * dt
-            i = s[0] if coupled else s
         elif u < p:
             j = _select_target(row, event() * q)
-            jumps.append(((k + 1) * dt, s, j))
+            traj.jumps.append(((k + 1) * dt, s, j))
             s = j
-            i = s[0] if coupled else s
             if not x_dep:
                 row, q = rows(ox, s)
                 p = q * dt
@@ -302,12 +244,238 @@ def _integrate(spec: ModelSpec, config: SimConfig, x0, i0: int, coupled: bool):
             ri += 1
             rec_t[ri], rec_x[ri], rec_s[ri] = t, x, s
             if r >= h:
-                tau_h, exited = t, True
+                traj.tau_h, traj.exited = t, True
                 break
             next_rec = min(next_rec + stride, n_steps - 1)
 
     m = ri + 1
-    return rec_t[:m].copy(), rec_x[:m].copy(), rec_s[:m].copy(), jumps, tau_h, exited, blew
+    traj.times, traj.x_path, traj.regime_path = (
+        rec_t[:m].copy(), rec_x[:m].copy(), rec_s[:m].copy()
+    )
+    return traj
+
+
+def _row_totals(rates: np.ndarray) -> np.ndarray:
+    """Sum of each padded row, entry by entry in row order."""
+    total = np.zeros(len(rates))
+    for c in range(rates.shape[1]):
+        total += rates[:, c]
+    return total
+
+
+def _regime_rates(kernel: RateKernel):
+    """Switching rates of alpha alone: (X, I) -> (q, row_of), where q[l] is
+    the total rate of path l and row_of(l) its row [(j, rate), ...].  Rows
+    come from the kernel's batch form, or from padded_rows without one."""
+    rows = kernel.batch_rows or kernel.padded_rows
+
+    def rates(X, I):
+        targets, r = rows(X, I)
+
+        def row_of(l):
+            return [(j, v) for j, v in zip(targets[l].tolist(), r[l].tolist()) if j >= 1]
+
+        return _row_totals(r), row_of
+
+    return rates
+
+
+def _pair_rates(kernel: RateKernel, dim: int):
+    """Switching rates of the basic coupling on pairs S = (alpha, alpha_hat).
+
+    alpha moves at the rates q(x), alpha_hat at the frozen rates q(0), whose
+    rows are kept per regime.  For each target j in ascending order the pair
+    jumps jointly to (j, j) at min(q_aj(x), q_bj(0)), and each coordinate
+    alone at its positive part; the total is the sum of max(q_aj(x), q_bj(0))
+    over j, in ascending j.
+    """
+    rows = kernel.batch_rows or kernel.padded_rows
+    frozen = (np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0)))  # line b: row b at 0
+
+    def rates(X, S):
+        nonlocal frozen
+        if S[:, 1].max() >= len(frozen[0]):
+            regimes = np.arange(1, 2 * S[:, 1].max() + 1)
+            t, r = rows(np.zeros((len(regimes), dim)), regimes)
+            frozen = (np.pad(t, ((1, 0), (0, 0))), np.pad(r, ((1, 0), (0, 0))))
+        ta, ra = rows(X, S[:, 0])
+        tb, rb = frozen[0][S[:, 1]], frozen[1][S[:, 1]]
+        # max(q_aj, q_bj) at alpha's targets, then q_bj at alpha_hat's other
+        # targets; padding and alpha_hat's shared targets carry 0, which adds
+        # nothing wherever it falls in the sum
+        rb_at_a = np.zeros_like(ra)
+        rb_only = rb.copy()
+        for c in range(tb.shape[1]):
+            hit = ta == tb[:, c, None]
+            rb_at_a = np.where(hit, rb[:, c, None], rb_at_a)
+            rb_only[hit.any(axis=1), c] = 0.0
+        top = np.concatenate([np.maximum(ra, rb_at_a), rb_only], axis=1)
+        # ascending targets within each row: one sort of (row, target) keys
+        keys = np.concatenate([ta, tb], axis=1)
+        keys += np.arange(len(keys))[:, None] * (int(keys.max(initial=0)) + 1)
+        order = np.argsort(keys.ravel(), kind="stable")
+        q = _row_totals(top.ravel()[order].reshape(top.shape))
+
+        def row_of(l):
+            a, b = S[l].tolist()
+            rates_a = {j: v for j, v in zip(ta[l].tolist(), ra[l].tolist()) if j >= 1}
+            rates_b = {j: v for j, v in zip(tb[l].tolist(), rb[l].tolist()) if j >= 1}
+            row = []
+            for j in sorted(set(rates_a) | set(rates_b)):
+                qa = rates_a.get(j, 0.0) if j != a else 0.0
+                qb = rates_b.get(j, 0.0) if j != b else 0.0
+                m = qa if qa < qb else qb
+                if m > 0.0:
+                    row.append(((j, j), m))
+                if qa - m > 0.0:
+                    row.append(((j, b), qa - m))
+                if qb - m > 0.0:
+                    row.append(((a, j), qb - m))
+            return row
+
+        return q, row_of
+
+    return rates
+
+
+def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, coupled: bool):
+    """The batched engine: paths config.path_index, ..., + n_paths - 1 from
+    (x0, i0), advanced together one step at a time as arrays.
+
+    Row l of X and S is live path live[l]; S holds alpha, or the pairs
+    (alpha, alpha_hat) when coupled.  A path that exits or blows up leaves
+    the batch.  Only paths that jump or need guard sub-division touch their
+    event stream.  Returns one Trajectory per path, in index order; a
+    coupled one records pairs and logs pair jumps.
+    """
+    x0, i0, n_steps = _start(spec, config, x0, i0)
+    # validated first evaluation catches shape bugs early
+    spec.drift_at(x0, i0)
+    spec.diffusion_at(x0, i0)
+    dt = config.dt
+    sq = math.sqrt(dt)
+    streams = [path_streams(config.seed, config.path_index + p) for p in range(n_paths)]
+    kernel = spec.rate_kernel
+    rates = _pair_rates(kernel, spec.dim) if coupled else _regime_rates(kernel)
+    state = (lambda v: tuple(v.tolist())) if coupled else int
+
+    def rows(x, s):
+        """(row, q_s(x)) at one point, as a batch of one."""
+        q, row_of = rates(x[None], np.array([s]))
+        return row_of(0), float(q[0])
+
+    stride = config.record_stride
+    h = math.inf if config.stop_radius is None else config.stop_radius
+    X = np.tile(x0, (n_paths, 1))
+    S = np.full((n_paths, 2) if coupled else n_paths, i0, dtype=np.int64)
+    m_rec = n_steps // stride + 2
+    rec_t = np.empty((n_paths, m_rec))
+    rec_x = np.empty((n_paths, m_rec, spec.dim))
+    rec_s = np.empty((n_paths, m_rec) + S.shape[1:], dtype=np.int64)
+    rec_t[:, 0], rec_x[:, 0], rec_s[:, 0] = 0.0, X, S
+    ri = 0  # every live path has recorded ri + 1 points
+    ends = np.zeros(n_paths, dtype=np.int64)
+    trajs = [Trajectory(rec_t[p], rec_x[p], rec_s[p]) for p in range(n_paths)]
+    live = np.arange(n_paths)
+    if row_norms(x0[None])[0] >= h:
+        for traj in trajs:
+            traj.tau_h, traj.exited = 0.0, True
+        n_steps, live = 0, live[:0]
+    next_rec = min(stride, n_steps) - 1
+
+    def leave(gone, at: int, t: float, Xt, exited: bool) -> None:
+        """Record the paths flagged in gone at index at, mark them exited
+        (at t) or blown up, and drop them from the batch."""
+        nonlocal X, S, live, slot
+        ids = live[gone]
+        rec_t[ids, at], rec_x[ids, at], rec_s[ids, at] = t, Xt[gone], S[gone]
+        ends[ids] = at
+        for path in ids.tolist():
+            if exited:
+                trajs[path].tau_h, trajs[path].exited = t, True
+            else:
+                trajs[path].blew_up = True
+        X, S, live, slot = X[~gone], S[~gone], live[~gone], slot[~gone]
+
+    for c0 in range(0, n_steps, STREAM_CHUNK):
+        if live.size == 0:
+            break
+        m = min(STREAM_CHUNK, n_steps - c0)
+        # each live path's next chunk, drawn in place into its row
+        W = np.empty((live.size, m, spec.noise_dim))
+        U = np.empty((live.size, m))
+        for l, path in enumerate(live.tolist()):
+            streams[path][0].standard_normal(out=W[l])
+            streams[path][1].random(out=U[l])
+        W *= sq
+        slot = np.arange(live.size)  # row of each live path in W and U
+        for k in range(c0, c0 + m):
+            I = S[:, 0] if coupled else S
+            Xn = X + spec.drifts(X, I) * dt + np.matmul(
+                spec.diffusions(X, I), W[slot, k - c0][:, :, None]
+            )[:, :, 0]
+            r = row_norms(Xn)
+            t = (k + 1) * dt
+            r_max = r.max()  # nan when any row is nan
+            if not r_max < BLOWUP_RADIUS:
+                gone = ~(r < BLOWUP_RADIUS)
+                leave(gone, ri + 1, t, Xn, exited=False)
+                if live.size == 0:
+                    break
+                Xn, r = Xn[~gone], r[~gone]
+                r_max = r.max()
+
+            # switching, with rates at the pre-step X
+            q, row_of = rates(X, S)
+            p = q * dt
+            guard = p > THINNING_GUARD
+            for l in (guard | (U[slot, k - c0] < p)).nonzero()[0].tolist():
+                s, row, ql = state(S[l]), row_of(l), float(q[l])
+                event, log = streams[live[l]][2].random, trajs[live[l]].jumps
+                if guard[l]:
+                    ox = X[l]
+                    s = _subdivide(lambda s: rows(ox, s), s, row, ql, dt, t, event, log)[0]
+                else:
+                    j = _select_target(row, event() * ql)
+                    log.append((t, s, j))
+                    s = j
+                S[l] = s
+            X = Xn
+
+            if k == next_rec:
+                ri += 1
+                rec_t[live, ri], rec_x[live, ri], rec_s[live, ri] = t, X, S
+                next_rec = min(next_rec + stride, n_steps - 1)
+                if r_max >= h:
+                    leave(r >= h, ri, t, X, exited=True)
+            elif r_max >= h:
+                leave(r >= h, ri + 1, t, X, exited=True)
+            if live.size == 0:
+                break
+    ends[live] = ri
+
+    for traj, m in zip(trajs, (ends + 1).tolist()):
+        traj.times, traj.x_path, traj.regime_path = (
+            traj.times[:m].copy(), traj.x_path[:m].copy(), traj.regime_path[:m].copy()
+        )
+    return trajs
+
+
+def _coupled(traj: Trajectory) -> CoupledTrajectory:
+    """The coupled view of a batched-engine path over pairs (alpha, alpha_hat)."""
+    pairs, log = traj.regime_path, traj.jumps
+    return CoupledTrajectory(
+        times=traj.times,
+        x_path=traj.x_path,
+        alpha_path=pairs[:, 0].copy(),
+        alpha_hat_path=pairs[:, 1].copy(),
+        jumps_alpha=[(t, s[0], j[0]) for t, s, j in log if j[0] != s[0]],
+        jumps_alpha_hat=[(t, s[1], j[1]) for t, s, j in log if j[1] != s[1]],
+        vartheta=next((t for t, _, j in log if j[0] != j[1]), None),
+        tau_h=traj.tau_h,
+        exited=traj.exited,
+        blew_up=traj.blew_up,
+    )
 
 
 def simulate(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
@@ -315,43 +483,22 @@ def simulate(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
 
     Per step: Euler-Maruyama update of X with the current regime, then the
     switching decision with rates evaluated at the pre-step state.  Steps
-    whose total rate violates the thinning guard are sub-divided.
+    whose total rate violates the thinning guard are sub-divided.  A model
+    with float forms runs the float loop, any other the batched engine.
     """
-    times, x_path, regimes, jumps, tau_h, exited, blew = _integrate(
-        spec, config, x0, i0, coupled=False
-    )
-    return Trajectory(
-        times=times,
-        x_path=x_path,
-        regime_path=regimes,
-        jumps=jumps,
-        tau_h=tau_h,
-        exited=exited,
-        blew_up=blew,
-    )
+    if _has_float_forms(spec):
+        return _float_path(spec, config, x0, i0)
+    return _batch_paths(spec, config, x0, i0, 1, coupled=False)[0]
 
 
 def simulate_coupled(spec: ModelSpec, config: SimConfig, x0, i0: int) -> CoupledTrajectory:
     """Basic coupling of (alpha, alpha_hat): alpha drives X with rates
     q(X(t)), alpha_hat runs on the frozen kernel q(0); matched moves fire
     jointly at rate min(q_kj(x), q_lj(0)), discrepancy moves at the positive
-    parts.  vartheta is the first time the regimes differ.
+    parts.  vartheta is the first time the regimes differ.  Runs the batched
+    engine as a batch of one.
     """
-    times, x_path, pairs, log, tau_h, exited, blew = _integrate(
-        spec, config, x0, i0, coupled=True
-    )
-    return CoupledTrajectory(
-        times=times,
-        x_path=x_path,
-        alpha_path=pairs[:, 0].copy(),
-        alpha_hat_path=pairs[:, 1].copy(),
-        jumps_alpha=[(t, s[0], j[0]) for t, s, j in log if j[0] != s[0]],
-        jumps_alpha_hat=[(t, s[1], j[1]) for t, s, j in log if j[1] != s[1]],
-        vartheta=next((t for t, _, j in log if j[0] != j[1]), None),
-        tau_h=tau_h,
-        exited=exited,
-        blew_up=blew,
-    )
+    return _coupled(_batch_paths(spec, config, x0, i0, 1, coupled=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +594,6 @@ class FunctionalEstimate:
     ci_low: float
     ci_high: float
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
-
 
 @dataclass
 class EnsembleSummary:
@@ -465,20 +603,25 @@ class EnsembleSummary:
     seed: int
     functionals: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "n_blowups": self.n_blowups,
-            "n_exited": self.n_exited,
-            "seed": self.seed,
-            "functionals": [f.to_dict() for f in self.functionals],
-        }
-
     def estimate(self, name_prefix: str) -> FunctionalEstimate:
         for f in self.functionals:
             if f.name.startswith(name_prefix):
                 return f
         raise KeyError(name_prefix)
+
+
+def _ensemble_paths(spec: ModelSpec, config: SimConfig, n_paths: int, x0, i0: int, coupled: bool):
+    """Trajectories of paths config.path_index + p, p < n_paths, in index
+    order: plain paths with float forms one at a time through simulate, all
+    others through the batched engine, PATH_BLOCK paths at a time."""
+    if not coupled and _has_float_forms(spec):
+        for p in range(n_paths):
+            yield simulate(spec, replace(config, path_index=config.path_index + p), x0, i0)
+        return
+    for first in range(0, n_paths, PATH_BLOCK):
+        block = replace(config, path_index=config.path_index + first)
+        trajs = _batch_paths(spec, block, x0, i0, min(PATH_BLOCK, n_paths - first), coupled)
+        yield from map(_coupled, trajs) if coupled else trajs
 
 
 def run_ensemble(
@@ -490,21 +633,22 @@ def run_ensemble(
     x0,
     i0: int,
     collect: Optional[Callable[[Trajectory], object]] = None,
+    coupled: bool = False,
 ) -> tuple[EnsembleSummary, list]:
     """Simulate n_paths independent paths and aggregate the functionals.
 
-    Path p runs with path_index = config.path_index + p, in index order.
-    collect(traj), when given, retains a per-path reduction (e.g. the
-    trajectory itself for rate estimation); kept None for large ensembles.
+    Path p runs with path_index = config.path_index + p, and paths reach the
+    functionals and collect in index order.  coupled runs the basic coupling
+    and hands out CoupledTrajectory objects.  collect(traj), when given,
+    retains a per-path reduction (e.g. the trajectory itself for rate
+    estimation); kept None for large ensembles.
     """
     if n_paths < 1:
         raise ConfigurationError(f"n_paths must be >= 1, got {n_paths}")
     values = np.empty((len(functionals), n_paths))
     n_blowups = n_exited = 0
     collected: list = [None] * n_paths
-    for p in range(n_paths):
-        cfg = replace(config, path_index=config.path_index + p)
-        traj = simulate(spec, config=cfg, x0=x0, i0=i0)
+    for p, traj in enumerate(_ensemble_paths(spec, config, n_paths, x0, i0, coupled)):
         for fi, fn in enumerate(functionals):
             values[fi, p] = float(fn.evaluate(traj))
         n_blowups += traj.blew_up

@@ -320,12 +320,13 @@ def test_criterion_08_coupling_decoupling_bound():
     )
     sup_xi = float(np.max(kscan.s_values))
 
-    n_decoupled = 0
-    for p in range(n_paths):
-        traj = sd.simulate_coupled(
-            bundle.model, config=replace(config, path_index=p), x0=x0, i0=bundle.i0
-        )
-        n_decoupled += traj.decoupled
+    t0 = time.perf_counter()
+    _, decoupled = sd.run_ensemble(
+        bundle.model, bundle.lyap, config, n_paths, [], x0, bundle.i0,
+        collect=lambda traj: traj.decoupled, coupled=True,
+    )
+    elapsed = time.perf_counter() - t0
+    n_decoupled = sum(decoupled)
     p_hat = n_decoupled / n_paths
     sigma = math.sqrt(p_hat * (1.0 - p_hat) / n_paths)
     bound = config.horizon * sup_xi + 3.0 * sigma
@@ -335,7 +336,7 @@ def test_criterion_08_coupling_decoupling_bound():
         8,
         passed,
         f"p_hat {p_hat:.4f} <= T*sup_xi + 3 sigma = {bound:.4f} "
-        f"(sup_xi {sup_xi:.4f}, {n_decoupled} decoupled)",
+        f"(sup_xi {sup_xi:.4f}, {n_decoupled} decoupled, {elapsed:.1f} s)",
     )
     assert p_hat <= bound
 
@@ -343,13 +344,14 @@ def test_criterion_08_coupling_decoupling_bound():
 def test_criterion_09_byte_identical_across_threads(tmp_path):
     # A path depends only on (scenario, seed, path_index): the same command
     # writes the same bytes before and after another scenario runs in this
-    # process, and its trajectory.csv is path 0 simulated on its own.
-    argv_for = lambda out: [
+    # process, and its trajectory.csv is path 0 simulated on its own, whether
+    # path 0 shares its batch with five other paths or runs alone.
+    argv_for = lambda out, paths=6: [
         "simulate",
         "--scenario",
         "example52_stable",
         "--paths",
-        "6",
+        str(paths),
         "--horizon",
         "2",
         "--out",
@@ -359,7 +361,8 @@ def test_criterion_09_byte_identical_across_threads(tmp_path):
              "--horizon", "1", "--out", str(tmp_path / "other")]
     runs = {}
     for label, argv in (("a", argv_for(tmp_path / "a")), ("other", other),
-                        ("b", argv_for(tmp_path / "b"))):
+                        ("b", argv_for(tmp_path / "b")),
+                        ("one", argv_for(tmp_path / "one", paths=1))):
         assert cli.main(argv) == 0
         out = tmp_path / label
         runs[label] = {
@@ -371,18 +374,23 @@ def test_criterion_09_byte_identical_across_threads(tmp_path):
     alone = sd.simulate(bundle.model, replace(bundle.sim, horizon=2.0), bundle.x0, bundle.i0)
     sd.write_trajectory_csv(str(tmp_path / "alone.csv"), alone)
 
-    csv_match = runs["a"]["csv"] == runs["b"]["csv"] == (tmp_path / "alone.csv").read_bytes()
+    alone_csv = (tmp_path / "alone.csv").read_bytes()
+    csv_match = runs["a"]["csv"] == runs["b"]["csv"] == alone_csv
+    # path 0 does not depend on how many paths share its batch
+    batch_match = runs["one"]["csv"] == alone_csv
     results_match = runs["a"]["doc"]["results"] == runs["b"]["doc"]["results"]
 
-    passed = csv_match and results_match
+    passed = csv_match and results_match and batch_match
     record_acceptance(
         9,
         passed,
         f"trajectory bytes match across runs and a standalone path 0: {csv_match}, "
+        f"with --paths 1: {batch_match}, "
         f"functional estimates match across runs: {results_match}",
     )
     assert csv_match
     assert results_match
+    assert batch_match
 
 
 def test_criterion_10_envelope_transform():

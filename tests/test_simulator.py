@@ -25,6 +25,78 @@ def absorbing_kernel(rate):
     return sd.RateKernel(row=row, global_bound=rate, x_independent=True)
 
 
+def assert_same_path(a, b):
+    """Every field equal; arrays bit for bit, signed zeros included."""
+    for f in dataclasses.fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            assert (va.dtype, va.shape) == (vb.dtype, vb.shape), f.name
+            assert va.tobytes() == vb.tobytes(), f.name
+        else:
+            assert va == vb, f.name
+
+
+def paths(spec, cfg, n, x0, i0, coupled=False):
+    """Trajectories of paths 0..n-1 of cfg, each equal to its own run alone."""
+    _, trajs = sd.run_ensemble(
+        spec, None, cfg, n, [], x0, i0, collect=lambda tr: tr, coupled=coupled
+    )
+    return trajs
+
+
+def regime_mix_spec(dim: int = 2, with_batch_rows: bool = True) -> sd.ModelSpec:
+    """Linear model whose paths from one start go every way a path can.
+
+    Regime 1 grows (in 2-D it spirals out: dX = [[1, 1], [-1, 1]] X dt +
+    0.8 X dW), so some paths leave |x| < 1.5, and it leaves for 2 at rate
+    4|x|^2, which breaks the thinning guard at dt = 0.05 once |x| >
+    1/sqrt(2).  Regime 2 contracts and leaves for 1 at rate 1 or for 3 at
+    rate 0.2.  Regime 3 blows up in one step.  In 1-D the model has float
+    forms.
+    """
+
+    def row(x, i):
+        if i == 1:
+            return ((2, 4.0 * float(np.dot(x, x))),)
+        if i == 2:
+            return ((1, 1.0), (3, 0.2))
+        return ()
+
+    def batch_rows(X, I):
+        one, two = I == 1, I == 2
+        targets = np.stack([np.select([one, two], [2, 1], 0), np.where(two, 3, 0)], axis=1)
+        rates = np.stack(
+            [np.select([one, two], [4.0 * np.vecdot(X, X), 1.0], 0.0), np.where(two, 0.2, 0.0)],
+            axis=1,
+        )
+        return targets, rates
+
+    kernel = sd.RateKernel(
+        row=row, x_independent=False, batch_rows=batch_rows if with_batch_rows else None
+    )
+    eye = np.eye(dim)
+    grow = [[1.0, 1.0], [-1.0, 1.0]] if dim == 2 else [[1.0]]
+    params = {
+        "matrices": [grow, (-eye).tolist(), (1e16 * eye).tolist()],
+        "sigma_matrices": [[(0.8 * eye).tolist()], [(0.3 * eye).tolist()], [(0 * eye).tolist()]],
+    }
+    return sd.build_model({"family": "linear", "params": params}, kernel)
+
+
+MIX_CONFIG = sd.SimConfig(dt=0.05, horizon=2.0, seed=3, stop_radius=1.5, record_stride=3)
+
+
+def assert_mixed(batch, coupled=False):
+    """The batch holds paths that run out the horizon, exit and blow up, and
+    paths with and without guarded (off-grid) jumps."""
+    log = [tr.jumps_alpha if coupled else tr.jumps for tr in batch]
+    dt = MIX_CONFIG.dt
+    guarded = [any(abs(t / dt - round(t / dt)) > 1e-9 for t, _, _ in js) for js in log]
+    assert any(tr.exited for tr in batch) and any(tr.blew_up for tr in batch)
+    assert any(not (tr.exited or tr.blew_up) for tr in batch)
+    assert any(guarded) and not all(guarded)
+
+
 class TestStep:
     def test_deterministic_euler_update(self):
         spec = single_regime_linear(-1.0)
@@ -108,18 +180,25 @@ class TestSimulatePaths:
         assert not np.array_equal(a.x_path, c.x_path)
 
     def test_stream_chunk_size_does_not_change_the_path(self, monkeypatch):
-        # noise and accept uniforms are drawn in chunks; the split must not show
+        # noise and accept uniforms are drawn in chunks; the split must not
+        # show in the float loop, nor in the batched engine, for one path or
+        # several, plain or coupled
         fast = with_kernel(single_regime_linear(-0.5, s=0.4), two_state_kernel(2.0, 2.0))
         slow = dataclasses.replace(fast, scalar_drift=None, scalar_diffusion=None)
         cfg = sd.SimConfig(dt=0.01, horizon=2.0, seed=13, record_stride=3)
-        for spec in (fast, slow):
-            a = sd.simulate(spec, cfg, np.array([0.3]), 1)
-            monkeypatch.setattr(sd.simulator, "STREAM_CHUNK", 7)
-            b = sd.simulate(spec, cfg, np.array([0.3]), 1)
-            monkeypatch.undo()
-            assert a.jumps
-            assert np.array_equal(a.x_path, b.x_path)
-            assert a.jumps == b.jumps
+        x0 = np.array([0.3])
+
+        def run():
+            out = [sd.simulate(fast, cfg, x0, 1), sd.simulate(slow, cfg, x0, 1)]
+            out.append(sd.simulate_coupled(fast, cfg, x0, 1))
+            return out + paths(slow, cfg, 4, x0, 1) + paths(slow, cfg, 4, x0, 1, coupled=True)
+
+        a = run()
+        monkeypatch.setattr(sd.simulator, "STREAM_CHUNK", 7)
+        b = run()
+        assert all(tr.jumps for tr in a[:2])
+        for ta, tb in zip(a, b):
+            assert_same_path(ta, tb)
 
     def test_scalar_and_vector_engines_agree(self):
         fast = with_kernel(single_regime_linear(-0.5, s=0.4), two_state_kernel(2.0, 2.0))
@@ -215,9 +294,8 @@ class TestCoupledPaths:
     def test_state_independent_rates_never_decouple(self):
         kernel = sd.build_kernel("birth_death", {"up": 2.0, "down": 3.0})
         spec = with_kernel(single_regime_linear(-0.5, s=0.3), kernel)
-        for p in range(40):
-            cfg = sd.SimConfig(dt=0.01, horizon=3.0, seed=40, path_index=p)
-            ct = sd.simulate_coupled(spec, cfg, np.array([0.4]), 2)
+        cfg = sd.SimConfig(dt=0.01, horizon=3.0, seed=40)
+        for ct in paths(spec, cfg, 40, np.array([0.4]), 2, coupled=True):
             assert not ct.decoupled
             assert np.array_equal(ct.alpha_path, ct.alpha_hat_path)
             assert ct.jumps_alpha == ct.jumps_alpha_hat
@@ -225,10 +303,10 @@ class TestCoupledPaths:
     def test_decoupling_happens_for_state_dependent_rates(self):
         kernel = sd.build_kernel("example52_q", {"scale": 1.0})
         spec = with_kernel(single_regime_linear(0.0, s=0.0), kernel)
+        cfg = sd.SimConfig(dt=0.005, horizon=4.0, seed=41)
         decoupled = 0
-        for p in range(60):
-            cfg = sd.SimConfig(dt=0.005, horizon=4.0, seed=41, path_index=p)
-            ct = sd.simulate_coupled(spec, cfg, np.array([1.0]), 1)  # sin(1) lifts q(x) well above q(0)
+        # sin(1) lifts q(x) well above q(0)
+        for ct in paths(spec, cfg, 60, np.array([1.0]), 1, coupled=True):
             if ct.decoupled:
                 decoupled += 1
                 assert ct.vartheta > 0.0
@@ -238,19 +316,16 @@ class TestCoupledPaths:
         kernel = sd.build_kernel("example52_q", {"scale": 1.0})
         spec = with_kernel(single_regime_linear(-0.1, s=0.2), kernel)
         n = 150
-        occ_coupled = np.empty(n)
-        occ_plain = np.empty(n)
-        for p in range(n):
-            cfg = sd.SimConfig(dt=0.01, horizon=5.0, seed=42, path_index=p)
-            ct = sd.simulate_coupled(spec, cfg, np.array([0.5]), 1)
-            proxy = SimpleNamespace(
-                times=ct.times, regime_path=ct.alpha_path, jumps=ct.jumps_alpha
+        x0 = np.array([0.5])
+        cfg = sd.SimConfig(dt=0.01, horizon=5.0, seed=42)
+        occ_coupled = np.array([
+            sd.occupation_fraction(
+                SimpleNamespace(times=ct.times, regime_path=ct.alpha_path, jumps=ct.jumps_alpha), 1
             )
-            occ_coupled[p] = sd.occupation_fraction(proxy, 1)
-            cfg2 = sd.SimConfig(dt=0.01, horizon=5.0, seed=4242, path_index=p)
-            occ_plain[p] = sd.occupation_fraction(
-                sd.simulate(spec, cfg2, np.array([0.5]), 1), 1
-            )
+            for ct in paths(spec, cfg, n, x0, 1, coupled=True)
+        ])
+        cfg2 = dataclasses.replace(cfg, seed=4242)
+        occ_plain = np.array([sd.occupation_fraction(tr, 1) for tr in paths(spec, cfg2, n, x0, 1)])
         diff = occ_coupled.mean() - occ_plain.mean()
         se = math.sqrt(occ_coupled.var(ddof=1) / n + occ_plain.var(ddof=1) / n)
         assert abs(diff) < 3.0 * se
@@ -260,14 +335,80 @@ class TestCoupledPaths:
         # x-independent kernel alpha_hat never leaves alpha, and alpha must make
         # the same jumps as the plain simulation on the same streams.
         spec = with_kernel(single_regime_linear(-1.0, s=0.2), two_state_kernel(100.0, 100.0))
+        cfg = sd.SimConfig(dt=0.002, horizon=1.0, seed=44)
+        x0 = np.array([0.5])
         coupled = plain = 0
-        for p in range(200):
-            cfg = sd.SimConfig(dt=0.002, horizon=1.0, seed=44, path_index=p)
-            ct = sd.simulate_coupled(spec, cfg, np.array([0.5]), 1)
+        for ct in paths(spec, cfg, 200, x0, 1, coupled=True):
             assert not ct.decoupled
             coupled += len(ct.jumps_alpha)
-            plain += len(sd.simulate(spec, cfg, np.array([0.5]), 1).jumps)
+        for tr in paths(spec, cfg, 200, x0, 1):
+            plain += len(tr.jumps)
         assert coupled == plain
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("with_batch_rows", [True, False], ids=["batch_rows", "per_point"])
+    @pytest.mark.parametrize("coupled", [False, True], ids=["vector", "coupled"])
+    def test_every_path_equals_its_batch_of_one(self, monkeypatch, coupled, with_batch_rows):
+        spec = regime_mix_spec(2, with_batch_rows)
+        x0 = np.array([0.45, 0.15])
+        whole = paths(spec, MIX_CONFIG, 24, x0, 1, coupled)
+        monkeypatch.setattr(sd.simulator, "PATH_BLOCK", 5)
+        blocks = paths(spec, MIX_CONFIG, 24, x0, 1, coupled)
+        one = sd.simulate_coupled if coupled else sd.simulate
+        for p, traj in enumerate(whole):
+            alone = one(spec, dataclasses.replace(MIX_CONFIG, path_index=p), x0, 1)
+            assert_same_path(traj, alone)
+            assert_same_path(blocks[p], alone)
+        assert_mixed(whole, coupled)
+
+    @pytest.mark.parametrize("with_batch_rows", [True, False], ids=["batch_rows", "per_point"])
+    def test_batched_engine_matches_the_float_loop(self, with_batch_rows):
+        # the float loop is the reference: a 1-D model without its float
+        # forms runs through the batched engine, path for path the same
+        fast = regime_mix_spec(1, with_batch_rows)
+        slow = dataclasses.replace(fast, scalar_drift=None, scalar_diffusion=None)
+        x0 = np.array([0.5])
+        batch = paths(slow, MIX_CONFIG, 24, x0, 1)
+        for p, traj in enumerate(batch):
+            cfg = dataclasses.replace(MIX_CONFIG, path_index=p)
+            assert_same_path(traj, sd.simulate(fast, cfg, x0, 1))
+        assert_mixed(batch)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            sd.build_kernel("example52_q", {"scale": 1.0}),
+            sd.build_kernel("birth_death", {"up": 0.7, "down": 1.3, "modulation": 2.0}),
+            sd.build_kernel(
+                "custom_table", {"rows": {"1": [[3, 0.3], [2, 1.1]], "2": [[1, 0.4]], "3": [[1, 2.0], [2, 0.5]]}}
+            ),
+        ],
+        ids=["example52_q", "birth_death", "custom_table"],
+    )
+    def test_pair_totals_equal_the_per_point_sum(self, kernel):
+        # the reference: the coupling's total rate summed one target at a
+        # time in ascending order, from per-point rows
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-2.0, 2.0, (300, 2))
+        S = rng.integers(1, 5, (300, 2))
+        q, _ = sd.simulator._pair_rates(kernel, 2)(X, S)
+        for x, (a, b), total in zip(X, S.tolist(), q.tolist()):
+            rates_a = dict(kernel.row(x, a))
+            rates_b = dict(kernel.row(np.zeros(2), b))
+            want = 0.0
+            for j in sorted(set(rates_a) | set(rates_b)):
+                want += max(rates_a.get(j, 0.0), rates_b.get(j, 0.0))
+            assert total == want
+
+    def test_coupled_ensemble_counts_exits_and_blowups(self):
+        summary, collected = sd.run_ensemble(
+            regime_mix_spec(), None, MIX_CONFIG, 24, [], np.array([0.45, 0.15]), 1,
+            collect=lambda tr: tr, coupled=True,
+        )
+        assert all(isinstance(tr, sd.CoupledTrajectory) for tr in collected)
+        assert summary.n_exited == sum(tr.exited for tr in collected) > 0
+        assert summary.n_blowups == sum(tr.blew_up for tr in collected) > 0
 
 
 class TestFunctionals:
