@@ -290,16 +290,24 @@ def _pair_rates(kernel: RateKernel, dim: int):
     over j, in ascending j.
     """
     rows = kernel.batch_rows or kernel.padded_rows
-    frozen = (np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0)))  # line b: row b at 0
+    frozen_t = np.zeros((1, 0), dtype=np.int64)  # line b: alpha_hat's row b at 0
+    frozen_r = np.zeros((1, 0))
+    known = np.zeros(1, dtype=bool)  # regimes whose row is in the table
 
     def rates(X, S):
-        nonlocal frozen
-        if S[:, 1].max() >= len(frozen[0]):
-            regimes = np.arange(1, 2 * S[:, 1].max() + 1)
-            t, r = rows(np.zeros((len(regimes), dim)), regimes)
-            frozen = (np.pad(t, ((1, 0), (0, 0))), np.pad(r, ((1, 0), (0, 0))))
+        nonlocal frozen_t, frozen_r, known
+        B = S[:, 1]
+        if B.max() >= len(known) or not known[B].all():
+            size = max(len(known), int(B.max()) + 1)
+            known = np.pad(known, (0, size - len(known)))
+            new = np.unique(B[~known[B]])
+            t, r = rows(np.zeros((new.size, dim)), new)
+            grow = ((0, size - len(frozen_t)), (0, max(t.shape[1] - frozen_t.shape[1], 0)))
+            frozen_t, frozen_r = np.pad(frozen_t, grow), np.pad(frozen_r, grow)
+            frozen_t[new, : t.shape[1]], frozen_r[new, : t.shape[1]] = t, r
+            known[new] = True
         ta, ra = rows(X, S[:, 0])
-        tb, rb = frozen[0][S[:, 1]], frozen[1][S[:, 1]]
+        tb, rb = frozen_t[B], frozen_r[B]
         # max(q_aj, q_bj) at alpha's targets, then q_bj at alpha_hat's other
         # targets; padding and alpha_hat's shared targets carry 0, which adds
         # nothing wherever it falls in the sum

@@ -401,6 +401,21 @@ class TestBatchedEngine:
                 want += max(rates_a.get(j, 0.0), rates_b.get(j, 0.0))
             assert total == want
 
+    def test_frozen_rows_are_read_only_in_visited_regimes(self):
+        # a kernel defined on regimes 5..7 alone: alpha_hat's rows at 0 are
+        # evaluated for the regimes it reaches, never below them
+        def row(x, i):
+            if i not in (5, 6, 7):
+                raise KeyError(i)
+            return ((5 if i == 7 else i + 1, 1.0 + float(np.dot(x, x))),)
+
+        matrices = {"matrices": [(-np.eye(2)).tolist()]}
+        spec = sd.build_model({"family": "linear", "params": matrices}, sd.RateKernel(row=row))
+        cfg = sd.SimConfig(dt=0.01, horizon=2.0)
+        coupled = paths(spec, cfg, 5, np.array([0.5, 0.5]), 5, coupled=True)
+        assert any(ct.decoupled for ct in coupled)
+        assert {int(i) for ct in coupled for i in ct.alpha_hat_path} == {5, 6, 7}
+
     def test_coupled_ensemble_counts_exits_and_blowups(self):
         summary, collected = sd.run_ensemble(
             regime_mix_spec(), None, MIX_CONFIG, 24, [], np.array([0.45, 0.15]), 1,
