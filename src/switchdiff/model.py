@@ -35,6 +35,7 @@ HESS_STEP = 1e-4
 
 ROW_SUM_TOL = 1e-12
 DRIFT_TOL = 1e-9
+RATE_BOUND_TOL = 1e-9  # slack of a row total over a kernel's declared global_bound
 
 Row = Sequence[tuple[int, float]]
 
@@ -45,11 +46,14 @@ class RateKernel:
 
     row(x, i) returns the off-diagonal entries ((j, rate), ...) of row i at x;
     targets must be positive integers distinct from i and rates nonnegative.
-    global_bound, if set, declares a bound on sup_{x,i} q_i(x); a custom_table
-    kernel checks it against every row when built, ModelSpec.validate
-    spot-checks it, and nothing else reads it.  x_independent declares that
-    no row depends on x; the simulator's float loop then keeps rows per
-    regime instead of re-reading them every step.  The flag is trusted, not
+    global_bound, if set, declares a bound on sup_{x,i} q_i(x), up to
+    RATE_BOUND_TOL; a custom_table kernel checks it against every row when
+    built, and ModelSpec.validate spot-checks it.  The simulator thins
+    against it: it reads rows only where an accept uniform falls below the
+    bound's jump probability, and raises EvaluationError for a row it reads
+    above the bound.  x_independent declares that no row depends on x; the
+    simulator's float loop then keeps rows per regime instead of re-reading
+    them every step.  The flag is trusted, not
     checked: the scenario families set it correctly by construction, but a
     kernel built in Python that claims it falsely is simulated with stale
     rates.  Callbacks must accept a length-n array and, when n = 1, a bare
@@ -178,7 +182,7 @@ class ModelSpec:
                 raise EvaluationError(f"diffusion non-finite at |x|={radius}, regime {i}")
             row = self.rate_kernel.check_row(x, i)
             if self.rate_kernel.global_bound is not None:
-                if sum(r for _, r in row) > self.rate_kernel.global_bound + 1e-9:
+                if sum(r for _, r in row) > self.rate_kernel.global_bound + RATE_BOUND_TOL:
                     raise EvaluationError(f"row {i} exceeds declared global bound")
 
 

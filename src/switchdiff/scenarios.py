@@ -23,7 +23,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import ExactLinearization, LyapunovSpec, ModelSpec, RateKernel, row_norms
+from .model import (
+    RATE_BOUND_TOL,
+    ExactLinearization,
+    LyapunovSpec,
+    ModelSpec,
+    RateKernel,
+    row_norms,
+)
 from .rates import RateProfile, identity_profile, power_profile
 from .simulator import SimConfig
 
@@ -216,7 +223,7 @@ def build_kernel(family: str, params: dict) -> RateKernel:
             bound = float(declared)
             for i, row_ in table.items():
                 total = sum(r for _, r in row_)
-                if total > bound + 1e-9:
+                if total > bound + RATE_BOUND_TOL:
                     raise ConfigurationError(
                         f"kernel.params.rows[{i}]: rate sum {total} exceeds "
                         f"declared global bound {bound}"

@@ -4,7 +4,14 @@ Every path takes Euler-Maruyama steps of X under the regime that drives it,
 each followed by a switching decision with rates read at the pre-step state
 and sub-divided when q dt breaks the thinning guard.  The switching state is
 the regime alpha (simulate) or the pair (alpha, alpha_hat) of the basic
-coupling (simulate_coupled).  Two integrators run the paths:
+coupling (simulate_coupled).
+
+The decision is gated by the kernel's declared global_bound q_bar (doubled
+for pairs): while q_bar dt stays within the guard, a path's rates are read
+only on steps where its accept uniform is below q_bar dt, since no other
+step can move it, and every row read is checked against q_bar.  Without a
+bound, or with q_bar dt above the guard, rates are read every step.  The
+paths are the same either way.  Two integrators run the paths:
 
 - the float loop runs plain paths of models with scalar float forms (n = d
   = 1, scalar_drift and scalar_diffusion set), one at a time on floats;
@@ -33,8 +40,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .artifacts import atomic_open
-from .errors import ConfigurationError
-from .model import ModelSpec, RateKernel, row_norms
+from .errors import ConfigurationError, EvaluationError
+from .model import RATE_BOUND_TOL, ModelSpec, RateKernel, row_norms
 
 THINNING_GUARD = 0.1  # largest admissible q_i(x) * dt without sub-division
 SUBDIVISION_TARGET = 0.05  # sub-step jump probability aimed for when splitting
@@ -138,6 +145,32 @@ def _subdivide(rows, s, row, q: float, dt: float, t: float, event, jumps: list):
     return s, row, q
 
 
+def _thinning_bound(kernel: RateKernel, dt: float, pairs: bool = False):
+    """(q_bar, gate): the bound a total switching rate is checked against,
+    and the accept uniform below which a path is a candidate to switch.
+
+    q_bar is the kernel's global_bound + RATE_BOUND_TOL, doubled on pairs
+    (alpha, alpha_hat), whose total sum_j max(q_aj(x), q_bj(0)) is at most
+    q_a(x) + q_b(0); without a bound it is inf.  gate is fl(q_bar dt): a
+    product with dt > 0 keeps order in floating point, so q <= q_bar gives
+    fl(q dt) <= gate, and a path whose uniform is at least gate cannot
+    jump.  Where gate exceeds THINNING_GUARD a guarded step may jump
+    whatever its uniform, so gate is inf and every path is a candidate.
+    """
+    if kernel.global_bound is None:
+        return math.inf, math.inf
+    q_bar = (kernel.global_bound + RATE_BOUND_TOL) * (2.0 if pairs else 1.0)
+    gate = q_bar * dt
+    return q_bar, gate if gate <= THINNING_GUARD else math.inf
+
+
+def _above_bound(q: float, s, q_bar: float) -> EvaluationError:
+    return EvaluationError(
+        f"total switching rate {q} of regime {s} exceeds {q_bar}, the "
+        "kernel's declared global_bound plus RATE_BOUND_TOL"
+    )
+
+
 def _has_float_forms(spec: ModelSpec) -> bool:
     return (
         spec.dim == 1
@@ -180,16 +213,20 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
             yield zip(range(c0, c0 + m), dw[:, 0].tolist(), rng_accept.random(m).tolist())
 
     x_dep = not kernel.x_independent
+    q_bar, gate = _thinning_bound(kernel, dt)
     table: dict = {}
 
     def rows(x, s):
-        """(row, q_s(x)); an x-independent kernel's rows are kept per regime."""
+        """(row, q_s(x)), checked against q_bar; an x-independent kernel's
+        rows are kept per regime."""
         hit = None if x_dep else table.get(s)
         if hit is None:
             row = kernel.row(x, s)
             total = 0.0
             for _, r in row:
                 total += r
+            if total > q_bar:
+                raise _above_bound(total, s, q_bar)
             hit = (row, total)
             if not x_dep:
                 table[s] = hit
@@ -224,8 +261,11 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
             break
 
         if x_dep:
-            row, q = rows(ox, s)
-            p = q * dt
+            if u < gate:
+                row, q = rows(ox, s)
+                p = q * dt
+            else:
+                p = 0.0  # u >= gate >= q dt: this step cannot switch
         if p > THINNING_GUARD:
             s, row, q = _subdivide(
                 lambda s: rows(ox, s), s, row, q, dt, (k + 1) * dt, event, traj.jumps
@@ -350,11 +390,13 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
     """The batched engine: paths config.path_index, ..., + n_paths - 1 from
     (x0, i0), advanced together one step at a time as arrays.
 
-    Row l of X and S is live path live[l]; S holds alpha, or the pairs
-    (alpha, alpha_hat) when coupled.  A path that exits or blows up leaves
-    the batch.  Only paths that jump or need guard sub-division touch their
-    event stream.  Returns one Trajectory per path, in index order; a
-    coupled one records pairs and logs pair jumps.
+    Row l of X, S and the chunk's noise W and uniforms U is live path
+    live[l]; S holds alpha, or the pairs (alpha, alpha_hat) when coupled.  A
+    path that exits or blows up leaves the batch.  Rates are read for the
+    candidates of a step alone (see _thinning_bound), and only paths that
+    jump or need guard sub-division touch their event stream.  Returns one
+    Trajectory per path, in index order; a coupled one records pairs and
+    logs pair jumps.
     """
     x0, i0, n_steps = _start(spec, config, x0, i0)
     # validated first evaluation catches shape bugs early
@@ -365,11 +407,21 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
     streams = [path_streams(config.seed, config.path_index + p) for p in range(n_paths)]
     kernel = spec.rate_kernel
     rates = _pair_rates(kernel, spec.dim) if coupled else _regime_rates(kernel)
+    q_bar, gate = _thinning_bound(kernel, dt, coupled)
     state = (lambda v: tuple(v.tolist())) if coupled else int
+
+    def read(X, S):
+        """rates(X, S), every total checked against q_bar."""
+        q, row_of = rates(X, S)
+        above = q > q_bar
+        if above.any():
+            l = int(above.argmax())
+            raise _above_bound(float(q[l]), state(S[l]), q_bar)
+        return q, row_of
 
     def rows(x, s):
         """(row, q_s(x)) at one point, as a batch of one."""
-        q, row_of = rates(x[None], np.array([s]))
+        q, row_of = read(x[None], np.array([s]))
         return row_of(0), float(q[0])
 
     stride = config.record_stride
@@ -393,8 +445,8 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
 
     def leave(gone, at: int, t: float, Xt, exited: bool) -> None:
         """Record the paths flagged in gone at index at, mark them exited
-        (at t) or blown up, and drop them from the batch."""
-        nonlocal X, S, live, slot
+        (at t) or blown up, and drop them from the batch and its chunk."""
+        nonlocal X, S, live, W, U
         ids = live[gone]
         rec_t[ids, at], rec_x[ids, at], rec_s[ids, at] = t, Xt[gone], S[gone]
         ends[ids] = at
@@ -403,7 +455,7 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
                 trajs[path].tau_h, trajs[path].exited = t, True
             else:
                 trajs[path].blew_up = True
-        X, S, live, slot = X[~gone], S[~gone], live[~gone], slot[~gone]
+        X, S, live, W, U = X[~gone], S[~gone], live[~gone], W[~gone], U[~gone]
 
     for c0 in range(0, n_steps, STREAM_CHUNK):
         if live.size == 0:
@@ -416,11 +468,10 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
             streams[path][0].standard_normal(out=W[l])
             streams[path][1].random(out=U[l])
         W *= sq
-        slot = np.arange(live.size)  # row of each live path in W and U
         for k in range(c0, c0 + m):
             I = S[:, 0] if coupled else S
             Xn = X + spec.drifts(X, I) * dt + np.matmul(
-                spec.diffusions(X, I), W[slot, k - c0][:, :, None]
+                spec.diffusions(X, I), W[:, k - c0, :, None]
             )[:, :, 0]
             r = row_norms(Xn)
             t = (k + 1) * dt
@@ -433,21 +484,26 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
                 Xn, r = Xn[~gone], r[~gone]
                 r_max = r.max()
 
-            # switching, with rates at the pre-step X
-            q, row_of = rates(X, S)
-            p = q * dt
-            guard = p > THINNING_GUARD
-            for l in (guard | (U[slot, k - c0] < p)).nonzero()[0].tolist():
-                s, row, ql = state(S[l]), row_of(l), float(q[l])
-                event, log = streams[live[l]][2].random, trajs[live[l]].jumps
-                if guard[l]:
-                    ox = X[l]
-                    s = _subdivide(lambda s: rows(ox, s), s, row, ql, dt, t, event, log)[0]
-                else:
-                    j = _select_target(row, event() * ql)
-                    log.append((t, s, j))
-                    s = j
-                S[l] = s
+            # switching, with rates at the pre-step X, read only for the
+            # candidates: the paths whose accept uniform is below gate
+            u = U[:, k - c0]
+            cand = (u < gate).nonzero()[0]
+            if cand.size:
+                q, row_of = read(X[cand], S[cand])
+                p = q * dt
+                guard = p > THINNING_GUARD
+                for c in (guard | (u[cand] < p)).nonzero()[0].tolist():
+                    l = cand[c]
+                    s, row, ql = state(S[l]), row_of(c), float(q[c])
+                    event, log = streams[live[l]][2].random, trajs[live[l]].jumps
+                    if guard[c]:
+                        ox = X[l]
+                        s = _subdivide(lambda s: rows(ox, s), s, row, ql, dt, t, event, log)[0]
+                    else:
+                        j = _select_target(row, event() * ql)
+                        log.append((t, s, j))
+                        s = j
+                    S[l] = s
             X = Xn
 
             if k == next_rec:

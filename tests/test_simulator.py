@@ -44,7 +44,7 @@ def paths(spec, cfg, n, x0, i0, coupled=False):
     return trajs
 
 
-def regime_mix_spec(dim: int = 2, with_batch_rows: bool = True) -> sd.ModelSpec:
+def regime_mix_spec(dim: int = 2, with_batch_rows: bool = True, global_bound=None) -> sd.ModelSpec:
     """Linear model whose paths from one start go every way a path can.
 
     Regime 1 grows (in 2-D it spirals out: dX = [[1, 1], [-1, 1]] X dt +
@@ -52,7 +52,8 @@ def regime_mix_spec(dim: int = 2, with_batch_rows: bool = True) -> sd.ModelSpec:
     4|x|^2, which breaks the thinning guard at dt = 0.05 once |x| >
     1/sqrt(2).  Regime 2 contracts and leaves for 1 at rate 1 or for 3 at
     rate 0.2.  Regime 3 blows up in one step.  In 1-D the model has float
-    forms.
+    forms.  Rates are read at pre-step states, inside the ball, so they stay
+    below 4 * 1.5^2 = 9.
     """
 
     def row(x, i):
@@ -72,7 +73,10 @@ def regime_mix_spec(dim: int = 2, with_batch_rows: bool = True) -> sd.ModelSpec:
         return targets, rates
 
     kernel = sd.RateKernel(
-        row=row, x_independent=False, batch_rows=batch_rows if with_batch_rows else None
+        row=row,
+        global_bound=global_bound,
+        x_independent=False,
+        batch_rows=batch_rows if with_batch_rows else None,
     )
     eye = np.eye(dim)
     grow = [[1.0, 1.0], [-1.0, 1.0]] if dim == 2 else [[1.0]]
@@ -424,6 +428,66 @@ class TestBatchedEngine:
         assert all(isinstance(tr, sd.CoupledTrajectory) for tr in collected)
         assert summary.n_exited == sum(tr.exited for tr in collected) > 0
         assert summary.n_blowups == sum(tr.blew_up for tr in collected) > 0
+
+
+# (dim, coupled) of the mixed model: batched plain and coupled paths in 2-D,
+# and in 1-D the float loop on its x-dependent kernel
+KINDS = {"vector": (2, False), "coupled": (2, True), "float_loop": (1, False)}
+MIX_X0 = {2: np.array([0.45, 0.15]), 1: np.array([0.5])}
+
+
+class TestBoundGate:
+    @pytest.mark.parametrize("dt", [0.005, 0.05], ids=["gated", "guard_fires"])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_gate_leaves_every_path_unchanged(self, kind, dt):
+        # with a declared bound, rows are read only where an accept uniform
+        # is below q_bar dt; without one, every step reads them.  At dt =
+        # 0.05, q_bar dt breaks the guard, so the gate is off and guarded
+        # steps occur.
+        dim, coupled = KINDS[kind]
+        cfg = dataclasses.replace(MIX_CONFIG, dt=dt)
+        bounded = regime_mix_spec(dim, global_bound=9.0)
+        gate = sd.simulator._thinning_bound(bounded.rate_kernel, dt, coupled)[1]
+        assert (gate <= sd.simulator.THINNING_GUARD) == (dt == 0.005)
+        gated = paths(bounded, cfg, 24, MIX_X0[dim], 1, coupled)
+        ungated = paths(regime_mix_spec(dim), cfg, 24, MIX_X0[dim], 1, coupled)
+        for a, b in zip(gated, ungated):
+            assert_same_path(a, b)
+        assert any(tr.exited for tr in gated) and any(tr.blew_up for tr in gated)
+        log = [tr.jumps_alpha if coupled else tr.jumps for tr in gated]
+        off_grid = [abs(t / dt - round(t / dt)) > 1e-9 for js in log for t, _, _ in js]
+        assert off_grid and any(off_grid) == (dt == 0.05)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_understated_bound_raises(self, kind):
+        # regime 1's rate 4|x|^2 passes 1 once |x| > 0.5
+        dim, coupled = KINDS[kind]
+        spec = regime_mix_spec(dim, global_bound=1.0)
+        with pytest.raises(sd.EvaluationError, match="regime .* exceeds"):
+            paths(spec, MIX_CONFIG, 24, MIX_X0[dim], 1, coupled)
+
+    def test_rows_are_read_only_on_steps_with_a_candidate(self):
+        # example52: q_bar dt = 0.008, so about one step in six of 20 paths
+        # has a candidate, and each read covers exactly the candidates
+        bundle = sd.preset("example52_stable")
+        kernel = bundle.model.rate_kernel
+        sizes = []
+
+        def counting(X, I):
+            sizes.append(len(I))
+            return kernel.batch_rows(X, I)
+
+        spec = with_kernel(bundle.model, dataclasses.replace(kernel, batch_rows=counting))
+        cfg = sd.SimConfig(dt=bundle.sim.dt, horizon=1.0, seed=5)
+        n, n_steps = 20, 500
+        trajs = paths(spec, cfg, n, bundle.x0, bundle.i0)
+        assert not any(tr.exited or tr.blew_up for tr in trajs)
+        gate = sd.simulator._thinning_bound(kernel, cfg.dt)[1]
+        assert gate == (4.0 + sd.model.RATE_BOUND_TOL) * cfg.dt
+        U = np.array([sd.path_streams(cfg.seed, p)[1].random(n_steps) for p in range(n)])
+        candidates = np.count_nonzero(U < gate, axis=0)
+        assert 0 < np.count_nonzero(candidates) < n_steps
+        assert sizes == candidates[candidates > 0].tolist()
 
 
 class TestFunctionals:
