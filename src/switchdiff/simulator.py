@@ -455,7 +455,14 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
                 trajs[path].tau_h, trajs[path].exited = t, True
             else:
                 trajs[path].blew_up = True
-        X, S, live, W, U = X[~gone], S[~gone], live[~gone], W[~gone], U[~gone]
+        keep = (~gone).nonzero()[0]
+        X, S, live = X[keep], S[keep], live[keep]
+        # the chunk's rows move up in place: a compacted copy would add the
+        # chunk's size to the run's peak memory
+        for new, old in enumerate(keep.tolist()):
+            if new != old:
+                W[new], U[new] = W[old], U[old]
+        W, U = W[: keep.size], U[: keep.size]
 
     for c0 in range(0, n_steps, STREAM_CHUNK):
         if live.size == 0:
