@@ -7,6 +7,10 @@ transition matrices P(t) = exp(Qt) by the matrix exponential, an
 ergodicity-rate diagnostic with its time grid, and the Poisson equation
 Q gamma = b that converts mean-drift data into the perturbation functions
 used by the stability certificates.
+
+The scipy submodules (linalg, sparse, integrate) are imported inside the
+functions that call them, to keep CLI start-up short: `import switchdiff`,
+and the commands that only simulate, load none of them.
 """
 
 from __future__ import annotations
@@ -17,10 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate
-from scipy.linalg import expm
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .artifacts import atomic_open
 from .errors import (
@@ -106,6 +106,9 @@ def truncate(
 
 
 def _assert_irreducible(Q: np.ndarray) -> None:
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     adj = csr_matrix((Q > 0).astype(np.int8))
     n_comp, _ = connected_components(adj, directed=True, connection="strong")
     if n_comp != 1:
@@ -201,6 +204,8 @@ def transition_matrix(chain: TruncatedChain, t: float) -> np.ndarray:
     """P(t) = exp(Qt), by scaling and squaring with a Pade approximant."""
     if t < 0:
         raise ConfigurationError(f"time must be nonnegative, got {t}")
+    from scipy.linalg import expm
+
     return expm(chain.Q * t)
 
 
@@ -338,6 +343,8 @@ def solve_poisson_integral(
     epsabs: float = 1e-10,
 ) -> np.ndarray:
     """Independent quadrature route: gamma = int_0^inf (nu.b - P(t) b) dt."""
+    from scipy import integrate
+
     b = np.asarray(b, dtype=float)
     mean = float(nu.nu @ b)
     b_centered = b - mean

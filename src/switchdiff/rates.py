@@ -11,6 +11,9 @@ envelope value.  A certified rate lam for a path means
 V(X(t)) <= G_inverse(-lam * t) eventually; estimate_pathwise_rate scans a
 lambda grid for the largest rate whose (1 - epsilon)-quantile of the pathwise
 sup-ratio statistic stays at or below one.
+
+scipy.integrate is imported inside _quad_G, its only use, to keep CLI
+start-up short: only custom rate profiles need the quadrature.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .artifacts import atomic_open
 from .errors import ConfigurationError, DomainError, NumericError, RateEstimationError
@@ -153,6 +155,8 @@ def G(profile: RateProfile, y):
 def _quad_G(profile: RateProfile, y: float) -> float:
     if y < CUSTOM_G_FLOOR:
         return -math.inf
+    from scipy import integrate
+
     val, err = integrate.quad(
         lambda z: 1.0 / profile.g_fn(z), y, profile.h, epsabs=1e-10, epsrel=1e-10, limit=200
     )

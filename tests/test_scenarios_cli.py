@@ -9,6 +9,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -783,3 +785,84 @@ class TestCliFlagValidation:
         rc = cli.main(["reproduce", "--horizon", "0", "--out", str(tmp_path)])
         assert rc == 2
         assert "--horizon must be positive" in capsys.readouterr().err
+
+
+# Run in a fresh interpreter: other tests load scipy's submodules into this
+# process, so only a new one shows what a command loads by itself, and that
+# the deferred imports work as the first scipy use.
+COLD_START_SCRIPT = """
+import json, os, sys
+
+import numpy as np
+
+from switchdiff import cli
+import switchdiff as sd
+
+out = sys.argv[1]
+HEAVY = ("scipy.linalg", "scipy.sparse", "scipy.integrate", "scipy.special", "scipy.optimize")
+
+
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+
+
+doc = {"rc": []}
+doc["rc"].append(cli.main(["simulate", "--scenario", "two_state_switching", "--paths", "1",
+                           "--horizon", "1", "--out", os.path.join(out, "simulate")]))
+doc["rc"].append(cli.main(["coupled-test", "--scenario", "example52_stable", "--paths", "2",
+                           "--horizon", "0.2", "--out", os.path.join(out, "coupled")]))
+doc["after_simulate"] = loaded()
+doc["rc"].append(cli.main(["analyze", "--scenario", "example51_stable",
+                           "--out", os.path.join(out, "analyze")]))
+doc["after_analyze"] = loaded()
+
+custom, identity = sd.custom_profile(lambda y: y, h=1.0), sd.identity_profile(h=1.0)
+doc["G_error"] = max(abs(sd.G(custom, y) - sd.G(identity, y)) for y in (1e-3, 0.1, 0.5, 1.0))
+doc["G_inverse_error"] = max(
+    abs(sd.G_inverse(custom, s) - sd.G_inverse(identity, s)) for s in (-5.0, -1.0, -0.1, 0.0)
+)
+
+kernel = sd.build_kernel("birth_death", {"up": 1.0, "down": 2.0, "modulation": 0.0})
+chain = sd.truncate(kernel, 6, mode="lump")
+measure = sd.invariant_measure(chain)
+b = np.arange(6.0)
+b = b - float(measure.nu @ b)
+gamma = sd.solve_poisson(chain, measure, b, project=False).gamma
+via_integral = sd.solve_poisson_integral(chain, measure, b)
+via_integral = via_integral - float(measure.nu @ via_integral)
+doc["poisson_error"] = float(np.max(np.abs(via_integral - gamma)))
+
+with open(os.path.join(out, "cold_start.json"), "w") as f:
+    json.dump(doc, f)
+"""
+
+
+class TestColdStart:
+    """Commands that never call scipy's submodules must not load them."""
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("cold_start")
+        src = os.path.dirname(os.path.dirname(sd.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START_SCRIPT, str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads((out / "cold_start.json").read_text())
+
+    def test_simulating_commands_load_no_scipy_submodule(self, cold):
+        assert cold["rc"] == [0, 0, 0]
+        assert cold["after_simulate"] == []
+        unused = {"scipy.integrate", "scipy.special", "scipy.optimize"}
+        assert not set(cold["after_analyze"]) & unused
+
+    def test_deferred_scipy_call_sites_work_as_the_first_use(self, cold):
+        assert cold["G_error"] < 1e-9
+        assert cold["G_inverse_error"] < 1e-9
+        assert cold["poisson_error"] < 1e-8
