@@ -15,6 +15,7 @@ and exits nonzero.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -535,7 +536,14 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    parse_args starts each call from a fresh namespace, so no flag carries
+    over, and the cmd_* functions look up the library names in this module's
+    globals when they run, so a name patched after the first call still
+    takes effect."""
     parser = argparse.ArgumentParser(
         prog="switchdiff",
         description="certificates and Monte Carlo checks for diffusions with "

@@ -143,17 +143,19 @@ def scan_mg(
     n_dirs = len(points) // radii.size
     gvs = lyap.g.g(lyap.values(points))
     grads = lyap.gradients(points)
+    # the grid at radius r is r * unit.X, the product radial_grid itself forms
+    unit = radial_grid(spec.dim, [1.0], regimes)
     values = np.zeros(radii.size)
-    for k, r in enumerate(radii):
-        # one radius at a time keeps temporaries at directions x regimes rows
-        at_r = slice(k * n_dirs, (k + 1) * n_dirs)
-        gv = np.repeat(gvs[at_r], len(regimes))
-        grad = np.repeat(grads[at_r], len(regimes), axis=0)
-        grid = radial_grid(spec.dim, [r], regimes)
-        num = row_norms(np.matmul(grad[:, None, :], spec.diffusions(grid.X, grid.I))[:, 0, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, r in enumerate(radii):
+            # one radius at a time keeps temporaries at directions x regimes rows
+            at_r = slice(k * n_dirs, (k + 1) * n_dirs)
+            gv = np.repeat(gvs[at_r], len(regimes))
+            grad = np.repeat(grads[at_r], len(regimes), axis=0)
+            sigma = spec.diffusions(r * unit.X, unit.I)
+            num = row_norms(np.matmul(grad[:, None, :], sigma)[:, 0, :])
             ratio = np.where(gv == 0.0, np.where(num > 0.0, math.inf, 0.0), num / gv)
-        values[k] = _positive_sup(ratio)
+            values[k] = _positive_sup(ratio)
 
     finite = bool(np.all(np.isfinite(values)))
     if finite and radii.size >= 8:
@@ -172,10 +174,20 @@ def scan_mg(
 
 def _row_distance(t1: np.ndarray, r1: np.ndarray, t2: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """sum_j |q1_j - q2_j| over the union of targets, row by row, of two
-    batches of padded rows (targets, rates)."""
-    same = t1[:, :, None] == t2[:, None, :]
-    matched = (same * r2[:, None, :]).sum(axis=2)
-    unmatched = np.where(same.any(axis=1), 0.0, r2)
+    batches of padded rows (targets, rates).
+
+    One pass per target column of t2: a row's targets are distinct, so each
+    entry of matched receives at most one nonzero rate and its value does not
+    depend on the order of the passes.  The final row sums stay whole-row
+    reductions, which numpy groups differently from a running sum once a row
+    has 8 or more entries.
+    """
+    matched = np.zeros(r1.shape)
+    unmatched = r2.copy()
+    for b in range(t2.shape[1]):
+        same = t1 == t2[:, b, None]
+        matched += np.where(same, r2[:, b, None], 0.0)
+        unmatched[same.any(axis=1), b] = 0.0
     return np.abs(r1 - matched).sum(axis=1) + np.abs(unmatched).sum(axis=1)
 
 
@@ -216,16 +228,16 @@ def scan_kernel_continuity(
     if regimes is None:
         regimes = range(1, K_SCAN_FLOOR + 1)
     regimes = np.asarray(list(regimes), dtype=np.int64)
-    # the grid of one radius runs through the regimes once per direction, so
-    # the rows at the origin tile it
+    # the grid at radius r is r * unit.X, as in scan_mg; it runs through the
+    # regimes once per direction, so the rows at the origin tile it
+    unit = radial_grid(dim, [1.0], regimes)
     n_dirs = len(radial_grid(dim, [1.0], [1]))
     base_t, base_r = kernel.padded_rows(np.zeros((regimes.size, dim)), regimes)
     base_t, base_r = np.tile(base_t, (n_dirs, 1)), np.tile(base_r, (n_dirs, 1))
     s = np.zeros(radii.size)
     for k, r in enumerate(radii):
         # one radius at a time, as in scan_mg
-        grid = radial_grid(dim, [r], regimes)
-        here_t, here_r = kernel.padded_rows(grid.X, grid.I)
+        here_t, here_r = kernel.padded_rows(r * unit.X, unit.I)
         s[k] = _positive_sup(_row_distance(here_t, here_r, base_t, base_r))
     s_max = float(np.max(s))
     vanishing = bool(s[0] <= max(KERNEL_VANISH_ABS, KERNEL_VANISH_REL * s_max))
@@ -474,25 +486,24 @@ def linearize(
         if len(s_mats[i]) != d:
             raise ConfigurationError(f"need {d} diffusion matrices for regime {i}")
 
+    # (K, n, n) drift and (K, d, n, n) diffusion matrices, in regime order
+    b_stack = np.stack([b_mats[i] for i in regimes])
+    s_stack = np.stack([np.stack(s_mats[i]) for i in regimes])
+    sym_eigs = np.linalg.eigvalsh(0.5 * (b_stack + b_stack.transpose(0, 2, 1)))
+    gram_eigs = np.linalg.eigvalsh(s_stack @ s_stack.transpose(0, 1, 3, 2))
     Lam1, lam1, Lam2, lam2 = {}, {}, {}, {}
-    for i in regimes:
-        sym = 0.5 * (b_mats[i] + b_mats[i].T)
-        eigs = np.linalg.eigvalsh(sym)
-        Lam1[i], lam1[i] = float(eigs[-1]), float(eigs[0])
-        Lam2[i] = []
-        lam2[i] = []
-        for m in s_mats[i]:
-            gram_eigs = np.linalg.eigvalsh(m @ m.T)
-            Lam2[i].append(float(gram_eigs[-1]))
-            lam2[i].append(max(0.0, float(gram_eigs[0])))
+    for k, i in enumerate(regimes):
+        Lam1[i], lam1[i] = float(sym_eigs[k, -1]), float(sym_eigs[k, 0])
+        Lam2[i] = [float(v) for v in gram_eigs[k, :, -1]]
+        lam2[i] = [max(0.0, float(v)) for v in gram_eigs[k, :, 0]]
 
     probe_radii = sorted(probe_radii, reverse=True)
     grid = radial_grid(n, probe_radii, regimes)
     X, I = grid.X, grid.I
     # grid regimes cycle fastest, so the stacked matrices tile the grid
     reps = len(grid) // len(regimes)
-    b_lin = np.tile(np.stack([b_mats[i] for i in regimes]), (reps, 1, 1))
-    s_lin = np.tile(np.stack([np.stack(s_mats[i]) for i in regimes]), (reps, 1, 1, 1))
+    b_lin = np.tile(b_stack, (reps, 1, 1))
+    s_lin = np.tile(s_stack, (reps, 1, 1, 1))
     xi = spec.drifts(X, I) - np.matmul(b_lin, X[:, :, None])[:, :, 0]
     lin_sigma = np.matmul(s_lin, X[:, None, :, None])[..., 0].transpose(0, 2, 1)
     zeta = (spec.diffusions(X, I) - lin_sigma).reshape(len(grid), n * d)

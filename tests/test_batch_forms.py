@@ -3,7 +3,9 @@
 Every scenario family's batch form must equal its per-point form bit for bit,
 and the batched scans must give what the per-point scans gave, both through
 the families' batch forms and through the per-point adapter.  The reference
-scans below are the per-point loops the batched scans replaced.
+scans below are the per-point loops the batched scans replaced, and the
+per-radius and per-regime loops that the unit-grid scans and the stacked
+eigenvalue calls replaced.
 """
 
 import math
@@ -13,7 +15,8 @@ import pytest
 
 import switchdiff as sd
 from conftest import single_regime_linear, square_lyapunov, two_state_kernel
-from switchdiff.model import DRIFT_TOL, _fd_gradient, _fd_hessian
+from switchdiff.model import DRIFT_TOL, _fd_gradient, _fd_hessian, row_norms
+from switchdiff.stability import _positive_sup, _row_distance
 
 
 def assert_bits_equal(got, want):
@@ -251,3 +254,130 @@ def test_worst_violations_break_ties_in_grid_order():
     assert [(float(v.x[0]), v.residual) for v in got] == [
         (float(v.x[0]), v.residual) for v in want[:3]
     ]
+
+
+# ---------------------------------------------------------------------------
+# Per-radius and per-regime references: the loops that the unit-grid scans,
+# the column-wise row distance and the stacked eigenvalue calls replaced
+
+
+def reference_row_distance(t1, r1, t2, r2):
+    same = t1[:, :, None] == t2[:, None, :]
+    matched = (same * r2[:, None, :]).sum(axis=2)
+    unmatched = np.where(same.any(axis=1), 0.0, r2)
+    return np.abs(r1 - matched).sum(axis=1) + np.abs(unmatched).sum(axis=1)
+
+
+def random_padded_rows(rng, rows, width, n_targets=30):
+    """Padded rows with distinct targets drawn from 1..n_targets; a row holds
+    0..width entries, so some rows are all padding."""
+    targets = np.zeros((rows, width), dtype=np.int64)
+    rates = np.zeros((rows, width))
+    for p in range(rows):
+        k = rng.integers(0, width + 1)
+        targets[p, :k] = rng.choice(np.arange(1, n_targets + 1), size=k, replace=False)
+        rates[p, :k] = rng.lognormal(0.0, 2.0, size=k)
+    return targets, rates
+
+
+def test_row_distance_equals_the_cube_formula():
+    rng = np.random.default_rng(14)
+    # widths cross 8, where numpy stops summing a row in sequence
+    for w1 in range(1, 21):
+        for w2 in (1, 3, 8, 13, 20):
+            t1, r1 = random_padded_rows(rng, 150, w1)
+            t2, r2 = random_padded_rows(rng, 150, w2)
+            t1[:5], r1[:5] = 0, 0.0  # all-padding rows on both sides
+            t2[3:8], r2[3:8] = 0, 0.0
+            got = _row_distance(t1, r1, t2, r2)
+            want = reference_row_distance(t1, r1, t2, r2)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+SCAN_CASES = ["example51_stable", "example52_stable", "linear_noise_dim_2"]
+
+
+def scan_case(name):
+    if name == "linear_noise_dim_2":
+        bundle = scenario(MODELS["linear_2d_sigma"][1], KERNELS["birth_death_modulated"])
+        assert bundle.model.noise_dim == 2
+    else:
+        bundle = sd.preset(name)
+    return bundle.model, bundle.lyap
+
+
+def default_scan_radii(domain_radius):
+    return np.geomspace(1e-9, domain_radius, 37), np.geomspace(1e-6, 0.5, 25)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_unit_grid_times_radius_is_the_radial_grid(dim):
+    regimes = range(1, 101)
+    unit = sd.radial_grid(dim, [1.0], regimes)
+    for domain_radius in (0.5, 1.0):
+        for r in np.concatenate(default_scan_radii(domain_radius)):
+            grid = sd.radial_grid(dim, [r], regimes)
+            assert_bits_equal(r * unit.X, grid.X)
+            np.testing.assert_array_equal(unit.I, grid.I)
+
+
+def per_radius_mg(spec, lyap, radii, regimes):
+    points = sd.radial_grid(spec.dim, radii, [1]).X
+    n_dirs = len(points) // radii.size
+    gvs = lyap.g.g(lyap.values(points))
+    grads = lyap.gradients(points)
+    values = np.zeros(radii.size)
+    for k, r in enumerate(radii):
+        at_r = slice(k * n_dirs, (k + 1) * n_dirs)
+        gv = np.repeat(gvs[at_r], len(regimes))
+        grad = np.repeat(grads[at_r], len(regimes), axis=0)
+        grid = sd.radial_grid(spec.dim, [r], regimes)
+        num = row_norms(np.matmul(grad[:, None, :], spec.diffusions(grid.X, grid.I))[:, 0, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(gv == 0.0, np.where(num > 0.0, math.inf, 0.0), num / gv)
+        values[k] = _positive_sup(ratio)
+    return values
+
+
+def per_radius_kernel_scan(kernel, dim, radii, regimes):
+    regimes = np.asarray(list(regimes), dtype=np.int64)
+    n_dirs = len(sd.radial_grid(dim, [1.0], [1]))
+    base_t, base_r = kernel.padded_rows(np.zeros((regimes.size, dim)), regimes)
+    base_t, base_r = np.tile(base_t, (n_dirs, 1)), np.tile(base_r, (n_dirs, 1))
+    s = np.zeros(radii.size)
+    for k, r in enumerate(radii):
+        grid = sd.radial_grid(dim, [r], regimes)
+        here_t, here_r = kernel.padded_rows(grid.X, grid.I)
+        s[k] = _positive_sup(reference_row_distance(here_t, here_r, base_t, base_r))
+    return s
+
+
+@pytest.mark.parametrize("name", SCAN_CASES)
+def test_unit_grid_scans_equal_the_per_radius_scans(name):
+    spec, lyap = scan_case(name)
+    regimes = range(1, 101)
+    mg_radii, kernel_radii = default_scan_radii(lyap.domain_radius)
+    mg = sd.scan_mg(spec, lyap)
+    assert_bits_equal(mg.radii, mg_radii)
+    assert_bits_equal(mg.values_by_radius, per_radius_mg(spec, lyap, mg_radii, regimes))
+    ker = sd.scan_kernel_continuity(spec.rate_kernel, spec.dim)
+    assert_bits_equal(ker.radii, kernel_radii)
+    want = per_radius_kernel_scan(spec.rate_kernel, spec.dim, kernel_radii, regimes)
+    assert_bits_equal(ker.s_values, want)
+    if name == "linear_noise_dim_2":
+        assert np.all(mg.values_by_radius > 0.0) and np.all(ker.s_values > 0.0)
+
+
+def test_stacked_eigenvalues_equal_the_per_regime_calls():
+    spec, _ = scan_case("linear_noise_dim_2")
+    regimes = list(range(1, 8))
+    data = sd.linearize(spec, regimes)
+    for i in regimes:
+        b = data.b_matrices[i]
+        eigs = np.linalg.eigvalsh(0.5 * (b + b.T))
+        assert (data.Lam1[i], data.lam1[i]) == (float(eigs[-1]), float(eigs[0]))
+        grams = [np.linalg.eigvalsh(m @ m.T) for m in data.sigma_matrices[i]]
+        assert data.Lam2[i] == [float(g[-1]) for g in grams]
+        assert data.lam2[i] == [max(0.0, float(g[0])) for g in grams]
+    # the two noise columns have distinct Gram spectra, so a wrong stack axis shows
+    assert all(len(set(data.Lam2[i])) == 2 for i in regimes)

@@ -787,6 +787,44 @@ class TestCliFlagValidation:
         assert "--horizon must be positive" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    """main builds its parser once per process; no flag of one call may reach
+    the next."""
+
+    @staticmethod
+    def files(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize(
+        "command, scenario, extra, artifact",
+        [
+            ("analyze", "example52_stable", [], "report.json"),
+            ("simulate", "contraction_benchmark", ["--horizon", "0.5"], "ensemble.json"),
+        ],
+    )
+    def test_flags_of_one_call_do_not_reach_the_next(
+        self, tmp_path, command, scenario, extra, artifact
+    ):
+        def run(name, *flags):
+            out = tmp_path / name
+            argv = [command, "--scenario", scenario, *extra, *flags, "--out", str(out)]
+            assert cli.main(argv) == 0
+            return out
+
+        first = run("first", "--truncation", "5", "--paths", "1")
+        second = run("second")
+        assert cli.build_parser() is cli.build_parser()
+        cli.build_parser.cache_clear()
+        alone = run("alone")
+        assert self.files(second) == self.files(alone)
+        assert self.files(first) != self.files(second)
+        doc = json.loads((second / artifact).read_text())
+        if command == "analyze":
+            assert doc["truncation"]["N"] == sd.preset(scenario).chain_N == 30
+        else:
+            assert doc["n_paths"] == sd.preset(scenario).mc.n_paths == 8
+
+
 # Run in a fresh interpreter: other tests load scipy's submodules into this
 # process, so only a new one shows what a command loads by itself, and that
 # the deferred imports work as the first scipy use.
