@@ -115,10 +115,17 @@ class ModelSpec:
 
     drift(x, i) -> (n,), diffusion(x, i) -> (n, d).  zero_fixed asserts that
     the origin is an equilibrium of every regime (b(0,i) = 0, sigma(0,i) = 0).
-    scalar_drift/scalar_diffusion are optional float fast paths used by the
-    simulator when n = d = 1; they must agree with the array callbacks.
+    scalar_drift/scalar_diffusion are optional float forms for n = d = 1;
+    they must agree with the array callbacks, and with both set the
+    simulator runs plain paths in its float loop.  scalar_step(i, dt), also
+    optional, returns regime i's Euler map step(x, w) with the regime's
+    constants and dt bound; it must compute x + scalar_drift(x, i) * dt +
+    scalar_diffusion(x, i) * w with the same float operations in the same
+    order.  Without it the float loop derives that map from the two float
+    forms.
     batch_drift(X, I) -> (P, n) and batch_diffusion(X, I) -> (P, n, d) are
-    optional batch forms; they must agree with the callbacks bit for bit.
+    optional batch forms for regimes I >= 1; they must agree with the
+    callbacks bit for bit.
     """
 
     dim: int
@@ -132,6 +139,7 @@ class ModelSpec:
     linearization: Optional[ExactLinearization] = None
     batch_drift: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     batch_diffusion: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    scalar_step: Optional[Callable[[int, float], Callable[[float, float], float]]] = None
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.noise_dim < 1:
@@ -304,6 +312,13 @@ def _fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     return H
 
 
+def _check_regimes(I) -> None:
+    """Reject regimes below 1: the families' batch forms gather per-regime
+    constants at I - 1, which is valid only for I >= 1."""
+    if len(I) and np.min(I) < 1:
+        raise ConfigurationError(f"regimes must be positive integers, got {np.min(I)}")
+
+
 def generator_Li(spec: ModelSpec, lyap: LyapunovSpec, X: np.ndarray, I: np.ndarray) -> np.ndarray:
     """Diffusion-part generator L_i V at every (X[p], I[p]), shape (P,).
 
@@ -311,6 +326,7 @@ def generator_Li(spec: ModelSpec, lyap: LyapunovSpec, X: np.ndarray, I: np.ndarr
     `grad @ b` and `hess @ A` bit for bit; an elementwise (G * B).sum(1)
     would not.
     """
+    _check_regimes(I)
     grad = lyap.gradients(X)
     hess = lyap.hessians(X)
     b = spec.drifts(X, I)
@@ -366,10 +382,13 @@ class DriftViolation:
 @dataclass(frozen=True)
 class ScanGrid:
     """Scan points as arrays: X[p] in R^n, shape (P, n), in regime I[p].
-    Iterating yields the (x, i) pairs."""
+    Iterating yields the (x, i) pairs.  Regimes are positive integers."""
 
     X: np.ndarray
     I: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_regimes(self.I)
 
     def __len__(self) -> int:
         return len(self.I)

@@ -283,21 +283,37 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             s = math.sin(x)
             return (sigma[i - 1] if i < ns else sigma[-1]) * s * s
 
+        def scalar_step(i: int, dt: float):
+            # the float loop's Euler map: the two forms above with regime i's
+            # constants and dt bound, the same operations in the same order
+            bi = b[i - 1] if i < nb else b[-1]
+            si = sigma[i - 1] if i < ns else sigma[-1]
+            sin = math.sin
+
+            def step(x: float, w: float) -> float:
+                s = sin(x)
+                return x + bi * x * abs(x) ** two_gamma * dt + si * s * s * w
+
+            return step
+
         def drift(x, i):
             return np.array([scalar_drift(float(x[0]), i)])
 
         def diffusion(x, i):
             return np.array([[scalar_diffusion(float(x[0]), i)]])
 
+        # the batch forms gather at I - 1 with mode="clip", which saturates
+        # the tail like _pick; regimes start at 1, as ScanGrid and the
+        # simulator ensure
         b_arr, sigma_arr = np.array(b), np.array(sigma)
 
         def batch_drift(X, I):
             x = X[:, 0]
-            return (b_arr[np.minimum(I, nb) - 1] * x * _pow(np.abs(x), two_gamma))[:, None]
+            return (np.take(b_arr, I - 1, mode="clip") * x * _pow(np.abs(x), two_gamma))[:, None]
 
         def batch_diffusion(X, I):
             s = np.sin(X[:, 0])
-            return (sigma_arr[np.minimum(I, ns) - 1] * s * s)[:, None, None]
+            return (np.take(sigma_arr, I - 1, mode="clip") * s * s)[:, None, None]
 
         return ModelSpec(
             dim=1,
@@ -311,6 +327,7 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             linearization=ExactLinearization(lambda i: zero, lambda i: [zero]),
             batch_drift=batch_drift,
             batch_diffusion=batch_diffusion,
+            scalar_step=scalar_step,
         )
 
     if family in ("example52", "linear"):
@@ -354,8 +371,9 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
         def diffusion(x, i):
             return np.column_stack([m @ x for m in S(i)])
 
-        # stacked per-regime matrices, saturating like A and S; batched matmul
-        # matches the per-point products bit for bit
+        # stacked per-regime matrices, gathered at I >= 1 with mode="clip" to
+        # saturate like A and S; batched matmul matches the per-point
+        # products bit for bit
         a_stack = np.stack(mats)
         s_stack = (
             np.zeros((1, noise_dim, n, n))
@@ -364,16 +382,15 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
         )
 
         def batch_drift(X, I):
-            a = a_stack[np.minimum(I, len(a_stack)) - 1]
+            a = np.take(a_stack, I - 1, axis=0, mode="clip")
             return np.matmul(a, X[:, :, None])[:, :, 0]
 
         def batch_diffusion(X, I):
-            s = s_stack[np.minimum(I, len(s_stack)) - 1]
+            s = np.take(s_stack, I - 1, axis=0, mode="clip")
             cols = np.matmul(s, X[:, None, :, None])[..., 0]
             return np.ascontiguousarray(cols.transpose(0, 2, 1))
 
-        scalar_drift = None
-        scalar_diffusion = None
+        scalar_drift = scalar_diffusion = scalar_step = None
         if n == 1 and noise_dim == 1:
             # per-regime coefficients as floats, saturating like A and S
             a1 = [float(m[0, 0]) for m in mats]
@@ -384,6 +401,15 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
 
             def scalar_diffusion(x: float, i: int) -> float:
                 return (s1[i - 1] if i < len(s1) else s1[-1]) * x
+
+            def scalar_step(i: int, dt: float):
+                ai = a1[i - 1] if i < len(a1) else a1[-1]
+                si = s1[i - 1] if i < len(s1) else s1[-1]
+
+                def step(x: float, w: float) -> float:
+                    return x + ai * x * dt + si * x * w
+
+                return step
 
         return ModelSpec(
             dim=n,
@@ -397,6 +423,7 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             linearization=ExactLinearization(drift_matrix=A, diffusion_matrices=S),
             batch_drift=batch_drift,
             batch_diffusion=batch_diffusion,
+            scalar_step=scalar_step,
         )
 
     raise ConfigurationError(

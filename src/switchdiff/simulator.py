@@ -14,7 +14,11 @@ bound, or with q_bar dt above the guard, rates are read every step.  The
 paths are the same either way.  Two integrators run the paths:
 
 - the float loop runs plain paths of models with scalar float forms (n = d
-  = 1, scalar_drift and scalar_diffusion set), one at a time on floats;
+  = 1, scalar_drift and scalar_diffusion set), one at a time on floats.  A
+  step is one call of its regime's Euler map step(x, w), built once per
+  visited regime by ModelSpec.scalar_step(i, dt) or, for a spec without
+  one, derived from the two float forms; a step whose accept uniform is at
+  least the gate spends one comparison on switching;
 - the batched engine runs every other path, vector or coupled.  All live
   paths of a block step together as (P, n) arrays through
   ModelSpec.drifts/diffusions and the kernel's batch_rows (padded_rows
@@ -193,14 +197,39 @@ def _start(spec: ModelSpec, config: SimConfig, x0, i0: int):
     return x0, int(i0), n_steps
 
 
+def _euler_maps(spec: ModelSpec):
+    """spec.scalar_step, or the same factory derived from the float forms:
+    (i, dt) -> step(x, w) = x + scalar_drift(x, i) * dt +
+    scalar_diffusion(x, i) * w."""
+    if spec.scalar_step is not None:
+        return spec.scalar_step
+    drift, diffusion = spec.scalar_drift, spec.scalar_diffusion
+
+    def scalar_step(i: int, dt: float):
+        def step(x: float, w: float) -> float:
+            return x + drift(x, i) * dt + diffusion(x, i) * w
+
+        return step
+
+    return scalar_step
+
+
 def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
     """The float loop: one plain path of a model with scalar float forms."""
     x0, s, n_steps = _start(spec, config, x0, i0)
     kernel = spec.rate_kernel
     rng_noise, rng_accept, rng_event = path_streams(config.seed, config.path_index)
     event = rng_event.random
-    drift, diffusion = spec.scalar_drift, spec.scalar_diffusion
     dt = config.dt
+    make_step = _euler_maps(spec)
+    steps: dict = {}  # regime -> its Euler map, built on the first visit
+
+    def euler(s):
+        step = steps.get(s)
+        if step is None:
+            step = steps[s] = make_step(s, dt)
+        return step
+
     sq = math.sqrt(dt)
     x = float(x0[0])
 
@@ -248,11 +277,12 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
     if not x_dep and n_steps:
         row, q = rows(x, s)
         p = q * dt
+    step = euler(s)
     next_rec = min(stride, n_steps) - 1
 
     for k, w, u in chain.from_iterable(chunks()):
         ox = x
-        x = ox + drift(ox, s) * dt + diffusion(ox, s) * w
+        x = step(ox, w)
         r = abs(x)
         if not (r < BLOWUP_RADIUS):
             traj.blew_up = True
@@ -260,24 +290,25 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
             rec_t[ri], rec_x[ri], rec_s[ri] = (k + 1) * dt, x, s
             break
 
-        if x_dep:
-            if u < gate:
+        # a step whose uniform u is at least gate >= q dt cannot switch
+        if u < gate:
+            if x_dep:
                 row, q = rows(ox, s)
                 p = q * dt
-            else:
-                p = 0.0  # u >= gate >= q dt: this step cannot switch
-        if p > THINNING_GUARD:
-            s, row, q = _subdivide(
-                lambda s: rows(ox, s), s, row, q, dt, (k + 1) * dt, event, traj.jumps
-            )
-            p = q * dt
-        elif u < p:
-            j = _select_target(row, event() * q)
-            traj.jumps.append(((k + 1) * dt, s, j))
-            s = j
-            if not x_dep:
-                row, q = rows(ox, s)
+            if p > THINNING_GUARD:
+                s, row, q = _subdivide(
+                    lambda s: rows(ox, s), s, row, q, dt, (k + 1) * dt, event, traj.jumps
+                )
                 p = q * dt
+                step = euler(s)
+            elif u < p:
+                j = _select_target(row, event() * q)
+                traj.jumps.append(((k + 1) * dt, s, j))
+                s = j
+                step = euler(s)
+                if not x_dep:
+                    row, q = rows(ox, s)
+                    p = q * dt
 
         if r >= h or k == next_rec:
             t = (k + 1) * dt

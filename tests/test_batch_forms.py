@@ -53,6 +53,10 @@ MODELS = {
     "linear_1d": (1, {"family": "linear", "params": {"matrices": [[[-1.0]], [[0.5]]]}}),
     "linear_1d_sigma": (1, {"family": "linear", "params": {
         "matrices": [[[-1.0]], [[0.5]]], "sigma_matrices": [[[[0.3]]], [[[-0.2]]]]}}),
+    # coefficients that are not powers of two, so that the order of the
+    # products shows in the last bit
+    "linear_1d_odd": (1, {"family": "linear", "params": {
+        "matrices": [[[-1.3]], [[0.7]], [[2.9]]], "sigma_matrices": [[[[0.3]]], [[[-0.6]]]]}}),
     "linear_2d": (2, {"family": "example52", "params": {"matrices": M2, "noise_dim": 2}}),
     "linear_2d_sigma": (2, {"family": "linear", "params": {"matrices": M2, "sigma_matrices": S2}}),
 }
@@ -67,6 +71,44 @@ def test_model_batch_forms_equal_per_point(name):
     pairs = list(zip(X, I.tolist()))
     assert_bits_equal(spec.drifts(X, I), [spec.drift_at(x, i) for x, i in pairs])
     assert_bits_equal(spec.diffusions(X, I), [spec.diffusion_at(x, i) for x, i in pairs])
+
+
+def test_regimes_below_one_never_reach_the_batch_forms():
+    # the families gather per-regime constants at I - 1 with mode="clip",
+    # so every public way into them rejects a regime below 1
+    bundle = sd.preset("example52_stable")
+    spec, lyap, x = bundle.model, bundle.lyap, np.array([0.1, 0.0])
+    calls = [
+        lambda: sd.verify_drift_condition(spec, lyap, [(x, 0)]),
+        lambda: sd.apply_generator_Li(spec, lyap, x, 0),
+        lambda: sd.generator_Li(spec, lyap, x[None], np.array([-1])),
+        lambda: sd.scan_mg(spec, lyap, regimes=[0, 1]),
+        lambda: sd.scan_kernel_continuity(spec.rate_kernel, 2, regimes=[1, 0]),
+        lambda: sd.linearize(spec, [0]),
+    ]
+    for call in calls:
+        with pytest.raises(sd.ConfigurationError, match="positive integers"):
+            call()
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (dim, _) in MODELS.items() if dim == 1))
+def test_scalar_step_equals_the_float_forms(name):
+    # the float loop's per-regime Euler map against x + b dt + sigma w from
+    # the two float forms, through the saturating tail of the regime lists
+    _, model = MODELS[name]
+    spec = scenario(model, NO_SWITCHING).model
+    assert spec.scalar_step is not None
+    drift, diffusion = spec.scalar_drift, spec.scalar_diffusion
+    listed = max(len(v) for v in model["params"].values() if isinstance(v, list))
+    tiny = float(np.finfo(float).tiny)
+    xs = [0.0, -0.0, tiny, -tiny, 0.3, -0.3, 1e6, -1e6]
+    for i in range(1, listed + 3):
+        for dt in (0.002, 0.1):
+            step = spec.scalar_step(i, dt)
+            for x in xs:
+                for w in (0.0, 0.0447, -1.3):
+                    want = x + drift(x, i) * dt + diffusion(x, i) * w
+                    assert_bits_equal(step(x, w), want)
 
 
 LYAPUNOV = {

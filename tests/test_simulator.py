@@ -294,6 +294,62 @@ class TestSimulatePaths:
         assert abs(hits / n - expected) < 3.5 * se
 
 
+def grow_or_blow_spec(kernel_kind: str) -> sd.ModelSpec:
+    """1-D linear model run by the float loop.  Regime 1 grows (dX = 5 X dt
+    + 0.5 X dW) and leaves for 2 at rate 8; regime 2 (drift 1e16 x) blows
+    up on its next step and leaves for 1 at rate 8.  kernel_kind picks how
+    the float loop reads rates: a per-regime table, gated reads of an
+    x-dependent kernel, or reads on every step without a bound."""
+    kernel = two_state_kernel(8.0, 8.0)
+    if kernel_kind != "table":
+        kernel = dataclasses.replace(kernel, x_independent=False)
+    if kernel_kind == "every_step":
+        kernel = dataclasses.replace(kernel, global_bound=None)
+    params = {"matrices": [[[5.0]], [[1e16]]], "sigma_matrices": [[[[0.5]]], [[[0.0]]]]}
+    return sd.build_model({"family": "linear", "params": params}, kernel)
+
+
+class TestFloatLoop:
+    @pytest.mark.parametrize("name", ["example51_unstable", "two_state_switching"])
+    def test_family_map_equals_the_derived_map(self, name):
+        # a spec without scalar_step runs the map derived from its two float
+        # forms; the family's own map must give the same paths byte for byte
+        bundle = sd.preset(name)
+        derived = dataclasses.replace(bundle.model, scalar_step=None)
+        cfg = dataclasses.replace(bundle.sim, horizon=min(bundle.sim.horizon, 40.0), record_stride=7)
+        family = paths(bundle.model, cfg, 6, bundle.x0, bundle.i0)
+        for a, b in zip(family, paths(derived, cfg, 6, bundle.x0, bundle.i0)):
+            assert_same_path(a, b)
+        assert all(len(tr.jumps) > 10 for tr in family)
+        assert any(tr.exited for tr in family) == (name == "example51_unstable")
+
+    @pytest.mark.parametrize("kernel_kind", ["table", "gated", "every_step"])
+    def test_exit_and_blowup_steps(self, kernel_kind):
+        # a path that leaves the ball on a step that jumps logs the jump and
+        # records the post-jump regime at tau_h; a path that blows up records
+        # the pre-step regime and logs no jump at that step, even when its
+        # accept uniform is below q dt
+        spec = grow_or_blow_spec(kernel_kind)
+        cfg = sd.SimConfig(dt=0.01, horizon=2.0, seed=4, stop_radius=1.0)
+        trajs = paths(spec, cfg, 200, np.array([0.5]), 1)
+        exit_jumps = blowup_draws = 0
+        for p, tr in enumerate(trajs):
+            t_end = tr.times[-1]
+            assert all(t <= t_end for t, _, _ in tr.jumps)
+            assert tr.regime_path[-1] == (tr.jumps[-1][2] if tr.jumps else 1)
+            if tr.exited:
+                assert tr.tau_h == t_end
+                if tr.jumps and tr.jumps[-1][0] == t_end:
+                    assert tr.jumps[-1][1:] == (1, 2)
+                    exit_jumps += 1
+            elif tr.blew_up:
+                assert tr.regime_path[-1] == 2 and tr.jumps[-1][0] < t_end
+                k = int(round(t_end / cfg.dt)) - 1
+                u = sd.path_streams(cfg.seed, p)[1].random(k + 1)[k]
+                blowup_draws += u < 8.0 * cfg.dt
+        assert exit_jumps > 0 and blowup_draws > 0
+
+
 class TestCoupledPaths:
     def test_state_independent_rates_never_decouple(self):
         kernel = sd.build_kernel("birth_death", {"up": 2.0, "down": 3.0})
