@@ -12,15 +12,23 @@ prints on its last line: the end-to-end medians at --trace 0, the per-layer
 medians at --trace 1.  The machine fingerprint comes from run.py's run record.
 A run that exits nonzero, or prints no result, is recorded with its exit code
 and the tail of its error output; it is not retried.
+
+The snapshot also carries an engine_us_per_step block, timed in this process
+on the tree's own src/ (see engine_timings): the benchmark's tracer does not
+see the batched engine, so its per-step figures for vector and coupled paths
+read 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+import time
+from functools import partial
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,6 +64,52 @@ def read_fingerprint(root: str, workload: str, seed: int):
         return None
 
 
+# (name, preset, paths, horizon, coupled, x0): paths None is the float loop
+ENGINE_CASES = (
+    ("float_loop_two_state_switching", "two_state_switching", None, 20.0, False, None),
+    ("batch_example52_stable_P5", "example52_stable", 5, 10.0, False, None),
+    ("batch_example52_stable_P256", "example52_stable", 256, 2.0, False, None),
+    ("coupled_example52_stable_P40", "example52_stable", 40, 1.0, True, [0.3, 0.0]),
+)
+ENGINE_REPEATS = 5
+
+
+def engine_timings(root: str) -> dict:
+    """Minimum CPU microseconds per step of each engine case, over
+    ENGINE_REPEATS rounds of all cases, with switchdiff imported from
+    root/src.  A batched step advances every live path of the block once.
+    Rounds run the cases in turn, so that a slow phase of a shared host
+    costs each case one repeat rather than all of them."""
+    sys.path.insert(0, os.path.join(root, "src"))
+    import dataclasses
+
+    import numpy as np
+    from switchdiff import preset, simulator
+
+    runs = {}
+    for name, scenario, paths, horizon, coupled, x0 in ENGINE_CASES:
+        bundle = preset(scenario)
+        config = dataclasses.replace(bundle.sim, horizon=horizon)
+        x0 = bundle.x0 if x0 is None else np.array(x0)
+        if paths is None:
+            run = partial(simulator._float_path, bundle.model, config, x0, bundle.i0)
+        else:
+            run = partial(
+                simulator._batch_paths, bundle.model, config, x0, bundle.i0, paths, coupled
+            )
+        runs[name] = (run, paths or 1, int(round(horizon / config.dt)))
+    best = dict.fromkeys(runs, math.inf)
+    for _ in range(ENGINE_REPEATS):
+        for name, (run, _, _) in runs.items():
+            t0 = time.process_time()
+            run()
+            best[name] = min(best[name], time.process_time() - t0)
+    return {
+        name: {"paths": paths, "steps": steps, "us_per_step": best[name] / steps * 1e6}
+        for name, (_, paths, steps) in runs.items()
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", default=REPO, help="source tree to benchmark")
@@ -74,6 +128,9 @@ def main(argv=None) -> int:
     names = [w["name"] for w in spec["workloads"]]
 
     snapshot: dict = {"seed": args.seed, "seconds": seconds, "fingerprint": None, "workloads": {}}
+    # timed first: right after minutes of benchmark load the same cases read
+    # up to 1.7x higher on a shared 2-core host
+    snapshot["engine_us_per_step"] = engine_timings(args.root)
     for name in names:
         runs = {}
         for trace in (0, 1):

@@ -68,6 +68,7 @@ class RateKernel:
 
     def check_row(self, x, i: int) -> Row:
         """Row with structural validation; used by scans, not hot loops."""
+        _check_regime(i)
         entries = tuple(self.row(x, i))
         for j, r in entries:
             if j == i or j < 1 or j != int(j):
@@ -80,6 +81,7 @@ class RateKernel:
         """Rows at every (X[p], I[p]) as arrays (targets, rates) of shape
         (P, m), entry by entry in row order; target 0 with rate 0 pads a row
         shorter than m.  Rows are validated like check_row."""
+        _check_regimes(I)
         if self.batch_rows is None:
             rows = _per_point(self.check_row, X, I)
             width = max(map(len, rows), default=0)
@@ -123,9 +125,13 @@ class ModelSpec:
     scalar_diffusion(x, i) * w with the same float operations in the same
     order.  Without it the float loop derives that map from the two float
     forms.
-    batch_drift(X, I) -> (P, n) and batch_diffusion(X, I) -> (P, n, d) are
-    optional batch forms for regimes I >= 1; they must agree with the
-    callbacks bit for bit.
+    batch_drift(I) and batch_diffusion(I) are optional batch forms, curried
+    on the regimes: given regimes I >= 1 of shape (P,) they gather what they
+    need of each regime once and return a map X -> (P, n), respectively X ->
+    (P, n, d), that must agree with the callbacks bit for bit.  drift_map
+    and diffusion_map return these maps, or for a spec without batch forms
+    maps derived from the callbacks point by point; a caller whose regimes
+    change rarely (the batched simulator) binds them once per change.
     """
 
     dim: int
@@ -137,35 +143,49 @@ class ModelSpec:
     scalar_drift: Optional[Callable[[float, int], float]] = None
     scalar_diffusion: Optional[Callable[[float, int], float]] = None
     linearization: Optional[ExactLinearization] = None
-    batch_drift: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    batch_diffusion: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    batch_drift: Optional[Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None
+    batch_diffusion: Optional[Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None
     scalar_step: Optional[Callable[[int, float], Callable[[float, float], float]]] = None
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.noise_dim < 1:
             raise ConfigurationError("dim and noise_dim must be >= 1")
 
+    def drift_map(self, I: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """X -> b(X[p], I[p]) for every p, shape (P, n), the regimes I bound.
+        The derived map of a spec without batch_drift reads I when called."""
+        _check_regimes(I)
+        if self.batch_drift is not None:
+            return self.batch_drift(I)
+        shape = (len(I), self.dim)
+        return lambda X: np.array(_per_point(self.drift_at, X, I), dtype=float).reshape(shape)
+
+    def diffusion_map(self, I: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """X -> sigma(X[p], I[p]) for every p, shape (P, n, d), the regimes
+        I bound, like drift_map."""
+        _check_regimes(I)
+        if self.batch_diffusion is not None:
+            return self.batch_diffusion(I)
+        shape = (len(I), self.dim, self.noise_dim)
+        return lambda X: np.array(_per_point(self.diffusion_at, X, I), dtype=float).reshape(shape)
+
     def drifts(self, X: np.ndarray, I: np.ndarray) -> np.ndarray:
         """b(X[p], I[p]) for every p, shape (P, n)."""
-        if self.batch_drift is not None:
-            return self.batch_drift(X, I)
-        out = np.array(_per_point(self.drift_at, X, I), dtype=float)
-        return out.reshape(len(I), self.dim)
+        return self.drift_map(I)(X)
 
     def diffusions(self, X: np.ndarray, I: np.ndarray) -> np.ndarray:
         """sigma(X[p], I[p]) for every p, shape (P, n, d)."""
-        if self.batch_diffusion is not None:
-            return self.batch_diffusion(X, I)
-        out = np.array(_per_point(self.diffusion_at, X, I), dtype=float)
-        return out.reshape(len(I), self.dim, self.noise_dim)
+        return self.diffusion_map(I)(X)
 
     def drift_at(self, x, i: int) -> np.ndarray:
+        _check_regime(i)
         b = np.asarray(self.drift(np.asarray(x, dtype=float), i), dtype=float)
         if b.shape != (self.dim,):
             raise EvaluationError(f"drift returned shape {b.shape}, want ({self.dim},)")
         return b
 
     def diffusion_at(self, x, i: int) -> np.ndarray:
+        _check_regime(i)
         s = np.asarray(self.diffusion(np.asarray(x, dtype=float), i), dtype=float)
         if s.shape != (self.dim, self.noise_dim):
             raise EvaluationError(
@@ -312,11 +332,17 @@ def _fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     return H
 
 
+def _check_regime(i: int) -> None:
+    """Reject a regime below 1: the families read per-regime constants at
+    i - 1, which is valid only for i >= 1."""
+    if i < 1:
+        raise ConfigurationError(f"regimes must be positive integers, got {i}")
+
+
 def _check_regimes(I) -> None:
-    """Reject regimes below 1: the families' batch forms gather per-regime
-    constants at I - 1, which is valid only for I >= 1."""
-    if len(I) and np.min(I) < 1:
-        raise ConfigurationError(f"regimes must be positive integers, got {np.min(I)}")
+    """_check_regime for a batch of regimes."""
+    if len(I):
+        _check_regime(np.min(I))
 
 
 def generator_Li(spec: ModelSpec, lyap: LyapunovSpec, X: np.ndarray, I: np.ndarray) -> np.ndarray:

@@ -303,17 +303,27 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             return np.array([[scalar_diffusion(float(x[0]), i)]])
 
         # the batch forms gather at I - 1 with mode="clip", which saturates
-        # the tail like _pick; regimes start at 1, as ScanGrid and the
-        # simulator ensure
+        # the tail like _pick; regimes start at 1, as ModelSpec.drift_map
+        # and diffusion_map ensure
         b_arr, sigma_arr = np.array(b), np.array(sigma)
 
-        def batch_drift(X, I):
-            x = X[:, 0]
-            return (np.take(b_arr, I - 1, mode="clip") * x * _pow(np.abs(x), two_gamma))[:, None]
+        def batch_drift(I):
+            bI = np.take(b_arr, I - 1, mode="clip")
 
-        def batch_diffusion(X, I):
-            s = np.sin(X[:, 0])
-            return (np.take(sigma_arr, I - 1, mode="clip") * s * s)[:, None, None]
+            def drift(X):
+                x = X[:, 0]
+                return (bI * x * _pow(np.abs(x), two_gamma))[:, None]
+
+            return drift
+
+        def batch_diffusion(I):
+            sI = np.take(sigma_arr, I - 1, mode="clip")
+
+            def diffusion(X):
+                s = np.sin(X[:, 0])
+                return (sI * s * s)[:, None, None]
+
+            return diffusion
 
         return ModelSpec(
             dim=1,
@@ -371,9 +381,9 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
         def diffusion(x, i):
             return np.column_stack([m @ x for m in S(i)])
 
-        # stacked per-regime matrices, gathered at I >= 1 with mode="clip" to
-        # saturate like A and S; batched matmul matches the per-point
-        # products bit for bit
+        # stacked per-regime matrices, gathered once per bound map at I >= 1
+        # with mode="clip" to saturate like A and S; batched matmul matches
+        # the per-point products bit for bit
         a_stack = np.stack(mats)
         s_stack = (
             np.zeros((1, noise_dim, n, n))
@@ -381,14 +391,18 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             else np.stack([np.stack(regime) for regime in sig_mats])
         )
 
-        def batch_drift(X, I):
+        def batch_drift(I):
             a = np.take(a_stack, I - 1, axis=0, mode="clip")
-            return np.matmul(a, X[:, :, None])[:, :, 0]
+            return lambda X: np.matmul(a, X[:, :, None])[:, :, 0]
 
-        def batch_diffusion(X, I):
+        def batch_diffusion(I):
             s = np.take(s_stack, I - 1, axis=0, mode="clip")
-            cols = np.matmul(s, X[:, None, :, None])[..., 0]
-            return np.ascontiguousarray(cols.transpose(0, 2, 1))
+
+            def diffusion(X):
+                cols = np.matmul(s, X[:, None, :, None])[..., 0]
+                return np.ascontiguousarray(cols.transpose(0, 2, 1))
+
+            return diffusion
 
         scalar_drift = scalar_diffusion = scalar_step = None
         if n == 1 and noise_dim == 1:

@@ -20,10 +20,18 @@ paths are the same either way.  Two integrators run the paths:
   one, derived from the two float forms; a step whose accept uniform is at
   least the gate spends one comparison on switching;
 - the batched engine runs every other path, vector or coupled.  All live
-  paths of a block step together as (P, n) arrays through
-  ModelSpec.drifts/diffusions and the kernel's batch_rows (padded_rows
-  without one); a single path is a batch of one, and run_ensemble passes
-  blocks of PATH_BLOCK paths, so memory does not grow with the path count.
+  paths of a block step together as (P, n) arrays; a single path is a
+  batch of one, and run_ensemble passes blocks of PATH_BLOCK paths, so
+  memory does not grow with the path count.  The Euler step calls the
+  drift and diffusion maps of ModelSpec.drift_map/diffusion_map, bound to
+  the block's regimes and rebound only after a step where some path jumped
+  or sub-divided, or after paths left the block.  With one noise column
+  the noise is sigma * w + 0.0, which equals matmul's one-term sum bit for
+  bit.  Each chunk of accept uniforms marks its hot steps, where some path
+  is a candidate, and only those steps screen the paths.  The candidates'
+  rows come from one call of the kernel's batch_rows (padded_rows without
+  one); each row, for pairs built against alpha_hat's frozen row, and its
+  total are then Python lists and floats.
 
 Each path owns three named substreams derived from (seed, path_index):
 noise and accept uniforms are drawn in chunks of STREAM_CHUNK steps as the
@@ -326,83 +334,61 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
     return traj
 
 
-def _row_totals(rates: np.ndarray) -> np.ndarray:
-    """Sum of each padded row, entry by entry in row order."""
-    total = np.zeros(len(rates))
-    for c in range(rates.shape[1]):
-        total += rates[:, c]
-    return total
-
-
 def _regime_rates(kernel: RateKernel):
-    """Switching rates of alpha alone: (X, I) -> (q, row_of), where q[l] is
-    the total rate of path l and row_of(l) its row [(j, rate), ...].  Rows
-    come from the kernel's batch form, or from padded_rows without one."""
-    rows = kernel.batch_rows or kernel.padded_rows
+    """Switching rates of alpha alone: (X, I) -> (q, rows), lists over the
+    batch, where rows[l] is path l's row [(j, rate), ...] and q[l] its total,
+    summed entry by entry in row order.  Rows come from the kernel's batch
+    form, or from padded_rows without one."""
+    read_rows = kernel.batch_rows or kernel.padded_rows
 
     def rates(X, I):
-        targets, r = rows(X, I)
-
-        def row_of(l):
-            return [(j, v) for j, v in zip(targets[l].tolist(), r[l].tolist()) if j >= 1]
-
-        return _row_totals(r), row_of
+        targets, r = read_rows(X, I)
+        q, rows = [], []
+        for tl, rl in zip(targets.tolist(), r.tolist()):
+            total = 0.0
+            for v in rl:
+                total += v
+            q.append(total)
+            rows.append([(j, v) for j, v in zip(tl, rl) if j >= 1])
+        return q, rows
 
     return rates
 
 
 def _pair_rates(kernel: RateKernel, dim: int):
-    """Switching rates of the basic coupling on pairs S = (alpha, alpha_hat).
+    """Switching rates of the basic coupling on pairs S = (alpha, alpha_hat):
+    (X, S) -> (q, rows), lists over the batch, as for _regime_rates.
 
-    alpha moves at the rates q(x), alpha_hat at the frozen rates q(0), whose
-    rows are kept per regime.  For each target j in ascending order the pair
-    jumps jointly to (j, j) at min(q_aj(x), q_bj(0)), and each coordinate
-    alone at its positive part; the total is the sum of max(q_aj(x), q_bj(0))
-    over j, in ascending j.
+    alpha moves at the rates q(x), read for the whole batch in one call, and
+    alpha_hat at the frozen rates q(0), whose rows are kept per visited
+    regime.  For each target j in ascending order the pair jumps jointly to
+    (j, j) at min(q_aj(x), q_bj(0)), and each coordinate alone at its
+    positive part; the total is the sum of max(q_aj(x), q_bj(0)) over j, in
+    ascending j.
     """
-    rows = kernel.batch_rows or kernel.padded_rows
-    frozen_t = np.zeros((1, 0), dtype=np.int64)  # line b: alpha_hat's row b at 0
-    frozen_r = np.zeros((1, 0))
-    known = np.zeros(1, dtype=bool)  # regimes whose row is in the table
+    read_rows = kernel.batch_rows or kernel.padded_rows
+    zero = np.zeros((1, dim))
+    frozen: dict = {}  # regime b -> alpha_hat's row at 0, {j: q_bj(0)}
 
     def rates(X, S):
-        nonlocal frozen_t, frozen_r, known
-        B = S[:, 1]
-        if B.max() >= len(known) or not known[B].all():
-            size = max(len(known), int(B.max()) + 1)
-            known = np.pad(known, (0, size - len(known)))
-            new = np.unique(B[~known[B]])
-            t, r = rows(np.zeros((new.size, dim)), new)
-            grow = ((0, size - len(frozen_t)), (0, max(t.shape[1] - frozen_t.shape[1], 0)))
-            frozen_t, frozen_r = np.pad(frozen_t, grow), np.pad(frozen_r, grow)
-            frozen_t[new, : t.shape[1]], frozen_r[new, : t.shape[1]] = t, r
-            known[new] = True
-        ta, ra = rows(X, S[:, 0])
-        tb, rb = frozen_t[B], frozen_r[B]
-        # max(q_aj, q_bj) at alpha's targets, then q_bj at alpha_hat's other
-        # targets; padding and alpha_hat's shared targets carry 0, which adds
-        # nothing wherever it falls in the sum
-        rb_at_a = np.zeros_like(ra)
-        rb_only = rb.copy()
-        for c in range(tb.shape[1]):
-            hit = ta == tb[:, c, None]
-            rb_at_a = np.where(hit, rb[:, c, None], rb_at_a)
-            rb_only[hit.any(axis=1), c] = 0.0
-        top = np.concatenate([np.maximum(ra, rb_at_a), rb_only], axis=1)
-        # ascending targets within each row: one sort of (row, target) keys
-        keys = np.concatenate([ta, tb], axis=1)
-        keys += np.arange(len(keys))[:, None] * (int(keys.max(initial=0)) + 1)
-        order = np.argsort(keys.ravel(), kind="stable")
-        q = _row_totals(top.ravel()[order].reshape(top.shape))
-
-        def row_of(l):
-            a, b = S[l].tolist()
-            rates_a = {j: v for j, v in zip(ta[l].tolist(), ra[l].tolist()) if j >= 1}
-            rates_b = {j: v for j, v in zip(tb[l].tolist(), rb[l].tolist()) if j >= 1}
-            row = []
-            for j in sorted(set(rates_a) | set(rates_b)):
-                qa = rates_a.get(j, 0.0) if j != a else 0.0
-                qb = rates_b.get(j, 0.0) if j != b else 0.0
+        targets, r = read_rows(X, S[:, 0])
+        q, rows = [], []
+        for (a, b), tl, rl in zip(S.tolist(), targets.tolist(), r.tolist()):
+            rates_b = frozen.get(b)
+            if rates_b is None:
+                tb, rb = read_rows(zero, np.array([b]))
+                rates_b = frozen[b] = {
+                    j: v for j, v in zip(tb[0].tolist(), rb[0].tolist()) if j >= 1
+                }
+            rates_a = {j: v for j, v in zip(tl, rl) if j >= 1}
+            total, row = 0.0, []
+            for j in sorted(rates_a.keys() | rates_b.keys()):
+                qa, qb = rates_a.get(j, 0.0), rates_b.get(j, 0.0)
+                total += qa if qa > qb else qb
+                if j == a:
+                    qa = 0.0
+                if j == b:
+                    qb = 0.0
                 m = qa if qa < qb else qb
                 if m > 0.0:
                     row.append(((j, j), m))
@@ -410,9 +396,9 @@ def _pair_rates(kernel: RateKernel, dim: int):
                     row.append(((j, b), qa - m))
                 if qb - m > 0.0:
                     row.append(((a, j), qb - m))
-            return row
-
-        return q, row_of
+            q.append(total)
+            rows.append(row)
+        return q, rows
 
     return rates
 
@@ -423,11 +409,13 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
 
     Row l of X, S and the chunk's noise W and uniforms U is live path
     live[l]; S holds alpha, or the pairs (alpha, alpha_hat) when coupled.  A
-    path that exits or blows up leaves the batch.  Rates are read for the
-    candidates of a step alone (see _thinning_bound), and only paths that
-    jump or need guard sub-division touch their event stream.  Returns one
-    Trajectory per path, in index order; a coupled one records pairs and
-    logs pair jumps.
+    path that exits or blows up leaves the batch.  The Euler step runs the
+    model's drift and diffusion maps bound to the regimes of S, rebound only
+    after a step where some path jumped or sub-divided, or after paths left.
+    Rates are read for the candidates of a step alone (see _thinning_bound),
+    and only paths that jump or need guard sub-division touch their event
+    stream.  Returns one Trajectory per path, in index order; a coupled one
+    records pairs and logs pair jumps.
     """
     x0, i0, n_steps = _start(spec, config, x0, i0)
     # validated first evaluation catches shape bugs early
@@ -440,20 +428,20 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
     rates = _pair_rates(kernel, spec.dim) if coupled else _regime_rates(kernel)
     q_bar, gate = _thinning_bound(kernel, dt, coupled)
     state = (lambda v: tuple(v.tolist())) if coupled else int
+    one_noise = spec.noise_dim == 1
 
     def read(X, S):
         """rates(X, S), every total checked against q_bar."""
-        q, row_of = rates(X, S)
-        above = q > q_bar
-        if above.any():
-            l = int(above.argmax())
-            raise _above_bound(float(q[l]), state(S[l]), q_bar)
-        return q, row_of
+        q, rows = rates(X, S)
+        for l, ql in enumerate(q):
+            if ql > q_bar:
+                raise _above_bound(ql, state(S[l]), q_bar)
+        return q, rows
 
-    def rows(x, s):
+    def row_at(x, s):
         """(row, q_s(x)) at one point, as a batch of one."""
-        q, row_of = read(x[None], np.array([s]))
-        return row_of(0), float(q[0])
+        q, rows = read(x[None], np.array([s]))
+        return rows[0], q[0]
 
     stride = config.record_stride
     h = math.inf if config.stop_radius is None else config.stop_radius
@@ -473,11 +461,12 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
             traj.tau_h, traj.exited = 0.0, True
         n_steps, live = 0, live[:0]
     next_rec = min(stride, n_steps) - 1
+    stale = True  # the coefficient maps need binding to the regimes of S
 
     def leave(gone, at: int, t: float, Xt, exited: bool) -> None:
         """Record the paths flagged in gone at index at, mark them exited
         (at t) or blown up, and drop them from the batch and its chunk."""
-        nonlocal X, S, live, W, U
+        nonlocal X, S, live, W, U, stale
         ids = live[gone]
         rec_t[ids, at], rec_x[ids, at], rec_s[ids, at] = t, Xt[gone], S[gone]
         ends[ids] = at
@@ -488,6 +477,7 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
                 trajs[path].blew_up = True
         keep = (~gone).nonzero()[0]
         X, S, live = X[keep], S[keep], live[keep]
+        stale = True
         # the chunk's rows move up in place: a compacted copy would add the
         # chunk's size to the run's peak memory
         for new, old in enumerate(keep.tolist()):
@@ -506,11 +496,23 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
             streams[path][0].standard_normal(out=W[l])
             streams[path][1].random(out=U[l])
         W *= sq
+        # steps where some path is a candidate to switch; leave() only drops
+        # rows, so this stays a superset
+        hot = (U < gate).any(axis=0).tolist()
         for k in range(c0, c0 + m):
-            I = S[:, 0] if coupled else S
-            Xn = X + spec.drifts(X, I) * dt + np.matmul(
-                spec.diffusions(X, I), W[:, k - c0, :, None]
-            )[:, :, 0]
+            kc = k - c0
+            if stale:
+                I = S[:, 0] if coupled else S
+                drift, diffusion = spec.drift_map(I), spec.diffusion_map(I)
+                stale = False
+            drift_dt = drift(X) * dt
+            sig = diffusion(X)
+            if one_noise:
+                # matmul sums from +0.0, so its one-term product is a * b + 0.0
+                noise = sig[:, :, 0] * W[:, kc] + 0.0
+            else:
+                noise = np.matmul(sig, W[:, kc, :, None])[:, :, 0]
+            Xn = X + drift_dt + noise
             r = row_norms(Xn)
             t = (k + 1) * dt
             r_max = r.max()  # nan when any row is nan
@@ -524,24 +526,26 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
 
             # switching, with rates at the pre-step X, read only for the
             # candidates: the paths whose accept uniform is below gate
-            u = U[:, k - c0]
-            cand = (u < gate).nonzero()[0]
-            if cand.size:
-                q, row_of = read(X[cand], S[cand])
-                p = q * dt
-                guard = p > THINNING_GUARD
-                for c in (guard | (u[cand] < p)).nonzero()[0].tolist():
-                    l = cand[c]
-                    s, row, ql = state(S[l]), row_of(c), float(q[c])
-                    event, log = streams[live[l]][2].random, trajs[live[l]].jumps
-                    if guard[c]:
-                        ox = X[l]
-                        s = _subdivide(lambda s: rows(ox, s), s, row, ql, dt, t, event, log)[0]
-                    else:
-                        j = _select_target(row, event() * ql)
-                        log.append((t, s, j))
-                        s = j
-                    S[l] = s
+            if hot[kc]:
+                u = U[:, kc]
+                cand = (u < gate).nonzero()[0]
+                if cand.size:
+                    q, rows = read(X[cand], S[cand])
+                    for l, ql, row in zip(cand.tolist(), q, rows):
+                        p = ql * dt
+                        if not (p > THINNING_GUARD or u[l] < p):
+                            continue
+                        s = state(S[l])
+                        event, log = streams[live[l]][2].random, trajs[live[l]].jumps
+                        if p > THINNING_GUARD:
+                            ox = X[l]
+                            s = _subdivide(lambda s: row_at(ox, s), s, row, ql, dt, t, event, log)[0]
+                        else:
+                            j = _select_target(row, event() * ql)
+                            log.append((t, s, j))
+                            s = j
+                        S[l] = s
+                        stale = True
             X = Xn
 
             if k == next_rec:
@@ -793,12 +797,10 @@ def run_ensemble(
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     """Columns (t, x_1..x_n, regime); shortest-roundtrip float formatting."""
     n = traj.x_path.shape[1]
+    columns = [map(repr, np.asarray(traj.times, dtype=float).tolist())]
+    columns += [map(repr, col) for col in np.asarray(traj.x_path, dtype=float).T.tolist()]
+    columns.append(np.asarray(traj.regime_path, dtype=np.int64).tolist())
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x{k+1}" for k in range(n)] + ["regime"])
-        for m in range(traj.times.size):
-            writer.writerow(
-                [repr(float(traj.times[m]))]
-                + [repr(float(v)) for v in traj.x_path[m]]
-                + [int(traj.regime_path[m])]
-            )
+        writer.writerows(zip(*columns))

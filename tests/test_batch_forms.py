@@ -8,6 +8,7 @@ per-radius and per-regime loops that the unit-grid scans and the stacked
 eigenvalue calls replaced.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -85,6 +86,33 @@ def test_regimes_below_one_never_reach_the_batch_forms():
         lambda: sd.scan_mg(spec, lyap, regimes=[0, 1]),
         lambda: sd.scan_kernel_continuity(spec.rate_kernel, 2, regimes=[1, 0]),
         lambda: sd.linearize(spec, [0]),
+    ]
+    for call in calls:
+        with pytest.raises(sd.ConfigurationError, match="positive integers"):
+            call()
+
+
+def test_per_point_forms_reject_regimes_below_one():
+    # the per-point forms read per-regime constants at i - 1 too: unchecked,
+    # drift_at(x, 0) on example52_stable returned the last matrix's product
+    bundle = sd.preset("example52_stable")
+    spec, x = bundle.model, np.array([0.3, 0.1])
+    kernel, X = spec.rate_kernel, x[None]
+    per_point = dataclasses.replace(spec, batch_drift=None, batch_diffusion=None)
+    rows_per_point = dataclasses.replace(kernel, batch_rows=None)
+    np.testing.assert_allclose(spec.drift_at(x, 1), [-1.7, -0.6])
+    calls = [
+        lambda: spec.drift_at(x, 0),
+        lambda: spec.diffusion_at(x, -1),
+        lambda: spec.drift_map(np.array([1, 0])),
+        lambda: spec.diffusion_map(np.array([0])),
+        lambda: spec.drifts(X, np.array([0])),
+        lambda: spec.diffusions(X, np.array([-2])),
+        lambda: per_point.drift_map(np.array([0])),
+        lambda: per_point.diffusions(X, np.array([0])),
+        lambda: kernel.check_row(x, 0),
+        lambda: kernel.padded_rows(X, np.array([0])),
+        lambda: rows_per_point.padded_rows(X, np.array([-1])),
     ]
     for call in calls:
         with pytest.raises(sd.ConfigurationError, match="positive integers"):

@@ -1,6 +1,8 @@
 """Path integration, thinned switching, coupling, and ensemble aggregation."""
 
+import csv
 import dataclasses
+import io
 import math
 from types import SimpleNamespace
 
@@ -44,7 +46,9 @@ def paths(spec, cfg, n, x0, i0, coupled=False):
     return trajs
 
 
-def regime_mix_spec(dim: int = 2, with_batch_rows: bool = True, global_bound=None) -> sd.ModelSpec:
+def regime_mix_spec(
+    dim: int = 2, with_batch_rows: bool = True, global_bound=None, noise_dim: int = 1
+) -> sd.ModelSpec:
     """Linear model whose paths from one start go every way a path can.
 
     Regime 1 grows (in 2-D it spirals out: dX = [[1, 1], [-1, 1]] X dt +
@@ -53,7 +57,8 @@ def regime_mix_spec(dim: int = 2, with_batch_rows: bool = True, global_bound=Non
     1/sqrt(2).  Regime 2 contracts and leaves for 1 at rate 1 or for 3 at
     rate 0.2.  Regime 3 blows up in one step.  In 1-D the model has float
     forms.  Rates are read at pre-step states, inside the ball, so they stay
-    below 4 * 1.5^2 = 9.
+    below 4 * 1.5^2 = 9.  With noise_dim = 2 (2-D only) a second noise
+    column rotates X.
     """
 
     def row(x, i):
@@ -80,10 +85,12 @@ def regime_mix_spec(dim: int = 2, with_batch_rows: bool = True, global_bound=Non
     )
     eye = np.eye(dim)
     grow = [[1.0, 1.0], [-1.0, 1.0]] if dim == 2 else [[1.0]]
-    params = {
-        "matrices": [grow, (-eye).tolist(), (1e16 * eye).tolist()],
-        "sigma_matrices": [[(0.8 * eye).tolist()], [(0.3 * eye).tolist()], [(0 * eye).tolist()]],
-    }
+    turn = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    sigma = [
+        [(c * eye).tolist()] + ([(c * turn).tolist()] if noise_dim == 2 else [])
+        for c in (0.8, 0.3, 0.0)
+    ]
+    params = {"matrices": [grow, (-eye).tolist(), (1e16 * eye).tolist()], "sigma_matrices": sigma}
     return sd.build_model({"family": "linear", "params": params}, kernel)
 
 
@@ -453,7 +460,7 @@ class TestBatchedEngine:
         X = rng.uniform(-2.0, 2.0, (300, 2))
         S = rng.integers(1, 5, (300, 2))
         q, _ = sd.simulator._pair_rates(kernel, 2)(X, S)
-        for x, (a, b), total in zip(X, S.tolist(), q.tolist()):
+        for x, (a, b), total in zip(X, S.tolist(), q):
             rates_a = dict(kernel.row(x, a))
             rates_b = dict(kernel.row(np.zeros(2), b))
             want = 0.0
@@ -475,6 +482,61 @@ class TestBatchedEngine:
         coupled = paths(spec, cfg, 5, np.array([0.5, 0.5]), 5, coupled=True)
         assert any(ct.decoupled for ct in coupled)
         assert {int(i) for ct in coupled for i in ct.alpha_hat_path} == {5, 6, 7}
+
+    @pytest.mark.parametrize("noise_dim", [1, 2])
+    @pytest.mark.parametrize("dt", [0.005, 0.05], ids=["gated", "guard_fires"])
+    @pytest.mark.parametrize("coupled", [False, True], ids=["vector", "coupled"])
+    def test_bound_maps_equal_the_per_point_maps(self, monkeypatch, coupled, dt, noise_dim):
+        # the batch forms gather each regime's matrices when the engine binds
+        # them, so it must rebind after a jump, after a guarded sub-division
+        # and after paths leave; the per-point maps read the regimes when
+        # called.  The reference declares no bound, so every step screens
+        # every path, while the bounded spec screens only the steps in hot.
+        # Short chunks give many hot vectors.
+        monkeypatch.setattr(sd.simulator, "STREAM_CHUNK", 8)
+        cfg = dataclasses.replace(MIX_CONFIG, dt=dt)
+        x0 = MIX_X0[2]
+        bound = regime_mix_spec(2, global_bound=9.0, noise_dim=noise_dim)
+        per_point = dataclasses.replace(
+            regime_mix_spec(2, noise_dim=noise_dim), batch_drift=None, batch_diffusion=None
+        )
+        got = paths(bound, cfg, 24, x0, 1, coupled)
+        want = paths(per_point, cfg, 24, x0, 1, coupled)
+        for a, b in zip(got, want):
+            assert_same_path(a, b)
+        assert any(tr.exited for tr in got) and any(tr.blew_up for tr in got)
+        log = [tr.jumps_alpha if coupled else tr.jumps for tr in got]
+        off_grid = [abs(t / dt - round(t / dt)) > 1e-9 for js in log for t, _, _ in js]
+        assert off_grid and any(off_grid) == (dt == 0.05)
+
+    def test_one_noise_column_keeps_the_sign_of_zero(self):
+        # with d = 1 the engine multiplies sigma by the noise elementwise,
+        # adding +0.0 as matmul's sum does: a product of -0.0 must reach X as
+        # +0.0.  The reference is the Euler step with matmul.  The first spec
+        # at x = (-0.0, -0.0) has X + b dt = -0.0 and sigma w = -0.0 where
+        # w < 0; example52 has zero diffusion.
+        signed = sd.ModelSpec(
+            dim=2, noise_dim=1, drift=lambda x, i: x.copy(),
+            diffusion=lambda x, i: -x[:, None], rate_kernel=sd.RateKernel(row=lambda x, i: ()),
+        )
+        odd = {"matrices": [[[-0.0, 0.5], [0.25, -0.0]]], "sigma_matrices": [[[[-0.0, 1.0], [-0.5, 0.0]]]]}
+        no_switching = sd.RateKernel(row=lambda x, i: (), global_bound=0.0, x_independent=True)
+        specs = [signed, sd.preset("example52_stable").model,
+                 sd.build_model({"family": "linear", "params": odd}, no_switching)]
+        cfg = sd.SimConfig(dt=0.002, horizon=0.002, seed=4)
+        sq = math.sqrt(cfg.dt)
+        W = np.array([sd.path_streams(cfg.seed, p)[0].standard_normal((1, 1))[0] for p in range(8)])
+        assert (W > 0).any() and (W < 0).any()
+        for spec in specs:
+            for x0 in ([-0.0, -0.0], [0.0, -0.0], [-0.0, 0.3], [-0.7, 0.0]):
+                X = np.tile(x0, (8, 1))
+                I = np.ones(8, dtype=np.int64)
+                noise = np.matmul(spec.diffusions(X, I), (W * sq)[:, :, None])[:, :, 0]
+                want = X + spec.drifts(X, I) * cfg.dt + noise
+                trajs = sd.simulator._batch_paths(spec, cfg, np.array(x0), 1, 8, coupled=False)
+                got = np.array([tr.x_path[-1] for tr in trajs])
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
     def test_coupled_ensemble_counts_exits_and_blowups(self):
         summary, collected = sd.run_ensemble(
@@ -618,6 +680,33 @@ class TestEnsembles:
         assert len(set(endpoints)) == 4  # distinct noise per path slot
         again = sd.simulate(spec, dataclasses.replace(cfg, path_index=102), np.array([0.5]), 1)
         assert endpoints[2] == float(again.x_path[-1, 0])
+
+    def test_trajectory_csv_bytes_equal_per_element_formatting(self, tmp_path):
+        # the writer formats whole columns; the reference formats element by
+        # element with repr(float(v)) and int(i), on an example51_unstable
+        # path and on edge values
+        def reference(traj):
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow(["t"] + [f"x{k+1}" for k in range(traj.x_path.shape[1])] + ["regime"])
+            for m in range(traj.times.size):
+                writer.writerow(
+                    [repr(float(traj.times[m]))]
+                    + [repr(float(v)) for v in traj.x_path[m]]
+                    + [int(traj.regime_path[m])]
+                )
+            return buf.getvalue().encode()
+
+        bundle = sd.preset("example51_unstable")
+        edges = sd.Trajectory(
+            times=np.array([0.0, 5e-324, 0.1 + 0.2, 1e300]),
+            x_path=np.array([[-0.0, 1e-300], [math.inf, -math.inf], [math.nan, -1.5], [0.1, 2.0**60]]),
+            regime_path=np.array([1, 2, 10**12, 3]),
+        )
+        for traj in (sd.simulate(bundle.model, bundle.sim, bundle.x0, bundle.i0), edges):
+            out = tmp_path / "traj.csv"
+            sd.write_trajectory_csv(str(out), traj)
+            assert out.read_bytes() == reference(traj)
 
     def test_trajectory_csv_roundtrips_exactly(self, tmp_path):
         spec = single_regime_linear(-0.5, s=0.4)
