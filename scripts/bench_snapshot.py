@@ -64,7 +64,8 @@ def read_fingerprint(root: str, workload: str, seed: int):
         return None
 
 
-# (name, preset, paths, horizon, coupled, x0): paths None is the float loop
+# (name, preset, paths, horizon, coupled, x0): paths None is one path of the
+# float loop, through simulate
 ENGINE_CASES = (
     ("float_loop_two_state_switching", "two_state_switching", None, 20.0, False, None),
     ("batch_example52_stable_P5", "example52_stable", 5, 10.0, False, None),
@@ -77,14 +78,16 @@ ENGINE_REPEATS = 5
 def engine_timings(root: str) -> dict:
     """Minimum CPU microseconds per step of each engine case, over
     ENGINE_REPEATS rounds of all cases, with switchdiff imported from
-    root/src.  A batched step advances every live path of the block once.
-    Rounds run the cases in turn, so that a slow phase of a shared host
-    costs each case one repeat rather than all of them."""
+    root/src.  The cases go through the public simulate and run_ensemble
+    (no functionals), so any tree with that API can be timed; a batched
+    step advances every live path of the block once.  Rounds run the cases
+    in turn, so that a slow phase of a shared host costs each case one
+    repeat rather than all of them."""
     sys.path.insert(0, os.path.join(root, "src"))
     import dataclasses
 
     import numpy as np
-    from switchdiff import preset, simulator
+    from switchdiff import preset, run_ensemble, simulate
 
     runs = {}
     for name, scenario, paths, horizon, coupled, x0 in ENGINE_CASES:
@@ -92,10 +95,11 @@ def engine_timings(root: str) -> dict:
         config = dataclasses.replace(bundle.sim, horizon=horizon)
         x0 = bundle.x0 if x0 is None else np.array(x0)
         if paths is None:
-            run = partial(simulator._float_path, bundle.model, config, x0, bundle.i0)
+            run = partial(simulate, bundle.model, config, x0, bundle.i0)
         else:
             run = partial(
-                simulator._batch_paths, bundle.model, config, x0, bundle.i0, paths, coupled
+                run_ensemble, bundle.model, None, config, paths, [], x0, bundle.i0,
+                coupled=coupled,
             )
         runs[name] = (run, paths or 1, int(round(horizon / config.dt)))
     best = dict.fromkeys(runs, math.inf)

@@ -130,8 +130,10 @@ class ModelSpec:
     need of each regime once and return a map X -> (P, n), respectively X ->
     (P, n, d), that must agree with the callbacks bit for bit.  drift_map
     and diffusion_map return these maps, or for a spec without batch forms
-    maps derived from the callbacks point by point; a caller whose regimes
-    change rarely (the batched simulator) binds them once per change.
+    maps derived from the callbacks point by point, after checking that
+    every regime is at least 1.  A caller whose regimes change rarely binds
+    them once per change; the batched simulator binds the batch forms
+    themselves, as its regimes are at least 1 by construction.
     """
 
     dim: int
@@ -342,7 +344,7 @@ def _check_regime(i: int) -> None:
 def _check_regimes(I) -> None:
     """_check_regime for a batch of regimes."""
     if len(I):
-        _check_regime(np.min(I))
+        _check_regime(np.asarray(I).min())
 
 
 def generator_Li(spec: ModelSpec, lyap: LyapunovSpec, X: np.ndarray, I: np.ndarray) -> np.ndarray:

@@ -304,7 +304,7 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
 
         # the batch forms gather at I - 1 with mode="clip", which saturates
         # the tail like _pick; regimes start at 1, as ModelSpec.drift_map
-        # and diffusion_map ensure
+        # and diffusion_map check and the simulator ensures
         b_arr, sigma_arr = np.array(b), np.array(sigma)
 
         def batch_drift(I):

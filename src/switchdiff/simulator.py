@@ -23,15 +23,17 @@ paths are the same either way.  Two integrators run the paths:
   paths of a block step together as (P, n) arrays; a single path is a
   batch of one, and run_ensemble passes blocks of PATH_BLOCK paths, so
   memory does not grow with the path count.  The Euler step calls the
-  drift and diffusion maps of ModelSpec.drift_map/diffusion_map, bound to
-  the block's regimes and rebound only after a step where some path jumped
-  or sub-divided, or after paths left the block.  With one noise column
+  drift and diffusion maps of the model's batch forms (or, without them,
+  of ModelSpec.drift_map/diffusion_map), bound to the block's regimes and
+  rebound only after a step where some path jumped or sub-divided, or
+  after paths left the block.  With one noise column
   the noise is sigma * w + 0.0, which equals matmul's one-term sum bit for
   bit.  Each chunk of accept uniforms marks its hot steps, where some path
   is a candidate, and only those steps screen the paths.  The candidates'
-  rows come from one call of the kernel's batch_rows (padded_rows without
-  one); each row, for pairs built against alpha_hat's frozen row, and its
-  total are then Python lists and floats.
+  rates come from one call of the kernel's batch_rows (padded_rows without
+  one) and are totalled as arrays; a row becomes a Python list only for a
+  path that moves.  Up to FEW_PAIRS coupled pairs are summed along their
+  rows in Python instead, which costs less at that size.
 
 Each path owns three named substreams derived from (seed, path_index):
 noise and accept uniforms are drawn in chunks of STREAM_CHUNK steps as the
@@ -52,7 +54,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .artifacts import atomic_open
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError, ContractError, EvaluationError
 from .model import RATE_BOUND_TOL, ModelSpec, RateKernel, row_norms
 
 THINNING_GUARD = 0.1  # largest admissible q_i(x) * dt without sub-division
@@ -60,6 +62,7 @@ SUBDIVISION_TARGET = 0.05  # sub-step jump probability aimed for when splitting
 BLOWUP_RADIUS = 1e12
 STREAM_CHUNK = 4096  # steps of noise and accept uniforms drawn at a time
 PATH_BLOCK = 256  # paths the batched engine advances together
+FEW_PAIRS = 6  # candidate pairs up to which Python sums beat array sums
 WILSON_Z = 1.959963984540054  # 95%
 
 
@@ -334,71 +337,114 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
     return traj
 
 
+def _row_totals(rates: np.ndarray) -> np.ndarray:
+    """Sum of each padded row, entry by entry in row order."""
+    total = np.zeros(len(rates))
+    for c in range(rates.shape[1]):
+        total += rates[:, c]
+    return total
+
+
 def _regime_rates(kernel: RateKernel):
-    """Switching rates of alpha alone: (X, I) -> (q, rows), lists over the
-    batch, where rows[l] is path l's row [(j, rate), ...] and q[l] its total,
-    summed entry by entry in row order.  Rows come from the kernel's batch
-    form, or from padded_rows without one."""
-    read_rows = kernel.batch_rows or kernel.padded_rows
+    """Switching rates of alpha alone: (X, I) -> (q, row_of), where q[l] is
+    the total rate of path l and row_of(l) its row [(j, rate), ...].  Rows
+    come from the kernel's batch form, or from padded_rows without one."""
+    rows = kernel.batch_rows or kernel.padded_rows
 
     def rates(X, I):
-        targets, r = read_rows(X, I)
-        q, rows = [], []
-        for tl, rl in zip(targets.tolist(), r.tolist()):
-            total = 0.0
-            for v in rl:
-                total += v
-            q.append(total)
-            rows.append([(j, v) for j, v in zip(tl, rl) if j >= 1])
-        return q, rows
+        targets, r = rows(X, I)
+
+        def row_of(l):
+            return [(j, v) for j, v in zip(targets[l].tolist(), r[l].tolist()) if j >= 1]
+
+        return _row_totals(r), row_of
 
     return rates
 
 
+def _pair_row(a: int, b: int, ta: list, ra: list, tb: list, rb: list):
+    """(row, total) of the pair (a, b) from alpha's row (ta, ra) at x and
+    alpha_hat's row (tb, rb) at 0, padded lists.  For each target j in
+    ascending order the pair jumps jointly to (j, j) at min(q_aj(x),
+    q_bj(0)), and each coordinate alone at its positive part; the total is
+    the sum of max(q_aj(x), q_bj(0)) over j, in ascending j."""
+    rates_a = {j: v for j, v in zip(ta, ra) if j >= 1}
+    rates_b = {j: v for j, v in zip(tb, rb) if j >= 1}
+    total, row = 0.0, []
+    for j in sorted(rates_a.keys() | rates_b.keys()):
+        qa, qb = rates_a.get(j, 0.0), rates_b.get(j, 0.0)
+        total += qa if qa > qb else qb
+        if j == a:
+            qa = 0.0
+        if j == b:
+            qb = 0.0
+        m = qa if qa < qb else qb
+        if m > 0.0:
+            row.append(((j, j), m))
+        if qa - m > 0.0:
+            row.append(((j, b), qa - m))
+        if qb - m > 0.0:
+            row.append(((a, j), qb - m))
+    return row, total
+
+
 def _pair_rates(kernel: RateKernel, dim: int):
     """Switching rates of the basic coupling on pairs S = (alpha, alpha_hat):
-    (X, S) -> (q, rows), lists over the batch, as for _regime_rates.
+    (X, S) -> (q, row_of), as for _regime_rates, with rows and totals as in
+    _pair_row.
 
-    alpha moves at the rates q(x), read for the whole batch in one call, and
-    alpha_hat at the frozen rates q(0), whose rows are kept per visited
-    regime.  For each target j in ascending order the pair jumps jointly to
-    (j, j) at min(q_aj(x), q_bj(0)), and each coordinate alone at its
-    positive part; the total is the sum of max(q_aj(x), q_bj(0)) over j, in
-    ascending j.
+    alpha moves at the rates q(x), alpha_hat at the frozen rates q(0), whose
+    rows are kept per regime.  Up to FEW_PAIRS pairs get their rows and
+    totals from _pair_row at once; a larger batch sums its totals as arrays,
+    sorted by target, and builds a row only when asked.  Padding and
+    alpha_hat's shared targets add zeros, which leave a sum of nonnegative
+    rates unchanged, so both give the same totals bit for bit.
     """
-    read_rows = kernel.batch_rows or kernel.padded_rows
-    zero = np.zeros((1, dim))
-    frozen: dict = {}  # regime b -> alpha_hat's row at 0, {j: q_bj(0)}
+    rows = kernel.batch_rows or kernel.padded_rows
+    frozen_t = np.zeros((1, 0), dtype=np.int64)  # line b: alpha_hat's row b at 0
+    frozen_r = np.zeros((1, 0))
+    known = np.zeros(1, dtype=bool)  # regimes whose row is in the table
 
     def rates(X, S):
-        targets, r = read_rows(X, S[:, 0])
-        q, rows = [], []
-        for (a, b), tl, rl in zip(S.tolist(), targets.tolist(), r.tolist()):
-            rates_b = frozen.get(b)
-            if rates_b is None:
-                tb, rb = read_rows(zero, np.array([b]))
-                rates_b = frozen[b] = {
-                    j: v for j, v in zip(tb[0].tolist(), rb[0].tolist()) if j >= 1
-                }
-            rates_a = {j: v for j, v in zip(tl, rl) if j >= 1}
-            total, row = 0.0, []
-            for j in sorted(rates_a.keys() | rates_b.keys()):
-                qa, qb = rates_a.get(j, 0.0), rates_b.get(j, 0.0)
-                total += qa if qa > qb else qb
-                if j == a:
-                    qa = 0.0
-                if j == b:
-                    qb = 0.0
-                m = qa if qa < qb else qb
-                if m > 0.0:
-                    row.append(((j, j), m))
-                if qa - m > 0.0:
-                    row.append(((j, b), qa - m))
-                if qb - m > 0.0:
-                    row.append(((a, j), qb - m))
-            q.append(total)
-            rows.append(row)
-        return q, rows
+        nonlocal frozen_t, frozen_r, known
+        B = S[:, 1]
+        if B.max() >= len(known) or not known[B].all():
+            size = max(len(known), int(B.max()) + 1)
+            known = np.pad(known, (0, size - len(known)))
+            new = np.unique(B[~known[B]])
+            t, r = rows(np.zeros((new.size, dim)), new)
+            grow = ((0, size - len(frozen_t)), (0, max(t.shape[1] - frozen_t.shape[1], 0)))
+            frozen_t, frozen_r = np.pad(frozen_t, grow), np.pad(frozen_r, grow)
+            frozen_t[new, : t.shape[1]], frozen_r[new, : t.shape[1]] = t, r
+            known[new] = True
+        ta, ra = rows(X, S[:, 0])
+        tb, rb = frozen_t[B], frozen_r[B]
+        if len(S) <= FEW_PAIRS:
+            built = [
+                _pair_row(a, b, *lists)
+                for (a, b), *lists in zip(S.tolist(), ta.tolist(), ra.tolist(), tb.tolist(), rb.tolist())
+            ]
+            return np.array([total for _, total in built]), lambda l: built[l][0]
+        # max(q_aj, q_bj) at alpha's targets, then q_bj at alpha_hat's other
+        # targets; padding and alpha_hat's shared targets carry 0
+        rb_at_a = np.zeros_like(ra)
+        rb_only = rb.copy()
+        for c in range(tb.shape[1]):
+            hit = ta == tb[:, c, None]
+            rb_at_a = np.where(hit, rb[:, c, None], rb_at_a)
+            rb_only[hit.any(axis=1), c] = 0.0
+        top = np.concatenate([np.maximum(ra, rb_at_a), rb_only], axis=1)
+        # ascending targets within each row: one sort of (row, target) keys
+        keys = np.concatenate([ta, tb], axis=1)
+        keys += np.arange(len(keys))[:, None] * (int(keys.max(initial=0)) + 1)
+        order = np.argsort(keys.ravel(), kind="stable")
+        q = _row_totals(top.ravel()[order].reshape(top.shape))
+
+        def row_of(l):
+            lists = ta[l].tolist(), ra[l].tolist(), tb[l].tolist(), rb[l].tolist()
+            return _pair_row(*S[l].tolist(), *lists)[0]
+
+        return q, row_of
 
     return rates
 
@@ -429,19 +475,26 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
     q_bar, gate = _thinning_bound(kernel, dt, coupled)
     state = (lambda v: tuple(v.tolist())) if coupled else int
     one_noise = spec.noise_dim == 1
+    # the batch forms themselves where a spec has them, as for the kernel's
+    # rows: the engine's regimes are >= 1 (_start checks i0, and rows carry
+    # targets >= 1 only), so the maps' regime check would only repeat on
+    # every rebind
+    bind_drift = spec.batch_drift or spec.drift_map
+    bind_diffusion = spec.batch_diffusion or spec.diffusion_map
 
     def read(X, S):
         """rates(X, S), every total checked against q_bar."""
-        q, rows = rates(X, S)
-        for l, ql in enumerate(q):
-            if ql > q_bar:
-                raise _above_bound(ql, state(S[l]), q_bar)
-        return q, rows
+        q, row_of = rates(X, S)
+        above = q > q_bar
+        if above.any():
+            l = int(above.argmax())
+            raise _above_bound(float(q[l]), state(S[l]), q_bar)
+        return q, row_of
 
-    def row_at(x, s):
+    def rows(x, s):
         """(row, q_s(x)) at one point, as a batch of one."""
-        q, rows = read(x[None], np.array([s]))
-        return rows[0], q[0]
+        q, row_of = read(x[None], np.array([s]))
+        return row_of(0), float(q[0])
 
     stride = config.record_stride
     h = math.inf if config.stop_radius is None else config.stop_radius
@@ -503,7 +556,7 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
             kc = k - c0
             if stale:
                 I = S[:, 0] if coupled else S
-                drift, diffusion = spec.drift_map(I), spec.diffusion_map(I)
+                drift, diffusion = bind_drift(I), bind_diffusion(I)
                 stale = False
             drift_dt = drift(X) * dt
             sig = diffusion(X)
@@ -530,16 +583,16 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
                 u = U[:, kc]
                 cand = (u < gate).nonzero()[0]
                 if cand.size:
-                    q, rows = read(X[cand], S[cand])
-                    for l, ql, row in zip(cand.tolist(), q, rows):
-                        p = ql * dt
-                        if not (p > THINNING_GUARD or u[l] < p):
-                            continue
-                        s = state(S[l])
+                    q, row_of = read(X[cand], S[cand])
+                    p = q * dt
+                    guard = p > THINNING_GUARD
+                    for c in (guard | (u[cand] < p)).nonzero()[0].tolist():
+                        l = cand[c]
+                        s, row, ql = state(S[l]), row_of(c), float(q[c])
                         event, log = streams[live[l]][2].random, trajs[live[l]].jumps
-                        if p > THINNING_GUARD:
+                        if guard[c]:
                             ox = X[l]
-                            s = _subdivide(lambda s: row_at(ox, s), s, row, ql, dt, t, event, log)[0]
+                            s = _subdivide(lambda s: rows(ox, s), s, row, ql, dt, t, event, log)[0]
                         else:
                             j = _select_target(row, event() * ql)
                             log.append((t, s, j))
@@ -795,7 +848,14 @@ def run_ensemble(
 
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    """Columns (t, x_1..x_n, regime); shortest-roundtrip float formatting."""
+    """Columns (t, x_1..x_n, regime); shortest-roundtrip float formatting.
+    times, x_path and regime_path must have one entry per recorded point."""
+    lengths = (len(traj.times), len(traj.x_path), len(traj.regime_path))
+    if len(set(lengths)) > 1:
+        raise ContractError(
+            f"trajectory has {lengths[0]} times, {lengths[1]} states and "
+            f"{lengths[2]} regimes; want one of each per recorded point"
+        )
     n = traj.x_path.shape[1]
     columns = [map(repr, np.asarray(traj.times, dtype=float).tolist())]
     columns += [map(repr, col) for col in np.asarray(traj.x_path, dtype=float).T.tolist()]

@@ -145,6 +145,7 @@ def scan_mg(
     grads = lyap.gradients(points)
     # the grid at radius r is r * unit.X, the product radial_grid itself forms
     unit = radial_grid(spec.dim, [1.0], regimes)
+    sigma_of = spec.diffusion_map(unit.I)  # the regimes stay those of unit
     values = np.zeros(radii.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, r in enumerate(radii):
@@ -152,7 +153,7 @@ def scan_mg(
             at_r = slice(k * n_dirs, (k + 1) * n_dirs)
             gv = np.repeat(gvs[at_r], len(regimes))
             grad = np.repeat(grads[at_r], len(regimes), axis=0)
-            sigma = spec.diffusions(r * unit.X, unit.I)
+            sigma = sigma_of(r * unit.X)
             num = row_norms(np.matmul(grad[:, None, :], sigma)[:, 0, :])
             ratio = np.where(gv == 0.0, np.where(num > 0.0, math.inf, 0.0), num / gv)
             values[k] = _positive_sup(ratio)

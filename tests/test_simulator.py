@@ -456,11 +456,22 @@ class TestBatchedEngine:
     def test_pair_totals_equal_the_per_point_sum(self, kernel):
         # the reference: the coupling's total rate summed one target at a
         # time in ascending order, from per-point rows
+        assert 300 > sd.simulator.FEW_PAIRS
         rng = np.random.default_rng(0)
         X = rng.uniform(-2.0, 2.0, (300, 2))
         S = rng.integers(1, 5, (300, 2))
-        q, _ = sd.simulator._pair_rates(kernel, 2)(X, S)
-        for x, (a, b), total in zip(X, S.tolist(), q):
+        rates = sd.simulator._pair_rates(kernel, 2)
+        q, row_of = rates(X, S)
+        # batches of up to FEW_PAIRS pairs sum in Python, larger ones as
+        # arrays: both must give the same totals and rows
+        few = sd.simulator.FEW_PAIRS
+        for start in range(0, len(S), few):
+            q_few, row_few = rates(X[start : start + few], S[start : start + few])
+            assert q_few.tolist() == q[start : start + few].tolist()
+            assert [row_few(l) for l in range(len(q_few))] == [
+                row_of(start + l) for l in range(len(q_few))
+            ]
+        for x, (a, b), total in zip(X, S.tolist(), q.tolist()):
             rates_a = dict(kernel.row(x, a))
             rates_b = dict(kernel.row(np.zeros(2), b))
             want = 0.0
@@ -707,6 +718,12 @@ class TestEnsembles:
             out = tmp_path / "traj.csv"
             sd.write_trajectory_csv(str(out), traj)
             assert out.read_bytes() == reference(traj)
+        # columns of unequal length are refused, not cut to the shortest
+        for cut in ("times", "x_path", "regime_path"):
+            short = dataclasses.replace(edges, **{cut: getattr(edges, cut)[:-1]})
+            with pytest.raises(sd.ContractError, match="one of each per recorded point"):
+                sd.write_trajectory_csv(str(tmp_path / "short.csv"), short)
+            assert not (tmp_path / "short.csv").exists()
 
     def test_trajectory_csv_roundtrips_exactly(self, tmp_path):
         spec = single_regime_linear(-0.5, s=0.4)
