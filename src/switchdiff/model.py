@@ -12,9 +12,9 @@ reversed inequality are checked together on caller-supplied grids.
 
 Every scan works on a batch of points: X of shape (P, n) with regimes I of
 shape (P,).  A spec built by a scenario family carries batch forms of its
-callables (batch_drift, batch_V, batch_rows, ...); a spec that has only
-per-point callables is evaluated point by point through _per_point, the one
-adapter between the two.
+callables (batch_drift, batch_V, batch_rows, ...), and point_form evaluates
+a batch form at one point; a spec that has only per-point callables is
+evaluated point by point through _per_point, the adapter the other way.
 """
 
 from __future__ import annotations
@@ -117,23 +117,21 @@ class ModelSpec:
 
     drift(x, i) -> (n,), diffusion(x, i) -> (n, d).  zero_fixed asserts that
     the origin is an equilibrium of every regime (b(0,i) = 0, sigma(0,i) = 0).
-    scalar_drift/scalar_diffusion are optional float forms for n = d = 1;
-    they must agree with the array callbacks, and with both set the
-    simulator runs plain paths in its float loop.  scalar_step(i, dt), also
-    optional, returns regime i's Euler map step(x, w) with the regime's
-    constants and dt bound; it must compute x + scalar_drift(x, i) * dt +
-    scalar_diffusion(x, i) * w with the same float operations in the same
-    order.  Without it the float loop derives that map from the two float
-    forms.
     batch_drift(I) and batch_diffusion(I) are optional batch forms, curried
     on the regimes: given regimes I >= 1 of shape (P,) they gather what they
     need of each regime once and return a map X -> (P, n), respectively X ->
-    (P, n, d), that must agree with the callbacks bit for bit.  drift_map
-    and diffusion_map return these maps, or for a spec without batch forms
-    maps derived from the callbacks point by point, after checking that
-    every regime is at least 1.  A caller whose regimes change rarely binds
-    them once per change; the batched simulator binds the batch forms
-    themselves, as its regimes are at least 1 by construction.
+    (P, n, d), that must agree with the callbacks.  The scenario families
+    define each coefficient once, as its batch form, and take the callbacks
+    from it through point_form.  drift_map and diffusion_map return these
+    maps, or for a spec without batch forms maps derived from the callbacks
+    point by point, after checking that every regime is at least 1.  A
+    caller whose regimes change rarely binds them once per change; the
+    batched simulator binds the batch forms themselves, as its regimes are
+    at least 1 by construction.  scalar_step(i, dt), optional for n = d = 1,
+    returns regime i's Euler map step(x, w) = x + b(x, i) dt + sigma(x, i) w
+    on floats; with it the simulator runs plain paths in its float loop.
+    The float forms scalar_drift/scalar_diffusion are read only by
+    bench/tracer.py.
     """
 
     dim: int
@@ -224,8 +222,9 @@ class LyapunovSpec:
     and hess_V are optional (central finite differences otherwise).  c(i)
     gives the drift-condition coefficient for regime i, |c(i)| <= c_bound.
     batch_V, batch_grad_V and batch_hess_V map X of shape (P, n) to shapes
-    (P,), (P, n) and (P, n, n); they are optional and must agree with the
-    per-point callables bit for bit.
+    (P,), (P, n) and (P, n, n); they are optional, and where set the scans
+    read them in place of the per-point callables.  The scenario families
+    define only the batch forms, and take V from batch_V through point_form.
     """
 
     V: Callable[[np.ndarray], float]
@@ -290,6 +289,22 @@ def _per_point(fn: Callable, X: np.ndarray, I: Optional[np.ndarray] = None) -> l
     if I is None:
         return [fn(x) for x in X]
     return [fn(x, i) for x, i in zip(X, I.tolist())]
+
+
+def point_form(batch: Callable, dim: int) -> Callable:
+    """The inverse of _per_point: the per-point view of a batch form,
+    evaluated as a batch of one.  For a form of X alone (batch_V) it is
+    fn(x) = batch(X)[0]; for a form curried on the regimes (batch_drift) it
+    is fn(x, i) = batch([i])(X)[0], which rejects a regime below 1."""
+
+    def fn(x, *i):
+        X = np.asarray(x, dtype=float).reshape(1, dim)
+        if not i:
+            return batch(X)[0]
+        _check_regime(i[0])
+        return batch(np.array(i))(X)[0]
+
+    return fn
 
 
 def row_norms(X: np.ndarray) -> np.ndarray:

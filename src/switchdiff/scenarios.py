@@ -29,6 +29,8 @@ from .model import (
     LyapunovSpec,
     ModelSpec,
     RateKernel,
+    _check_regime,
+    point_form,
     row_norms,
 )
 from .rates import RateProfile, identity_profile, power_profile
@@ -79,14 +81,27 @@ def _norm(x) -> float:
 
 def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
     """base ** exponent element by element with float's own power, as the
-    per-point forms compute it; numpy's vectorized power can differ from it
-    in the last bit."""
+    float loop's Euler maps compute it; numpy's vectorized power can differ
+    from it in the last bit."""
     return np.array([b**exponent for b in base.tolist()]).reshape(base.shape)
 
 
-def _pick(values, i: int) -> float:
-    """Regime lookup with a saturating tail: values[-1] covers i beyond it."""
-    return float(values[min(i, len(values)) - 1])
+def _per_regime(values):
+    """Lookups in a finite per-regime list whose last entry covers every
+    regime beyond it: the saturating tail by which finitely many constants
+    describe countably many regimes.  Returns (at, take): at(i) is regime
+    i's entry and rejects i < 1; take(I) gathers the entries of the regimes
+    I, which must be at least 1, as one array."""
+    stack, last = np.asarray(values), len(values) - 1
+
+    def at(i: int):
+        _check_regime(i)
+        return values[min(i - 1, last)]
+
+    def take(I: np.ndarray) -> np.ndarray:
+        return np.take(stack, I - 1, axis=0, mode="clip")
+
+    return at, take
 
 
 def _optional_float(value) -> Optional[float]:
@@ -121,6 +136,7 @@ def build_kernel(family: str, params: dict) -> RateKernel:
 
         if mod == 0.0:
             def row(x, i):
+                _check_regime(i)
                 if i == 1:
                     return ((2, up),)
                 return ((i - 1, down), (i + 1, up))
@@ -133,6 +149,7 @@ def build_kernel(family: str, params: dict) -> RateKernel:
             )
 
         def row(x, i):
+            _check_regime(i)
             f = 1.0 + mod * math.sin(_norm(x)) ** 2
             if i == 1:
                 return ((2, up * f),)
@@ -156,6 +173,7 @@ def build_kernel(family: str, params: dict) -> RateKernel:
             raise ConfigurationError("kernel.params.scale must be positive")
 
         def row(x, i):
+            _check_regime(i)
             r = scale * (1.0 + math.sin(_norm(x)))
             if i == 1:
                 return ((2, r),)
@@ -270,45 +288,14 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
         if not b or not sigma:
             raise ConfigurationError("model.params: b and sigma must be nonempty")
         two_gamma = 2.0 * gamma
-        nb, ns = len(b), len(sigma)
+        b_at, b_take = _per_regime(b)
+        sigma_at, sigma_take = _per_regime(sigma)
         # for gamma in (0,1) both b x|x|^(2 gamma) and sigma sin^2 x have
         # derivative 0 at the origin: the linear part is exactly zero
         zero = np.zeros((1, 1))
 
-        # inline _pick: these run once per Euler step
-        def scalar_drift(x: float, i: int) -> float:
-            return (b[i - 1] if i < nb else b[-1]) * x * abs(x) ** two_gamma
-
-        def scalar_diffusion(x: float, i: int) -> float:
-            s = math.sin(x)
-            return (sigma[i - 1] if i < ns else sigma[-1]) * s * s
-
-        def scalar_step(i: int, dt: float):
-            # the float loop's Euler map: the two forms above with regime i's
-            # constants and dt bound, the same operations in the same order
-            bi = b[i - 1] if i < nb else b[-1]
-            si = sigma[i - 1] if i < ns else sigma[-1]
-            sin = math.sin
-
-            def step(x: float, w: float) -> float:
-                s = sin(x)
-                return x + bi * x * abs(x) ** two_gamma * dt + si * s * s * w
-
-            return step
-
-        def drift(x, i):
-            return np.array([scalar_drift(float(x[0]), i)])
-
-        def diffusion(x, i):
-            return np.array([[scalar_diffusion(float(x[0]), i)]])
-
-        # the batch forms gather at I - 1 with mode="clip", which saturates
-        # the tail like _pick; regimes start at 1, as ModelSpec.drift_map
-        # and diffusion_map check and the simulator ensures
-        b_arr, sigma_arr = np.array(b), np.array(sigma)
-
         def batch_drift(I):
-            bI = np.take(b_arr, I - 1, mode="clip")
+            bI = b_take(I)
 
             def drift(X):
                 x = X[:, 0]
@@ -317,7 +304,7 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             return drift
 
         def batch_diffusion(I):
-            sI = np.take(sigma_arr, I - 1, mode="clip")
+            sI = sigma_take(I)
 
             def diffusion(X):
                 s = np.sin(X[:, 0])
@@ -325,11 +312,31 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
 
             return diffusion
 
+        def scalar_step(i: int, dt: float):
+            # the float loop's Euler map: the batch forms' operations on
+            # floats, in the same order, with regime i's constants and dt bound
+            bi, si = b_at(i), sigma_at(i)
+            sin = math.sin
+
+            def step(x: float, w: float) -> float:
+                s = sin(x)
+                return x + bi * x * abs(x) ** two_gamma * dt + si * s * s * w
+
+            return step
+
+        # read only by bench/tracer.py, which labels float-loop paths by them
+        def scalar_drift(x: float, i: int) -> float:
+            return b_at(i) * x * abs(x) ** two_gamma
+
+        def scalar_diffusion(x: float, i: int) -> float:
+            s = math.sin(x)
+            return sigma_at(i) * s * s
+
         return ModelSpec(
             dim=1,
             noise_dim=1,
-            drift=drift,
-            diffusion=diffusion,
+            drift=point_form(batch_drift, 1),
+            diffusion=point_form(batch_diffusion, 1),
             rate_kernel=kernel,
             zero_fixed=True,
             scalar_drift=scalar_drift,
@@ -354,7 +361,7 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
                 )
         sig_raw = params.get("sigma_matrices")
         noise_dim = int(params.get("noise_dim", 1))
-        sig_mats = None
+        sig_mats = [[np.zeros((n, n))] * noise_dim]
         if sig_raw is not None:
             sig_mats = [
                 [np.asarray(s, dtype=float) for s in regime] for regime in sig_raw
@@ -367,36 +374,15 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
                         f"of {noise_dim} {n}x{n} matrices"
                     )
 
-        def A(i: int) -> np.ndarray:
-            return mats[min(i, len(mats)) - 1]
-
-        def S(i: int):
-            if sig_mats is None:
-                return [np.zeros((n, n)) for _ in range(noise_dim)]
-            return sig_mats[min(i, len(sig_mats)) - 1]
-
-        def drift(x, i):
-            return A(i) @ x
-
-        def diffusion(x, i):
-            return np.column_stack([m @ x for m in S(i)])
-
-        # stacked per-regime matrices, gathered once per bound map at I >= 1
-        # with mode="clip" to saturate like A and S; batched matmul matches
-        # the per-point products bit for bit
-        a_stack = np.stack(mats)
-        s_stack = (
-            np.zeros((1, noise_dim, n, n))
-            if sig_mats is None
-            else np.stack([np.stack(regime) for regime in sig_mats])
-        )
+        a_at, a_take = _per_regime(mats)
+        s_at, s_take = _per_regime(sig_mats)
 
         def batch_drift(I):
-            a = np.take(a_stack, I - 1, axis=0, mode="clip")
+            a = a_take(I)
             return lambda X: np.matmul(a, X[:, :, None])[:, :, 0]
 
         def batch_diffusion(I):
-            s = np.take(s_stack, I - 1, axis=0, mode="clip")
+            s = s_take(I)
 
             def diffusion(X):
                 cols = np.matmul(s, X[:, None, :, None])[..., 0]
@@ -406,35 +392,32 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
 
         scalar_drift = scalar_diffusion = scalar_step = None
         if n == 1 and noise_dim == 1:
-            # per-regime coefficients as floats, saturating like A and S
-            a1 = [float(m[0, 0]) for m in mats]
-            s1 = [0.0] if sig_mats is None else [float(r[0][0, 0]) for r in sig_mats]
-
-            def scalar_drift(x: float, i: int) -> float:
-                return (a1[i - 1] if i < len(a1) else a1[-1]) * x
-
-            def scalar_diffusion(x: float, i: int) -> float:
-                return (s1[i - 1] if i < len(s1) else s1[-1]) * x
 
             def scalar_step(i: int, dt: float):
-                ai = a1[i - 1] if i < len(a1) else a1[-1]
-                si = s1[i - 1] if i < len(s1) else s1[-1]
+                ai, si = float(a_at(i)[0, 0]), float(s_at(i)[0][0, 0])
 
                 def step(x: float, w: float) -> float:
                     return x + ai * x * dt + si * x * w
 
                 return step
 
+            # read only by bench/tracer.py, as in example51
+            def scalar_drift(x: float, i: int) -> float:
+                return float(a_at(i)[0, 0]) * x
+
+            def scalar_diffusion(x: float, i: int) -> float:
+                return float(s_at(i)[0][0, 0]) * x
+
         return ModelSpec(
             dim=n,
             noise_dim=noise_dim,
-            drift=drift,
-            diffusion=diffusion,
+            drift=point_form(batch_drift, n),
+            diffusion=point_form(batch_diffusion, n),
             rate_kernel=kernel,
             zero_fixed=True,
             scalar_drift=scalar_drift,
             scalar_diffusion=scalar_diffusion,
-            linearization=ExactLinearization(drift_matrix=A, diffusion_matrices=S),
+            linearization=ExactLinearization(drift_matrix=a_at, diffusion_matrices=s_at),
             batch_drift=batch_drift,
             batch_diffusion=batch_diffusion,
             scalar_step=scalar_step,
@@ -455,11 +438,11 @@ def _regime_env(model_cfg: dict) -> tuple[tuple[str, ...], Callable[[int], dict]
     family = model_cfg.get("family")
     params = model_cfg.get("params", {})
     if family == "example51":
-        b = [float(v) for v in params.get("b", [])]
-        sigma = [float(v) for v in params.get("sigma", [])]
+        b_at = _per_regime([float(v) for v in params.get("b", [])])[0]
+        sigma_at = _per_regime([float(v) for v in params.get("sigma", [])])[0]
 
         def env(i: int) -> dict:
-            return {"b": _pick(b, i), "sigma": _pick(sigma, i)}
+            return {"b": b_at(i), "sigma": sigma_at(i)}
 
         return ("b", "sigma"), env
     if family in ("example52", "linear"):
@@ -468,9 +451,10 @@ def _regime_env(model_cfg: dict) -> tuple[tuple[str, ...], Callable[[int], dict]
         for m in mats:
             eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
             lam_pairs.append((float(eigs[0]), float(eigs[-1])))
+        lam_at = _per_regime(lam_pairs)[0]
 
         def env(i: int) -> dict:
-            lo, hi = lam_pairs[min(i, len(lam_pairs)) - 1]
+            lo, hi = lam_at(i)
             return {"lam1": lo, "Lam1": hi}
 
         return ("lam1", "Lam1"), env
@@ -609,9 +593,6 @@ def build_lyapunov(lyap_cfg: dict, model_cfg: dict, dim: int) -> LyapunovSpec:
         raise ConfigurationError("lyapunov.domain_radius must be positive")
 
     if family == "square":
-        V = lambda x: float(np.dot(x, x))
-        grad = lambda x: 2.0 * np.asarray(x, dtype=float)
-        hess = lambda x: 2.0 * np.eye(dim)
         batch_V = lambda X: np.vecdot(X, X)
         batch_grad = lambda X: 2.0 * X
         batch_hess = lambda X: np.broadcast_to(2.0 * np.eye(dim), (len(X), dim, dim))
@@ -620,22 +601,6 @@ def build_lyapunov(lyap_cfg: dict, model_cfg: dict, dim: int) -> LyapunovSpec:
         p = float(_require(lyap_cfg, "p", "lyapunov"))
         if p <= 0:
             raise ConfigurationError("lyapunov.p must be positive")
-
-        def V(x):
-            return float(np.linalg.norm(x) ** p)
-
-        def grad(x):
-            x = np.asarray(x, dtype=float)
-            r = float(np.linalg.norm(x))
-            return p * r ** (p - 2.0) * x
-
-        def hess(x):
-            x = np.asarray(x, dtype=float)
-            r = float(np.linalg.norm(x))
-            eye = np.eye(dim)
-            return p * r ** (p - 2.0) * eye + p * (p - 2.0) * r ** (p - 4.0) * np.outer(
-                x, x
-            )
 
         def batch_V(X):
             return _pow(row_norms(X), p)
@@ -658,13 +623,11 @@ def build_lyapunov(lyap_cfg: dict, model_cfg: dict, dim: int) -> LyapunovSpec:
     profile = build_profile(_require(lyap_cfg, "g", "lyapunov"), default_h=v_at_radius)
     c, bound = build_c(_require(lyap_cfg, "c", "lyapunov"), model_cfg)
     return LyapunovSpec(
-        V=V,
+        V=point_form(batch_V, dim),
         g=profile,
         c=c,
         c_bound=bound,
         domain_radius=radius,
-        grad_V=grad,
-        hess_V=hess,
         batch_V=batch_V,
         batch_grad_V=batch_grad,
         batch_hess_V=batch_hess,

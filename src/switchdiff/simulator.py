@@ -13,12 +13,11 @@ step can move it, and every row read is checked against q_bar.  Without a
 bound, or with q_bar dt above the guard, rates are read every step.  The
 paths are the same either way.  Two integrators run the paths:
 
-- the float loop runs plain paths of models with scalar float forms (n = d
-  = 1, scalar_drift and scalar_diffusion set), one at a time on floats.  A
-  step is one call of its regime's Euler map step(x, w), built once per
-  visited regime by ModelSpec.scalar_step(i, dt) or, for a spec without
-  one, derived from the two float forms; a step whose accept uniform is at
-  least the gate spends one comparison on switching;
+- the float loop runs plain paths of models with an Euler map on floats
+  (n = d = 1, ModelSpec.scalar_step set), one at a time.  A step is one
+  call of its regime's map step(x, w), built once per visited regime by
+  scalar_step(i, dt); a step whose accept uniform is at least the gate
+  spends one comparison on switching;
 - the batched engine runs every other path, vector or coupled.  All live
   paths of a block step together as (P, n) arrays; a single path is a
   batch of one, and run_ensemble passes blocks of PATH_BLOCK paths, so
@@ -187,12 +186,7 @@ def _above_bound(q: float, s, q_bar: float) -> EvaluationError:
 
 
 def _has_float_forms(spec: ModelSpec) -> bool:
-    return (
-        spec.dim == 1
-        and spec.noise_dim == 1
-        and spec.scalar_drift is not None
-        and spec.scalar_diffusion is not None
-    )
+    return spec.dim == 1 and spec.noise_dim == 1 and spec.scalar_step is not None
 
 
 def _start(spec: ModelSpec, config: SimConfig, x0, i0: int):
@@ -208,37 +202,19 @@ def _start(spec: ModelSpec, config: SimConfig, x0, i0: int):
     return x0, int(i0), n_steps
 
 
-def _euler_maps(spec: ModelSpec):
-    """spec.scalar_step, or the same factory derived from the float forms:
-    (i, dt) -> step(x, w) = x + scalar_drift(x, i) * dt +
-    scalar_diffusion(x, i) * w."""
-    if spec.scalar_step is not None:
-        return spec.scalar_step
-    drift, diffusion = spec.scalar_drift, spec.scalar_diffusion
-
-    def scalar_step(i: int, dt: float):
-        def step(x: float, w: float) -> float:
-            return x + drift(x, i) * dt + diffusion(x, i) * w
-
-        return step
-
-    return scalar_step
-
-
 def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
-    """The float loop: one plain path of a model with scalar float forms."""
+    """The float loop: one plain path of a model with an Euler map."""
     x0, s, n_steps = _start(spec, config, x0, i0)
     kernel = spec.rate_kernel
     rng_noise, rng_accept, rng_event = path_streams(config.seed, config.path_index)
     event = rng_event.random
     dt = config.dt
-    make_step = _euler_maps(spec)
     steps: dict = {}  # regime -> its Euler map, built on the first visit
 
     def euler(s):
         step = steps.get(s)
         if step is None:
-            step = steps[s] = make_step(s, dt)
+            step = steps[s] = spec.scalar_step(s, dt)
         return step
 
     sq = math.sqrt(dt)
@@ -643,7 +619,8 @@ def simulate(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
     Per step: Euler-Maruyama update of X with the current regime, then the
     switching decision with rates evaluated at the pre-step state.  Steps
     whose total rate violates the thinning guard are sub-divided.  A model
-    with float forms runs the float loop, any other the batched engine.
+    with an Euler map (scalar_step) runs the float loop, any other the
+    batched engine.
     """
     if _has_float_forms(spec):
         return _float_path(spec, config, x0, i0)
@@ -771,7 +748,7 @@ class EnsembleSummary:
 
 def _ensemble_paths(spec: ModelSpec, config: SimConfig, n_paths: int, x0, i0: int, coupled: bool):
     """Trajectories of paths config.path_index + p, p < n_paths, in index
-    order: plain paths with float forms one at a time through simulate, all
+    order: plain paths with an Euler map one at a time through simulate, all
     others through the batched engine, PATH_BLOCK paths at a time."""
     if not coupled and _has_float_forms(spec):
         for p in range(n_paths):

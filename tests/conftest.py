@@ -77,8 +77,7 @@ def single_regime_linear(a: float, s: float = 0.0) -> sd.ModelSpec:
         diffusion=lambda x, i: s * np.asarray(x, dtype=float).reshape(1, 1),
         rate_kernel=kernel,
         zero_fixed=True,
-        scalar_drift=lambda x, i: a * x,
-        scalar_diffusion=lambda x, i: s * x,
+        scalar_step=lambda i, dt: lambda x, w: x + a * x * dt + s * x * w,
         linearization=sd.ExactLinearization(
             drift_matrix=lambda i: np.array([[a]]),
             diffusion_matrices=lambda i: [np.array([[s]])],

@@ -1,11 +1,12 @@
-"""The batch coefficient protocol against the per-point callables.
+"""The batch coefficient protocol against per-point references.
 
-Every scenario family's batch form must equal its per-point form bit for bit,
-and the batched scans must give what the per-point scans gave, both through
-the families' batch forms and through the per-point adapter.  The reference
-scans below are the per-point loops the batched scans replaced, and the
-per-radius and per-regime loops that the unit-grid scans and the stacked
-eigenvalue calls replaced.
+Every scenario family's batch form must equal the family's closed-form
+coefficient, written out below point by point with the same float
+operations, bit for bit; and the batched scans must give what the
+per-point scans gave, both through the families' batch forms and through
+the per-point adapter.  The reference scans below are the per-point loops
+the batched scans replaced, and the per-radius and per-regime loops that
+the unit-grid scans and the stacked eigenvalue calls replaced.
 """
 
 import dataclasses
@@ -63,15 +64,50 @@ MODELS = {
 }
 
 
+def regime_entry(values, i):
+    """Regime i's entry of a per-regime list whose last entry covers the tail."""
+    return values[min(i, len(values)) - 1]
+
+
+def closed_form_coefficients(model):
+    """Per-point drift and diffusion of a model family, written out with the
+    float operations of its batch forms."""
+    params = model["params"]
+    if model["family"] == "example51":
+        two_gamma = 2.0 * params["gamma"]
+
+        def drift(x, i):
+            x = float(x[0])
+            return [regime_entry(params["b"], i) * x * abs(x) ** two_gamma]
+
+        def diffusion(x, i):
+            s = math.sin(float(x[0]))
+            return [[regime_entry(params["sigma"], i) * s * s]]
+
+        return drift, diffusion
+    mats = [np.array(m, dtype=float) for m in params["matrices"]]
+    zeros = [[np.zeros_like(mats[0])] * params.get("noise_dim", 1)]
+    sigmas = [[np.array(m, dtype=float) for m in r] for r in params.get("sigma_matrices", zeros)]
+
+    def drift(x, i):
+        return regime_entry(mats, i) @ x
+
+    def diffusion(x, i):
+        return np.column_stack([m @ x for m in regime_entry(sigmas, i)])
+
+    return drift, diffusion
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_model_batch_forms_equal_per_point(name):
     dim, model = MODELS[name]
     spec = scenario(model, NO_SWITCHING).model
     assert spec.batch_drift is not None and spec.batch_diffusion is not None
+    drift, diffusion = closed_form_coefficients(model)
     X, I = random_batch(dim)
     pairs = list(zip(X, I.tolist()))
-    assert_bits_equal(spec.drifts(X, I), [spec.drift_at(x, i) for x, i in pairs])
-    assert_bits_equal(spec.diffusions(X, I), [spec.diffusion_at(x, i) for x, i in pairs])
+    assert_bits_equal(spec.drifts(X, I), [drift(x, i) for x, i in pairs])
+    assert_bits_equal(spec.diffusions(X, I), [diffusion(x, i) for x, i in pairs])
 
 
 def test_regimes_below_one_never_reach_the_batch_forms():
@@ -119,6 +155,29 @@ def test_per_point_forms_reject_regimes_below_one():
             call()
 
 
+X51, X52 = np.array([0.5]), np.array([0.3, 0.1])
+FAMILY_CALLABLES = {
+    "example51-scalar_drift": ("example51_stable", lambda m, i: m.scalar_drift(0.5, i)),
+    "example51-scalar_step": ("example51_stable", lambda m, i: m.scalar_step(i, 0.01)),
+    "example51-drift": ("example51_stable", lambda m, i: m.drift(X51, i)),
+    "birth_death-row": ("example51_stable", lambda m, i: m.rate_kernel.row(X51, i)),
+    "example52-drift": ("example52_stable", lambda m, i: m.drift(X52, i)),
+    "example52-drift_matrix": ("example52_stable", lambda m, i: m.linearization.drift_matrix(i)),
+    "example52_q-row": ("example52_stable", lambda m, i: m.rate_kernel.row(X52, i)),
+}
+
+
+@pytest.mark.parametrize("regime", [0, -3])
+@pytest.mark.parametrize("name", sorted(FAMILY_CALLABLES))
+def test_family_callables_reject_regimes_below_one(name, regime):
+    # the families' own callables, called directly: unchecked,
+    # scalar_drift(0.5, 0) on example51_stable returned -0.5 (the last b)
+    # and example52_q's row(x, -3) held target -2
+    preset, call = FAMILY_CALLABLES[name]
+    with pytest.raises(sd.ConfigurationError, match="positive integers"):
+        call(sd.preset(preset).model, regime)
+
+
 @pytest.mark.parametrize("name", sorted(n for n, (dim, _) in MODELS.items() if dim == 1))
 def test_scalar_step_equals_the_float_forms(name):
     # the float loop's per-regime Euler map against x + b dt + sigma w from
@@ -147,17 +206,33 @@ LYAPUNOV = {
 }
 
 
+def closed_form_lyapunov(lyapunov, dim):
+    """(V, grad V, hess V) of a Lyapunov family at one point, written out
+    with the float operations of its batch forms."""
+    if lyapunov["family"] == "square":
+        return (lambda x: float(np.dot(x, x))), (lambda x: 2.0 * x), (lambda x: 2.0 * np.eye(dim))
+    p = float(lyapunov["p"])
+    norm = lambda x: float(np.linalg.norm(x))
+
+    def hess(x):
+        r = norm(x)
+        return p * r ** (p - 2.0) * np.eye(dim) + p * (p - 2.0) * r ** (p - 4.0) * np.outer(x, x)
+
+    return (lambda x: norm(x) ** p), (lambda x: p * norm(x) ** (p - 2.0) * x), hess
+
+
 @pytest.mark.parametrize("name", sorted(LYAPUNOV))
 def test_lyapunov_batch_forms_equal_per_point(name):
     dim, lyapunov = LYAPUNOV[name]
     model = MODELS["linear_1d"][1] if dim == 1 else {
         "family": "linear", "params": {"matrices": M3}}
     lyap = scenario(model, NO_SWITCHING, lyapunov).lyap
+    V, grad, hess = closed_form_lyapunov(lyapunov, dim)
     X, _ = random_batch(dim)
-    assert_bits_equal(lyap.values(X), [lyap.V(x) for x in X])
+    assert_bits_equal(lyap.values(X), [V(x) for x in X])
     away = X[8:]  # the derivatives of power_p are singular at the origin
-    assert_bits_equal(lyap.gradients(away), [lyap.grad_V(x) for x in away])
-    assert_bits_equal(lyap.hessians(away), [lyap.hess_V(x) for x in away])
+    assert_bits_equal(lyap.gradients(away), [grad(x) for x in away])
+    assert_bits_equal(lyap.hessians(away), [hess(x) for x in away])
 
 
 KERNELS = {
@@ -202,22 +277,23 @@ def test_kernel_batch_rows_equal_per_point(name, dim):
 # Reference scans: the per-point loops that the batched scans replaced
 
 
-def reference_Li(spec, lyap, x, i):
-    grad = lyap.grad_V(x) if lyap.grad_V is not None else _fd_gradient(lyap.V, x)
-    hess = lyap.hess_V(x) if lyap.hess_V is not None else _fd_hessian(lyap.V, x)
+def reference_Li(spec, grad, hess, x, i):
     b = spec.drift_at(x, i)
     sig = spec.diffusion_at(x, i)
-    return float(np.asarray(grad) @ b) + 0.5 * float(np.trace(np.asarray(hess) @ (sig @ sig.T)))
+    return float(np.asarray(grad(x)) @ b) + 0.5 * float(
+        np.trace(np.asarray(hess(x)) @ (sig @ sig.T))
+    )
 
 
-def reference_drift_residuals(spec, lyap, grid):
+def reference_drift_residuals(spec, lyap, grad, hess, grid):
     return [
-        reference_Li(spec, lyap, x, i) - float(lyap.c(i)) * float(lyap.g.g(float(lyap.V(x))))
+        reference_Li(spec, grad, hess, x, i)
+        - float(lyap.c(i)) * float(lyap.g.g(float(lyap.V(x))))
         for x, i in grid
     ]
 
 
-def reference_mg(spec, lyap, radii, regimes):
+def reference_mg(spec, lyap, grad_V, radii, regimes):
     dirs = [x for x, _ in sd.radial_grid(spec.dim, [1.0], [1])]
     values = []
     for r in radii:
@@ -225,7 +301,7 @@ def reference_mg(spec, lyap, radii, regimes):
         for d in dirs:
             x = r * d
             gv = float(lyap.g.g(float(lyap.V(x))))
-            grad = lyap.grad_V(x) if lyap.grad_V is not None else _fd_gradient(lyap.V, x)
+            grad = grad_V(x)
             for i in regimes:
                 num = float(np.linalg.norm(np.asarray(grad) @ spec.diffusion_at(x, i)))
                 ratio = math.inf if gv == 0.0 and num > 0.0 else (num / gv if gv else 0.0)
@@ -277,22 +353,25 @@ def per_point_case():
 def test_batched_scans_equal_the_per_point_scans(case):
     if case == "per_point":
         spec, lyap = per_point_case()
+        grad = lambda x: _fd_gradient(lyap.V, x)
+        hess = lambda x: _fd_hessian(lyap.V, x)
     else:
         bundle = sd.preset(case)
         spec, lyap = bundle.model, bundle.lyap
+        _, grad, hess = closed_form_lyapunov(bundle.raw["lyapunov"], spec.dim)
     regimes = range(1, 7)
     radii = np.geomspace(1e-6, lyap.domain_radius, 9)
     grid = sd.radial_grid(spec.dim, radii, regimes)
 
     drift = sd.verify_drift_condition(spec, lyap, grid)
-    want = reference_drift_residuals(spec, lyap, grid)
+    want = reference_drift_residuals(spec, lyap, grad, hess, grid)
     assert_bits_equal(drift.forward.residuals, want)
     assert_bits_equal(drift.reversed.residuals, [-w for w in want])
     assert drift.forward.max_residual == max(want)
     assert [v.residual for v in drift.forward.violations] == [w for w in want if w > DRIFT_TOL]
 
     mg = sd.scan_mg(spec, lyap, radii=radii, regimes=regimes)
-    assert_bits_equal(mg.values_by_radius, reference_mg(spec, lyap, mg.radii, regimes))
+    assert_bits_equal(mg.values_by_radius, reference_mg(spec, lyap, grad, mg.radii, regimes))
 
     kernel = spec.rate_kernel
     ker = sd.scan_kernel_continuity(kernel, spec.dim, radii=radii, regimes=regimes)

@@ -55,10 +55,10 @@ def regime_mix_spec(
     0.8 X dW), so some paths leave |x| < 1.5, and it leaves for 2 at rate
     4|x|^2, which breaks the thinning guard at dt = 0.05 once |x| >
     1/sqrt(2).  Regime 2 contracts and leaves for 1 at rate 1 or for 3 at
-    rate 0.2.  Regime 3 blows up in one step.  In 1-D the model has float
-    forms.  Rates are read at pre-step states, inside the ball, so they stay
-    below 4 * 1.5^2 = 9.  With noise_dim = 2 (2-D only) a second noise
-    column rotates X.
+    rate 0.2.  Regime 3 blows up in one step.  In 1-D the model has an
+    Euler map (scalar_step).  Rates are read at pre-step states, inside the
+    ball, so they stay below 4 * 1.5^2 = 9.  With noise_dim = 2 (2-D only)
+    a second noise column rotates X.
     """
 
     def row(x, i):
@@ -116,9 +116,9 @@ class TestStep:
         assert traj.regime_path[-1] == 1
 
     def test_noise_enters_through_the_diffusion_matrix(self):
-        # both update forms: the float callbacks and the array callbacks with @
+        # both update forms: the Euler map on floats and the array callbacks
         fast = single_regime_linear(-1.0, s=1.0)
-        slow = dataclasses.replace(fast, scalar_drift=None, scalar_diffusion=None)
+        slow = dataclasses.replace(fast, scalar_step=None)
         z = sd.path_streams(3, 0)[0].standard_normal((1, 1))[0, 0]
         for spec in (fast, slow):
             traj = sd.simulate(spec, sd.SimConfig(dt=0.1, horizon=0.1, seed=3), np.array([1.0]), 1)
@@ -195,7 +195,7 @@ class TestSimulatePaths:
         # show in the float loop, nor in the batched engine, for one path or
         # several, plain or coupled
         fast = with_kernel(single_regime_linear(-0.5, s=0.4), two_state_kernel(2.0, 2.0))
-        slow = dataclasses.replace(fast, scalar_drift=None, scalar_diffusion=None)
+        slow = dataclasses.replace(fast, scalar_step=None)
         cfg = sd.SimConfig(dt=0.01, horizon=2.0, seed=13, record_stride=3)
         x0 = np.array([0.3])
 
@@ -213,7 +213,7 @@ class TestSimulatePaths:
 
     def test_scalar_and_vector_engines_agree(self):
         fast = with_kernel(single_regime_linear(-0.5, s=0.4), two_state_kernel(2.0, 2.0))
-        slow = dataclasses.replace(fast, scalar_drift=None, scalar_diffusion=None)
+        slow = dataclasses.replace(fast, scalar_step=None)
         cfg = sd.SimConfig(dt=0.01, horizon=2.0, seed=13)
         a = sd.simulate(fast, cfg, np.array([0.3]), 1)
         b = sd.simulate(slow, cfg, np.array([0.3]), 1)
@@ -247,8 +247,7 @@ class TestSimulatePaths:
             drift=lambda x, i: x**3,
             diffusion=lambda x, i: np.zeros((1, 1)),
             rate_kernel=sd.RateKernel(row=row, global_bound=0.0, x_independent=True),
-            scalar_drift=lambda x, i: x**3,
-            scalar_diffusion=lambda x, i: 0.0,
+            scalar_step=lambda i, dt: lambda x, w: x + x**3 * dt + 0.0 * w,
         )
         traj = sd.simulate(spec, sd.SimConfig(dt=0.5, horizon=10.0), np.array([2.0]), 1)
         assert traj.blew_up
@@ -317,19 +316,6 @@ def grow_or_blow_spec(kernel_kind: str) -> sd.ModelSpec:
 
 
 class TestFloatLoop:
-    @pytest.mark.parametrize("name", ["example51_unstable", "two_state_switching"])
-    def test_family_map_equals_the_derived_map(self, name):
-        # a spec without scalar_step runs the map derived from its two float
-        # forms; the family's own map must give the same paths byte for byte
-        bundle = sd.preset(name)
-        derived = dataclasses.replace(bundle.model, scalar_step=None)
-        cfg = dataclasses.replace(bundle.sim, horizon=min(bundle.sim.horizon, 40.0), record_stride=7)
-        family = paths(bundle.model, cfg, 6, bundle.x0, bundle.i0)
-        for a, b in zip(family, paths(derived, cfg, 6, bundle.x0, bundle.i0)):
-            assert_same_path(a, b)
-        assert all(len(tr.jumps) > 10 for tr in family)
-        assert any(tr.exited for tr in family) == (name == "example51_unstable")
-
     @pytest.mark.parametrize("kernel_kind", ["table", "gated", "every_step"])
     def test_exit_and_blowup_steps(self, kernel_kind):
         # a path that leaves the ball on a step that jumps logs the jump and
@@ -431,10 +417,10 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("with_batch_rows", [True, False], ids=["batch_rows", "per_point"])
     def test_batched_engine_matches_the_float_loop(self, with_batch_rows):
-        # the float loop is the reference: a 1-D model without its float
-        # forms runs through the batched engine, path for path the same
+        # the float loop is the reference: a 1-D model without its Euler map
+        # runs through the batched engine, path for path the same
         fast = regime_mix_spec(1, with_batch_rows)
-        slow = dataclasses.replace(fast, scalar_drift=None, scalar_diffusion=None)
+        slow = dataclasses.replace(fast, scalar_step=None)
         x0 = np.array([0.5])
         batch = paths(slow, MIX_CONFIG, 24, x0, 1)
         for p, traj in enumerate(batch):
