@@ -16,7 +16,9 @@ and the tail of its error output; it is not retried.
 The snapshot also carries an engine_us_per_step block, timed in this process
 on the tree's own src/ (see engine_timings): the benchmark's tracer does not
 see the batched engine, so its per-step figures for vector and coupled paths
-read 0.
+read 0.  It also carries src_lines, the line count of each module of the
+tree's src/switchdiff and their total (see src_lines), the size measure by
+which the roadmap tracks deleted code.
 """
 
 from __future__ import annotations
@@ -114,6 +116,18 @@ def engine_timings(root: str) -> dict:
     }
 
 
+def src_lines(root: str) -> dict:
+    """Lines of each module root/src/switchdiff/*.py, counted as wc -l
+    counts them (newline characters), and their total."""
+    src = os.path.join(root, "src", "switchdiff")
+    modules = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as fh:
+                modules[name] = fh.read().count(b"\n")
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", default=REPO, help="source tree to benchmark")
@@ -132,6 +146,7 @@ def main(argv=None) -> int:
     names = [w["name"] for w in spec["workloads"]]
 
     snapshot: dict = {"seed": args.seed, "seconds": seconds, "fingerprint": None, "workloads": {}}
+    snapshot["src_lines"] = src_lines(args.root)
     # timed first: right after minutes of benchmark load the same cases read
     # up to 1.7x higher on a shared 2-core host
     snapshot["engine_us_per_step"] = engine_timings(args.root)

@@ -71,7 +71,7 @@ class InvariantMeasure:
 def truncate(
     kernel: RateKernel, N: int, mode: str = "lump", x=0.0
 ) -> TruncatedChain:
-    """Build the N x N generator from kernel rows at the reference point.
+    """Build the N x N generator from one batch read of rows 1..N at x.
 
     mode "drop" discards targets beyond N (diagonal repaired; the largest
     discarded row mass is reported as truncation_leak); mode "lump" redirects
@@ -81,13 +81,15 @@ def truncate(
         raise ConfigurationError(f"truncation size must be >= 1, got {N}")
     if mode not in ("drop", "lump"):
         raise ConfigurationError(f"unknown truncation mode {mode!r}")
+    X = np.full((N, np.size(x)), x, dtype=float)
+    targets, rates = kernel.padded_rows(X, np.arange(1, N + 1))
     Q = np.zeros((N, N))
     leak = 0.0
     lumped = False
-    for i in range(1, N + 1):
+    for i, row_t, row_r in zip(range(1, N + 1), targets.tolist(), rates.tolist()):
         out = 0.0
-        for j, r in kernel.check_row(x, i):
-            if r == 0.0:
+        for j, r in zip(row_t, row_r):
+            if r == 0.0:  # also skips the padding
                 continue
             if j <= N:
                 Q[i - 1, j - 1] += r

@@ -10,11 +10,12 @@ from i to j at state-dependent rate q_ij(X(t)).  The operator split is
 with A = sigma sigma^T.  The drift condition L_i V <= c_i g(V) and the
 reversed inequality are checked together on caller-supplied grids.
 
-Every scan works on a batch of points: X of shape (P, n) with regimes I of
-shape (P,).  A spec built by a scenario family carries batch forms of its
+Every reader works on a batch of points: X of shape (P, n) with regimes I
+of shape (P,), through batch forms that each spec completes once, when
+built.  A spec built by a scenario family carries batch forms of its
 callables (batch_drift, batch_V, batch_rows, ...), and point_form evaluates
-a batch form at one point; a spec that has only per-point callables is
-evaluated point by point through _per_point, the adapter the other way.
+a batch form at one point; a spec that has only per-point callables gets
+batch forms derived through _per_point, the adapter the other way.
 """
 
 from __future__ import annotations
@@ -44,21 +45,25 @@ Row = Sequence[tuple[int, float]]
 class RateKernel:
     """Switching-rate table q_ij(x) with finite row support.
 
-    row(x, i) returns the off-diagonal entries ((j, rate), ...) of row i at x;
-    targets must be positive integers distinct from i and rates nonnegative.
-    global_bound, if set, declares a bound on sup_{x,i} q_i(x), up to
-    RATE_BOUND_TOL; a custom_table kernel checks it against every row when
-    built, and ModelSpec.validate spot-checks it.  The simulator thins
-    against it: it reads rows only where an accept uniform falls below the
-    bound's jump probability, and raises EvaluationError for a row it reads
-    above the bound.  x_independent declares that no row depends on x; the
-    simulator's float loop then keeps rows per regime instead of re-reading
-    them every step.  The flag is trusted, not
-    checked: the scenario families set it correctly by construction, but a
-    kernel built in Python that claims it falsely is simulated with stale
-    rates.  Callbacks must accept a length-n array and, when n = 1, a bare
-    float.  batch_rows(X, I), if set, returns the same rows for a batch as
-    padded arrays (see padded_rows).
+    row(x, i) returns the off-diagonal entries ((j, rate), ...) of row i at x:
+    distinct integer targets j >= 1 other than i, finite nonnegative rates.
+    batch_rows(X, I), if set, returns the rows at every (X[p], I[p]) as
+    padded arrays (targets, rates) of shape (P, m), entry by entry in row
+    order; target 0 with rate 0 pads a short row.  Built, the kernel
+    completes rows: batch_rows, or without it a form derived from row, read
+    when called, that checks every entry.  rows is not a field, so
+    dataclasses.replace rebuilds it.  global_bound, if set, declares a bound
+    on sup_{x,i} q_i(x), up to RATE_BOUND_TOL; a custom_table kernel checks
+    it against every row when built, and ModelSpec.validate spot-checks it.
+    The simulator thins against it: it reads rows only where an accept
+    uniform falls below the bound's jump probability, and raises
+    EvaluationError for a row it reads above the bound.  x_independent
+    declares that no row depends on x; the simulator's float loop then keeps
+    rows per regime instead of re-reading them every step.  The flag is
+    trusted, not checked: the scenario families set it correctly by
+    construction, but a kernel built in Python that claims it falsely is
+    simulated with stale rates.  Callbacks must accept a length-n array and,
+    when n = 1, a bare float.
     """
 
     row: Callable[[np.ndarray, int], Row]
@@ -66,41 +71,40 @@ class RateKernel:
     x_independent: bool = False
     batch_rows: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
 
-    def check_row(self, x, i: int) -> Row:
-        """Row with structural validation; used by scans, not hot loops."""
-        _check_regime(i)
-        entries = tuple(self.row(x, i))
-        for j, r in entries:
-            if j == i or j < 1 or j != int(j):
-                raise EvaluationError(f"row {i} has invalid target {j}")
-            if not (r >= 0.0 and math.isfinite(r)):
-                raise EvaluationError(f"row {i} has invalid rate {r} toward {j}")
-        return entries
+    def __post_init__(self) -> None:
+        self.rows = self.batch_rows or self._rows_from_row
+
+    def _rows_from_row(self, X: np.ndarray, I: np.ndarray) -> tuple:
+        """batch_rows derived from row point by point.  Targets are checked
+        here, where a fractional or repeated one still shows."""
+        rows = [tuple(self.row(x, i)) for x, i in zip(X, I.tolist())]
+        width = max(map(len, rows), default=0)
+        targets = np.zeros((len(rows), width), dtype=np.int64)
+        rates = np.zeros((len(rows), width))
+        for p, (row, i) in enumerate(zip(rows, I.tolist())):
+            for k, (j, r) in enumerate(row):
+                if j < 1 or j != int(j) or j in targets[p, :k]:
+                    raise EvaluationError(f"row {i} has invalid target {j}")
+                targets[p, k], rates[p, k] = j, r
+        _check_entries(targets, rates, I)
+        return targets, rates
 
     def padded_rows(self, X: np.ndarray, I: np.ndarray) -> tuple:
-        """Rows at every (X[p], I[p]) as arrays (targets, rates) of shape
-        (P, m), entry by entry in row order; target 0 with rate 0 pads a row
-        shorter than m.  Rows are validated like check_row."""
+        """rows(X, I), checked: every regime is at least 1, no target equals
+        its regime or is below 1 with a nonzero rate, every rate is finite
+        and nonnegative."""
         _check_regimes(I)
-        if self.batch_rows is None:
-            rows = _per_point(self.check_row, X, I)
-            width = max(map(len, rows), default=0)
-            targets = np.zeros((len(rows), width), dtype=np.int64)
-            rates = np.zeros((len(rows), width))
-            for p, row in enumerate(rows):
-                for k, (j, r) in enumerate(row):
-                    targets[p, k] = j
-                    rates[p, k] = r
-            return targets, rates
-        targets, rates = self.batch_rows(X, I)
-        bad = (targets == I[:, None]) | ((targets < 1) & (rates != 0.0))
-        bad |= ~(rates >= 0.0) | ~np.isfinite(rates)
-        if bad.any():
-            p, k = np.argwhere(bad)[0]
-            raise EvaluationError(
-                f"row {I[p]} has invalid entry ({targets[p, k]}, {rates[p, k]})"
-            )
+        targets, rates = self.rows(X, I)
+        _check_entries(targets, rates, I)
         return targets, rates
+
+
+def _check_entries(targets: np.ndarray, rates: np.ndarray, I: np.ndarray) -> None:
+    bad = (targets == I[:, None]) | ((targets < 1) & (rates != 0.0))
+    bad |= ~(rates >= 0.0) | ~np.isfinite(rates)
+    if bad.any():
+        p, k = np.argwhere(bad)[0]
+        raise EvaluationError(f"row {I[p]} has invalid entry ({targets[p, k]}, {rates[p, k]})")
 
 
 @dataclass
@@ -122,16 +126,17 @@ class ModelSpec:
     need of each regime once and return a map X -> (P, n), respectively X ->
     (P, n, d), that must agree with the callbacks.  The scenario families
     define each coefficient once, as its batch form, and take the callbacks
-    from it through point_form.  drift_map and diffusion_map return these
-    maps, or for a spec without batch forms maps derived from the callbacks
-    point by point, after checking that every regime is at least 1.  A
-    caller whose regimes change rarely binds them once per change; the
-    batched simulator binds the batch forms themselves, as its regimes are
-    at least 1 by construction.  scalar_step(i, dt), optional for n = d = 1,
-    returns regime i's Euler map step(x, w) = x + b(x, i) dt + sigma(x, i) w
-    on floats; with it the simulator runs plain paths in its float loop.
-    The float forms scalar_drift/scalar_diffusion are read only by
-    bench/tracer.py.
+    from it through point_form.  Built, the spec completes drift_of and
+    diffusion_of: the batch forms, or without them forms derived from the
+    callbacks, read when called, that check each value's shape.  They are
+    not fields, so dataclasses.replace rebuilds them.  Readers call drifts
+    and diffusions, which also check that every regime is at least 1; the
+    batched simulator binds drift_of and diffusion_of once per change of
+    its regimes, which are at least 1.  scalar_step(i, dt), optional for
+    n = d = 1, returns regime i's Euler map step(x, w) = x + b(x, i) dt +
+    sigma(x, i) w on floats; with it the simulator runs plain paths in its
+    float loop.  The float forms scalar_drift/scalar_diffusion are read only
+    by bench/tracer.py.
     """
 
     dim: int
@@ -150,68 +155,63 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.dim < 1 or self.noise_dim < 1:
             raise ConfigurationError("dim and noise_dim must be >= 1")
+        self.drift_of = self.batch_drift or self._per_point_form("drift", (self.dim,))
+        self.diffusion_of = self.batch_diffusion or self._per_point_form(
+            "diffusion", (self.dim, self.noise_dim)
+        )
 
-    def drift_map(self, I: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """X -> b(X[p], I[p]) for every p, shape (P, n), the regimes I bound.
-        The derived map of a spec without batch_drift reads I when called."""
-        _check_regimes(I)
-        if self.batch_drift is not None:
-            return self.batch_drift(I)
-        shape = (len(I), self.dim)
-        return lambda X: np.array(_per_point(self.drift_at, X, I), dtype=float).reshape(shape)
+    def _per_point_form(self, name: str, shape: tuple) -> Callable:
+        """The curried batch form of the callback self.<name> through
+        _per_point; every value must have the given shape."""
 
-    def diffusion_map(self, I: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """X -> sigma(X[p], I[p]) for every p, shape (P, n, d), the regimes
-        I bound, like drift_map."""
-        _check_regimes(I)
-        if self.batch_diffusion is not None:
-            return self.batch_diffusion(I)
-        shape = (len(I), self.dim, self.noise_dim)
-        return lambda X: np.array(_per_point(self.diffusion_at, X, I), dtype=float).reshape(shape)
+        def at(x, i):
+            value = np.asarray(getattr(self, name)(np.asarray(x, dtype=float), i), dtype=float)
+            if value.shape != shape:
+                raise EvaluationError(f"{name} returned shape {value.shape}, want {shape}")
+            return value
+
+        return lambda I: lambda X: _per_point(at, X, shape, I)
 
     def drifts(self, X: np.ndarray, I: np.ndarray) -> np.ndarray:
         """b(X[p], I[p]) for every p, shape (P, n)."""
-        return self.drift_map(I)(X)
+        _check_regimes(I)
+        return self.drift_of(I)(X)
 
     def diffusions(self, X: np.ndarray, I: np.ndarray) -> np.ndarray:
         """sigma(X[p], I[p]) for every p, shape (P, n, d)."""
-        return self.diffusion_map(I)(X)
-
-    def drift_at(self, x, i: int) -> np.ndarray:
-        _check_regime(i)
-        b = np.asarray(self.drift(np.asarray(x, dtype=float), i), dtype=float)
-        if b.shape != (self.dim,):
-            raise EvaluationError(f"drift returned shape {b.shape}, want ({self.dim},)")
-        return b
-
-    def diffusion_at(self, x, i: int) -> np.ndarray:
-        _check_regime(i)
-        s = np.asarray(self.diffusion(np.asarray(x, dtype=float), i), dtype=float)
-        if s.shape != (self.dim, self.noise_dim):
-            raise EvaluationError(
-                f"diffusion returned shape {s.shape}, want ({self.dim}, {self.noise_dim})"
-            )
-        return s
+        _check_regimes(I)
+        return self.diffusion_of(I)(X)
 
     def validate(self, regimes: Iterable[int] = range(1, 6), radius: float = 0.5) -> None:
-        """Spot-check standing assumptions: equilibrium at 0, finite values,
-        nonnegative rates, zero row sums of the extended generator."""
-        zero = np.zeros(self.dim)
-        for i in regimes:
-            if self.zero_fixed:
-                if np.max(np.abs(self.drift_at(zero, i))) > 1e-12:
-                    raise EvaluationError(f"drift(0, {i}) != 0 but zero_fixed is set")
-                if np.max(np.abs(self.diffusion_at(zero, i))) > 1e-12:
-                    raise EvaluationError(f"diffusion(0, {i}) != 0 but zero_fixed is set")
-            x = np.full(self.dim, radius / math.sqrt(self.dim))
-            if not np.all(np.isfinite(self.drift_at(x, i))):
-                raise EvaluationError(f"drift non-finite at |x|={radius}, regime {i}")
-            if not np.all(np.isfinite(self.diffusion_at(x, i))):
-                raise EvaluationError(f"diffusion non-finite at |x|={radius}, regime {i}")
-            row = self.rate_kernel.check_row(x, i)
-            if self.rate_kernel.global_bound is not None:
-                if sum(r for _, r in row) > self.rate_kernel.global_bound + RATE_BOUND_TOL:
-                    raise EvaluationError(f"row {i} exceeds declared global bound")
+        """Spot-check standing assumptions in the given regimes with one
+        batch read of each coefficient and of the rows: the equilibrium at 0
+        if zero_fixed, and finite coefficients and valid rows within the
+        declared global bound at |x| = radius."""
+        regimes = np.asarray(list(regimes), dtype=np.int64)
+        k = regimes.size
+        x = np.full(self.dim, radius / math.sqrt(self.dim))
+        points = [x, np.zeros(self.dim)] if self.zero_fixed else [x]
+        X = np.repeat(np.array(points), k, axis=0)  # k rows at x, then k at 0
+        I = np.tile(regimes, len(points))
+        for name, v in (("drift", self.drifts(X, I)), ("diffusion", self.diffusions(X, I))):
+            axes = tuple(range(1, v.ndim))
+            moved = np.abs(v[k:]).max(axis=axes, initial=0.0) > 1e-12
+            if moved.any():
+                raise EvaluationError(
+                    f"{name}(0, {regimes[moved.argmax()]}) != 0 but zero_fixed is set"
+                )
+            bad = ~np.isfinite(v[:k]).all(axis=axes)
+            if bad.any():
+                raise EvaluationError(
+                    f"{name} non-finite at |x|={radius}, regime {regimes[bad.argmax()]}"
+                )
+        _, rates = self.rate_kernel.padded_rows(X[:k], regimes)
+        bound = self.rate_kernel.global_bound
+        if bound is not None:
+            over = rates.sum(axis=1) > bound + RATE_BOUND_TOL
+            if over.any():
+                i = regimes[over.argmax()]
+                raise EvaluationError(f"row {i} exceeds declared global bound")
 
 
 @dataclass
@@ -222,8 +222,9 @@ class LyapunovSpec:
     and hess_V are optional (central finite differences otherwise).  c(i)
     gives the drift-condition coefficient for regime i, |c(i)| <= c_bound.
     batch_V, batch_grad_V and batch_hess_V map X of shape (P, n) to shapes
-    (P,), (P, n) and (P, n, n); they are optional, and where set the scans
-    read them in place of the per-point callables.  The scenario families
+    (P,), (P, n) and (P, n, n); they are optional.  Built, the spec
+    completes values, gradients and hessians, like ModelSpec: the batch
+    forms, or forms derived from V, grad_V and hess_V.  The scenario families
     define only the batch forms, and take V from batch_V through point_form.
     """
 
@@ -238,26 +239,18 @@ class LyapunovSpec:
     batch_grad_V: Optional[Callable[[np.ndarray], np.ndarray]] = None
     batch_hess_V: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def values(self, X: np.ndarray) -> np.ndarray:
-        """V(X[p]) for every p, shape (P,)."""
-        if self.batch_V is not None:
-            return self.batch_V(X)
-        return np.array(_per_point(self.V, X), dtype=float).reshape(len(X))
+    def __post_init__(self) -> None:
+        self.values = self.batch_V or (lambda X: _per_point(self.V, X, ()))
+        self.gradients = self.batch_grad_V or (lambda X: _per_point(self._grad, X, X.shape[1:]))
+        self.hessians = self.batch_hess_V or (
+            lambda X: _per_point(self._hess, X, X.shape[1:] + X.shape[1:])
+        )
 
-    def gradients(self, X: np.ndarray) -> np.ndarray:
-        """grad V(X[p]) for every p, shape (P, n)."""
-        if self.batch_grad_V is not None:
-            return self.batch_grad_V(X)
-        grad = self.grad_V or (lambda x: _fd_gradient(self.V, x))
-        return np.array(_per_point(grad, X), dtype=float).reshape(X.shape)
+    def _grad(self, x: np.ndarray) -> np.ndarray:
+        return _fd_gradient(self.V, x) if self.grad_V is None else self.grad_V(x)
 
-    def hessians(self, X: np.ndarray) -> np.ndarray:
-        """hess V(X[p]) for every p, shape (P, n, n)."""
-        if self.batch_hess_V is not None:
-            return self.batch_hess_V(X)
-        hess = self.hess_V or (lambda x: _fd_hessian(self.V, x))
-        out = np.array(_per_point(hess, X), dtype=float)
-        return out.reshape(X.shape + X.shape[1:])
+    def _hess(self, x: np.ndarray) -> np.ndarray:
+        return _fd_hessian(self.V, x) if self.hess_V is None else self.hess_V(x)
 
     def c_vector(self, n: int) -> np.ndarray:
         return np.array([float(self.c(i)) for i in range(1, n + 1)])
@@ -268,27 +261,27 @@ class LyapunovSpec:
         sample_radii: Sequence[float] = (1e-3, 1e-1),
         regimes: Iterable[int] = range(1, 50),
     ) -> None:
-        """Spot-check V(0) = 0, V > 0 at the sample radii, and |c_i| <=
-        c_bound in the given regimes."""
-        zero = np.zeros(dim)
-        v0 = float(self.V(zero))
+        """Spot-check V(0) = 0 and V > 0 at the sample radii, in one batch
+        read of V, and |c_i| <= c_bound in the given regimes."""
+        radii = np.array([0.0, *sample_radii])
+        X = np.repeat(radii[:, None] / math.sqrt(dim), dim, axis=1)
+        v0, *away = self.values(X).tolist()
         if abs(v0) > 1e-14:
             raise EvaluationError(f"V(0) = {v0}, expected 0")
-        for r in sample_radii:
-            x = np.full(dim, r / math.sqrt(dim))
-            if not float(self.V(x)) > 0.0:
+        for r, v in zip(sample_radii, away):
+            if not v > 0.0:
                 raise EvaluationError(f"V not positive at |x| = {r}")
         for i in regimes:
             if abs(float(self.c(i))) > self.c_bound + 1e-12:
                 raise EvaluationError(f"|c({i})| exceeds c_bound = {self.c_bound}")
 
 
-def _per_point(fn: Callable, X: np.ndarray, I: Optional[np.ndarray] = None) -> list:
-    """[fn(X[p], I[p]) for every p], or [fn(X[p])] without I: the adapter
-    that evaluates a callable taking one point on a batch of points."""
-    if I is None:
-        return [fn(x) for x in X]
-    return [fn(x, i) for x, i in zip(X, I.tolist())]
+def _per_point(fn: Callable, X: np.ndarray, shape: tuple, I=None) -> np.ndarray:
+    """fn(X[p], I[p]) for every p, or fn(X[p]) without I, as one array of
+    shape (P,) + shape: the adapter that evaluates a callable taking one
+    point on a batch of points."""
+    values = [fn(x) for x in X] if I is None else [fn(x, i) for x, i in zip(X, I.tolist())]
+    return np.array(values, dtype=float).reshape((len(X),) + shape)
 
 
 def point_form(batch: Callable, dim: int) -> Callable:
@@ -369,7 +362,6 @@ def generator_Li(spec: ModelSpec, lyap: LyapunovSpec, X: np.ndarray, I: np.ndarr
     `grad @ b` and `hess @ A` bit for bit; an elementwise (G * B).sum(1)
     would not.
     """
-    _check_regimes(I)
     grad = lyap.gradients(X)
     hess = lyap.hessians(X)
     b = spec.drifts(X, I)
@@ -400,16 +392,19 @@ def apply_full_generator(
     derivative data), so it agrees with apply_generator_Li exactly when the
     Lyapunov spec also lacks analytic derivatives.
     """
-    x = np.asarray(x, dtype=float).reshape(spec.dim)
+    X, I = np.asarray(x, dtype=float).reshape(1, spec.dim), np.array([i])
+    x = X[0]
     fi = lambda y: float(f(y, i))
     grad = _fd_gradient(fi, x)
     hess = _fd_hessian(fi, x)
-    b = spec.drift_at(x, i)
-    sig = spec.diffusion_at(x, i)
+    b = spec.drifts(X, I)[0]
+    sig = spec.diffusions(X, I)[0]
     val = float(grad @ b) + 0.5 * float(np.trace(hess @ (sig @ sig.T)))
     here = float(f(x, i))
-    for j, r in spec.rate_kernel.check_row(x, i):
-        val += r * (float(f(x, j)) - here)
+    targets, rates = spec.rate_kernel.padded_rows(X, I)
+    for j, r in zip(targets[0].tolist(), rates[0].tolist()):
+        if j >= 1:  # target 0 pads the row
+            val += r * (float(f(x, j)) - here)
     if not math.isfinite(val):
         raise EvaluationError(f"L f non-finite at x={x}, i={i}")
     return val

@@ -104,6 +104,18 @@ def _per_regime(values):
     return at, take
 
 
+def _positive_int(value, what: str) -> int:
+    """value, a number or a string of one, as an integer >= 1 (a regime or a
+    count); anything else raises ConfigurationError(f"{what} {value!r}")."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not (number >= 1.0 and number.is_integer()):
+        raise ConfigurationError(f"{what} {value!r}")
+    return int(number)
+
+
 def _optional_float(value) -> Optional[float]:
     return None if value is None else float(value)
 
@@ -196,6 +208,7 @@ def build_kernel(family: str, params: dict) -> RateKernel:
             raise ConfigurationError("kernel.params: rates must be nonnegative")
 
         def row(x, i):
+            _check_regime(i)
             if i == 1:
                 return ((2, q12),)
             if i == 2:
@@ -218,17 +231,19 @@ def build_kernel(family: str, params: dict) -> RateKernel:
         raw = _require(params, "rows", "kernel.params")
         table = {}
         for key, entries in raw.items():
-            i = int(key)
-            parsed = tuple(sorted((int(j), float(r)) for j, r in entries))
-            for j, r in parsed:
+            where = f"kernel.params.rows[{key}]"
+            i = _positive_int(key, f"{where}: invalid regime")
+            if i in table:
+                raise ConfigurationError(f"{where}: regime {i} is listed twice")
+            target = f"{where}: invalid target"
+            parsed = tuple(sorted((_positive_int(j, target), float(r)) for j, r in entries))
+            for k, (j, r) in enumerate(parsed):
                 if r < 0:
-                    raise ConfigurationError(
-                        f"kernel.params.rows[{key}]: negative rate {r}"
-                    )
-                if j == i or j < 1:
-                    raise ConfigurationError(
-                        f"kernel.params.rows[{key}]: invalid target {j}"
-                    )
+                    raise ConfigurationError(f"{where}: negative rate {r}")
+                if not math.isfinite(r):
+                    raise ConfigurationError(f"{where}: non-finite rate {r}")
+                if j == i or (k > 0 and j == parsed[k - 1][0]):
+                    raise ConfigurationError(f"{where}: invalid target {j}")
             table[i] = parsed
         declared = params.get("global_bound", "auto")
         if declared == "auto":
@@ -248,6 +263,7 @@ def build_kernel(family: str, params: dict) -> RateKernel:
                     )
 
         def row(x, i):
+            _check_regime(i)
             return table.get(i, ())
 
         width = max(map(len, table.values()), default=0)
@@ -534,10 +550,7 @@ def build_c(c_cfg: dict, model_cfg: dict):
         bound = float(c_cfg.get("bound", max(abs(v) for v in values + [tail])))
         _check_c_bound(values + [tail], bound)
 
-        def c(i: int) -> float:
-            return values[i - 1] if i <= len(values) else tail
-
-        return c, bound
+        return _per_regime(values + [tail])[0], bound
     if kind == "expr":
         text = _require(c_cfg, "expr", "lyapunov.c")
         bound = float(_require(c_cfg, "bound", "lyapunov.c"))
@@ -694,19 +707,15 @@ def parse_scenario(doc: dict, sha: Optional[str] = None) -> ScenarioBundle:
     # build_c has checked c against its bound wherever c can be evaluated
     lyap.validate(model.dim, regimes=())
 
-    N = int(chain_cfg.get("N", 30))
+    N = _positive_int(chain_cfg.get("N", 30), "chain.N must be >= 1, got")
     mode = str(chain_cfg.get("mode", "lump"))
-    if N < 1:
-        raise ConfigurationError("chain.N must be >= 1")
     if mode not in ("lump", "drop"):
         raise ConfigurationError(f"chain.mode must be lump or drop, got {mode!r}")
 
     x0 = np.asarray(sim_cfg.pop("x0", [0.0] * model.dim), dtype=float).reshape(-1)
     if x0.shape != (model.dim,):
         raise ConfigurationError(f"sim.x0 has shape {x0.shape}, want ({model.dim},)")
-    i0 = int(sim_cfg.pop("i0", 1))
-    if i0 < 1:
-        raise ConfigurationError("sim.i0 must be a positive regime index")
+    i0 = _positive_int(sim_cfg.pop("i0", 1), "sim.i0 must be a positive regime index, got")
     scheme = sim_cfg.get("switch_scheme", "per_step_thinning")
     if scheme != "per_step_thinning":
         raise ConfigurationError(
@@ -721,18 +730,17 @@ def parse_scenario(doc: dict, sha: Optional[str] = None) -> ScenarioBundle:
         stop_radius=_optional_float(sim_cfg.get("stop_radius")),
         record_stride=int(sim_cfg.get("record_stride", 1)),
     )
+    bad_count = "mc path counts must be >= 1, got"
     mc = McSettings(
-        n_paths=int(mc_cfg.get("n_paths", 1000)),
+        n_paths=_positive_int(mc_cfg.get("n_paths", 1000), bad_count),
         epsilon=float(mc_cfg.get("epsilon", 0.25)),
         delta_sweep=[float(v) for v in mc_cfg.get("delta_sweep", [0.05, 0.03, 0.02])],
-        rate_paths=int(mc_cfg.get("rate_paths", 300)),
+        rate_paths=_positive_int(mc_cfg.get("rate_paths", 300), bad_count),
         rate_horizon=_optional_float(mc_cfg.get("rate_horizon")),
         rate_T0=_optional_float(mc_cfg.get("rate_T0")),
     )
     if not (0.0 < mc.epsilon < 1.0):
         raise ConfigurationError("mc.epsilon must be in (0, 1)")
-    if mc.n_paths < 1 or mc.rate_paths < 1:
-        raise ConfigurationError("mc path counts must be >= 1")
     return ScenarioBundle(
         name=name,
         model=model,

@@ -22,17 +22,16 @@ paths are the same either way.  Two integrators run the paths:
   paths of a block step together as (P, n) arrays; a single path is a
   batch of one, and run_ensemble passes blocks of PATH_BLOCK paths, so
   memory does not grow with the path count.  The Euler step calls the
-  drift and diffusion maps of the model's batch forms (or, without them,
-  of ModelSpec.drift_map/diffusion_map), bound to the block's regimes and
-  rebound only after a step where some path jumped or sub-divided, or
-  after paths left the block.  With one noise column
-  the noise is sigma * w + 0.0, which equals matmul's one-term sum bit for
-  bit.  Each chunk of accept uniforms marks its hot steps, where some path
-  is a candidate, and only those steps screen the paths.  The candidates'
-  rates come from one call of the kernel's batch_rows (padded_rows without
-  one) and are totalled as arrays; a row becomes a Python list only for a
-  path that moves.  Up to FEW_PAIRS coupled pairs are summed along their
-  rows in Python instead, which costs less at that size.
+  model's completed batch forms ModelSpec.drift_of/diffusion_of, bound to
+  the block's regimes and rebound only after a step where some path
+  jumped or sub-divided, or after paths left the block.  With one noise
+  column the noise is sigma * w + 0.0, which equals matmul's one-term sum
+  bit for bit.  Each chunk of accept uniforms marks its hot steps, where
+  some path is a candidate, and only those steps screen the paths.  The
+  candidates' rates come from one call of the kernel's completed batch
+  form RateKernel.rows and are totalled as arrays; a row becomes a Python
+  list only for a path that moves.  Up to FEW_PAIRS coupled pairs are
+  summed along their rows in Python instead, which costs less at that size.
 
 Each path owns three named substreams derived from (seed, path_index):
 noise and accept uniforms are drawn in chunks of STREAM_CHUNK steps as the
@@ -323,12 +322,11 @@ def _row_totals(rates: np.ndarray) -> np.ndarray:
 
 def _regime_rates(kernel: RateKernel):
     """Switching rates of alpha alone: (X, I) -> (q, row_of), where q[l] is
-    the total rate of path l and row_of(l) its row [(j, rate), ...].  Rows
-    come from the kernel's batch form, or from padded_rows without one."""
-    rows = kernel.batch_rows or kernel.padded_rows
+    the total rate of path l and row_of(l) its row [(j, rate), ...], from
+    the kernel's completed batch form."""
 
     def rates(X, I):
-        targets, r = rows(X, I)
+        targets, r = kernel.rows(X, I)
 
         def row_of(l):
             return [(j, v) for j, v in zip(targets[l].tolist(), r[l].tolist()) if j >= 1]
@@ -376,7 +374,6 @@ def _pair_rates(kernel: RateKernel, dim: int):
     alpha_hat's shared targets add zeros, which leave a sum of nonnegative
     rates unchanged, so both give the same totals bit for bit.
     """
-    rows = kernel.batch_rows or kernel.padded_rows
     frozen_t = np.zeros((1, 0), dtype=np.int64)  # line b: alpha_hat's row b at 0
     frozen_r = np.zeros((1, 0))
     known = np.zeros(1, dtype=bool)  # regimes whose row is in the table
@@ -388,12 +385,12 @@ def _pair_rates(kernel: RateKernel, dim: int):
             size = max(len(known), int(B.max()) + 1)
             known = np.pad(known, (0, size - len(known)))
             new = np.unique(B[~known[B]])
-            t, r = rows(np.zeros((new.size, dim)), new)
+            t, r = kernel.rows(np.zeros((new.size, dim)), new)
             grow = ((0, size - len(frozen_t)), (0, max(t.shape[1] - frozen_t.shape[1], 0)))
             frozen_t, frozen_r = np.pad(frozen_t, grow), np.pad(frozen_r, grow)
             frozen_t[new, : t.shape[1]], frozen_r[new, : t.shape[1]] = t, r
             known[new] = True
-        ta, ra = rows(X, S[:, 0])
+        ta, ra = kernel.rows(X, S[:, 0])
         tb, rb = frozen_t[B], frozen_r[B]
         if len(S) <= FEW_PAIRS:
             built = [
@@ -440,9 +437,9 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
     records pairs and logs pair jumps.
     """
     x0, i0, n_steps = _start(spec, config, x0, i0)
-    # validated first evaluation catches shape bugs early
-    spec.drift_at(x0, i0)
-    spec.diffusion_at(x0, i0)
+    # a checked first evaluation, a batch of one, catches shape bugs early
+    spec.drifts(x0[None], np.array([i0]))
+    spec.diffusions(x0[None], np.array([i0]))
     dt = config.dt
     sq = math.sqrt(dt)
     streams = [path_streams(config.seed, config.path_index + p) for p in range(n_paths)]
@@ -451,12 +448,6 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
     q_bar, gate = _thinning_bound(kernel, dt, coupled)
     state = (lambda v: tuple(v.tolist())) if coupled else int
     one_noise = spec.noise_dim == 1
-    # the batch forms themselves where a spec has them, as for the kernel's
-    # rows: the engine's regimes are >= 1 (_start checks i0, and rows carry
-    # targets >= 1 only), so the maps' regime check would only repeat on
-    # every rebind
-    bind_drift = spec.batch_drift or spec.drift_map
-    bind_diffusion = spec.batch_diffusion or spec.diffusion_map
 
     def read(X, S):
         """rates(X, S), every total checked against q_bar."""
@@ -531,8 +522,10 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
         for k in range(c0, c0 + m):
             kc = k - c0
             if stale:
+                # the completed forms, unchecked, like the kernel's rows:
+                # regimes are >= 1 (_start checks i0, rows hold targets >= 1)
                 I = S[:, 0] if coupled else S
-                drift, diffusion = bind_drift(I), bind_diffusion(I)
+                drift, diffusion = spec.drift_of(I), spec.diffusion_of(I)
                 stale = False
             drift_dt = drift(X) * dt
             sig = diffusion(X)

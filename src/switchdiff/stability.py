@@ -145,7 +145,7 @@ def scan_mg(
     grads = lyap.gradients(points)
     # the grid at radius r is r * unit.X, the product radial_grid itself forms
     unit = radial_grid(spec.dim, [1.0], regimes)
-    sigma_of = spec.diffusion_map(unit.I)  # the regimes stay those of unit
+    sigma_of = spec.diffusion_of(unit.I)  # the regimes stay those of unit
     values = np.zeros(radii.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, r in enumerate(radii):
@@ -475,13 +475,13 @@ def linearize(
             else:
                 s_mats[i] = [np.zeros((n, n)) for _ in range(d)]
         else:
-            b_mats[i] = _fd_jacobian(lambda y, ii=i: spec.drift_at(y, ii), n)
-            cols = []
-            for k in range(d):
-                cols.append(
-                    _fd_jacobian(lambda y, ii=i, kk=k: spec.diffusion_at(y, ii)[:, kk], n)
-                )
-            s_mats[i] = cols
+            # central differences, each evaluation a batch of one
+            one = np.array([i])
+            b_mats[i] = _fd_jacobian(lambda y: spec.drifts(y[None], one)[0], n)
+            s_mats[i] = [
+                _fd_jacobian(lambda y, k=k: spec.diffusions(y[None], one)[0, :, k], n)
+                for k in range(d)
+            ]
         if b_mats[i].shape != (n, n):
             raise ConfigurationError(f"drift matrix for regime {i} has shape {b_mats[i].shape}")
         if len(s_mats[i]) != d:

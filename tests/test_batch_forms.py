@@ -130,40 +130,51 @@ def test_regimes_below_one_never_reach_the_batch_forms():
 
 def test_per_point_forms_reject_regimes_below_one():
     # the per-point forms read per-regime constants at i - 1 too: unchecked,
-    # drift_at(x, 0) on example52_stable returned the last matrix's product
+    # the drift at (x, 0) on example52_stable was the last matrix's product
     bundle = sd.preset("example52_stable")
     spec, x = bundle.model, np.array([0.3, 0.1])
     kernel, X = spec.rate_kernel, x[None]
     per_point = dataclasses.replace(spec, batch_drift=None, batch_diffusion=None)
     rows_per_point = dataclasses.replace(kernel, batch_rows=None)
-    np.testing.assert_allclose(spec.drift_at(x, 1), [-1.7, -0.6])
+    np.testing.assert_allclose(spec.drifts(X, np.array([1]))[0], [-1.7, -0.6])
     calls = [
-        lambda: spec.drift_at(x, 0),
-        lambda: spec.diffusion_at(x, -1),
-        lambda: spec.drift_map(np.array([1, 0])),
-        lambda: spec.diffusion_map(np.array([0])),
         lambda: spec.drifts(X, np.array([0])),
+        lambda: spec.diffusions(X, np.array([-1])),
+        lambda: spec.drifts(np.repeat(X, 2, axis=0), np.array([1, 0])),
         lambda: spec.diffusions(X, np.array([-2])),
-        lambda: per_point.drift_map(np.array([0])),
+        lambda: per_point.drifts(X, np.array([0])),
         lambda: per_point.diffusions(X, np.array([0])),
-        lambda: kernel.check_row(x, 0),
+        lambda: per_point.drift_of(np.array([0]))(X),
         lambda: kernel.padded_rows(X, np.array([0])),
         lambda: rows_per_point.padded_rows(X, np.array([-1])),
+        lambda: rows_per_point.rows(X, np.array([0])),
     ]
     for call in calls:
         with pytest.raises(sd.ConfigurationError, match="positive integers"):
             call()
 
 
+def c_table_bundle():
+    c = {"kind": "table", "values": [-1.0, -2.0], "tail": -3.0}
+    lyapunov = {"family": "square", "g": {"kind": "identity"}, "c": c}
+    return scenario(MODELS["example51"][1], NO_SWITCHING, lyapunov)
+
+
 X51, X52 = np.array([0.5]), np.array([0.3, 0.1])
+E51, E52 = (lambda: sd.preset("example51_stable")), (lambda: sd.preset("example52_stable"))
 FAMILY_CALLABLES = {
-    "example51-scalar_drift": ("example51_stable", lambda m, i: m.scalar_drift(0.5, i)),
-    "example51-scalar_step": ("example51_stable", lambda m, i: m.scalar_step(i, 0.01)),
-    "example51-drift": ("example51_stable", lambda m, i: m.drift(X51, i)),
-    "birth_death-row": ("example51_stable", lambda m, i: m.rate_kernel.row(X51, i)),
-    "example52-drift": ("example52_stable", lambda m, i: m.drift(X52, i)),
-    "example52-drift_matrix": ("example52_stable", lambda m, i: m.linearization.drift_matrix(i)),
-    "example52_q-row": ("example52_stable", lambda m, i: m.rate_kernel.row(X52, i)),
+    "example51-scalar_drift": (E51, lambda b, i: b.model.scalar_drift(0.5, i)),
+    "example51-scalar_step": (E51, lambda b, i: b.model.scalar_step(i, 0.01)),
+    "example51-drift": (E51, lambda b, i: b.model.drift(X51, i)),
+    "birth_death-row": (E51, lambda b, i: b.model.rate_kernel.row(X51, i)),
+    "example52-drift": (E52, lambda b, i: b.model.drift(X52, i)),
+    "example52-drift_matrix": (E52, lambda b, i: b.model.linearization.drift_matrix(i)),
+    "example52_q-row": (E52, lambda b, i: b.model.rate_kernel.row(X52, i)),
+    "two_state-row": (
+        lambda: sd.preset("two_state_switching"), lambda b, i: b.model.rate_kernel.row(X51, i)),
+    "custom_table-row": (
+        lambda: sd.preset("contraction_benchmark"), lambda b, i: b.model.rate_kernel.row(X51, i)),
+    "c-table": (c_table_bundle, lambda b, i: b.lyap.c(i)),
 }
 
 
@@ -171,11 +182,18 @@ FAMILY_CALLABLES = {
 @pytest.mark.parametrize("name", sorted(FAMILY_CALLABLES))
 def test_family_callables_reject_regimes_below_one(name, regime):
     # the families' own callables, called directly: unchecked,
-    # scalar_drift(0.5, 0) on example51_stable returned -0.5 (the last b)
-    # and example52_q's row(x, -3) held target -2
-    preset, call = FAMILY_CALLABLES[name]
+    # scalar_drift(0.5, 0) on example51_stable returned -0.5 (the last b),
+    # example52_q's row(x, -3) held target -2, the two_state and
+    # custom_table rows were empty at regime 0, and a table c returned its
+    # tail at 0 and values[-2] at -1
+    bundle, call = FAMILY_CALLABLES[name]
     with pytest.raises(sd.ConfigurationError, match="positive integers"):
-        call(sd.preset(preset).model, regime)
+        call(bundle(), regime)
+
+
+def test_c_table_reads_its_values_then_the_tail():
+    c = c_table_bundle().lyap.c
+    assert [c(i) for i in range(1, 6)] == [-1.0, -2.0, -3.0, -3.0, -3.0]
 
 
 @pytest.mark.parametrize("name", sorted(n for n, (dim, _) in MODELS.items() if dim == 1))
@@ -274,12 +292,111 @@ def test_kernel_batch_rows_equal_per_point(name, dim):
 
 
 # ---------------------------------------------------------------------------
+# Completion: every spec reads through batch forms, derived once when built
+
+
+def test_replace_rebuilds_the_completed_forms():
+    spec = single_regime_linear(-1.0, s=0.5)
+    X, I = np.array([[0.4], [-2.0]]), np.array([1, 1])
+    doubled = dataclasses.replace(spec, drift=lambda x, i: 2.0 * x)
+    assert_bits_equal(doubled.drifts(X, I), 2.0 * X)
+    assert_bits_equal(spec.drifts(X, I), -1.0 * X)
+    kernel = two_state_kernel(1.0, 2.0)
+    moved = dataclasses.replace(kernel, row=lambda x, i: ((i + 2, 0.5),))
+    targets, rates = moved.padded_rows(X, I)
+    assert (targets.tolist(), rates.tolist()) == ([[3], [3]], [[0.5], [0.5]])
+    # dropping a batch form falls back to the callbacks, and back again
+    bundle = sd.preset("example52_stable")
+    family = bundle.model.rate_kernel
+    per_point = dataclasses.replace(family, batch_rows=None)
+    assert per_point.rows != family.rows
+    assert dataclasses.replace(per_point, batch_rows=family.batch_rows).rows == family.batch_rows
+
+
+def test_derived_forms_read_the_callbacks_when_called():
+    # bench/tracer.py swaps the callbacks of a built spec for counting ones
+    spec = single_regime_linear(-1.0)
+    kernel = spec.rate_kernel
+    X, I = np.array([[0.5]]), np.array([1])
+    spec.drift = lambda x, i: np.array([7.0])
+    spec.diffusion = lambda x, i: np.array([[3.0]])
+    kernel.row = lambda x, i: ((2, 0.25),)
+    assert spec.drifts(X, I).tolist() == [[7.0]]
+    assert spec.diffusions(X, I).tolist() == [[[3.0]]]
+    assert kernel.padded_rows(X, I)[1].tolist() == [[0.25]]
+    lyap = square_lyapunov(c=-1.0, c_bound=1.0)
+    lyap.V = lambda x: 5.0
+    lyap.grad_V = None
+    assert lyap.values(X).tolist() == [5.0]
+    assert lyap.gradients(X).tolist() == [[0.0]]  # finite differences of the new V
+
+
+def test_wrong_shapes_of_a_per_point_spec_raise_through_the_batch_reads():
+    spec = sd.ModelSpec(
+        dim=2,
+        noise_dim=1,
+        drift=lambda x, i: np.zeros(3),
+        diffusion=lambda x, i: np.zeros((2, 2)),
+        rate_kernel=two_state_kernel(1.0, 1.0),
+    )
+    X, I = np.zeros((2, 2)), np.array([1, 2])
+    with pytest.raises(sd.EvaluationError, match=r"drift returned shape \(3,\), want \(2,\)"):
+        spec.drifts(X, I)
+    with pytest.raises(sd.EvaluationError, match=r"want \(2, 1\)"):
+        spec.diffusions(X, I)
+    with pytest.raises(sd.EvaluationError, match="drift returned shape"):
+        spec.validate()
+
+
+def counting_spec(bundle, calls):
+    """bundle's model with its batch forms wrapped to log each call."""
+    spec, kernel = bundle.model, bundle.model.rate_kernel
+
+    def counted(name, form):
+        def wrapper(*args):
+            calls.append(name)
+            return form(*args)
+
+        return wrapper
+
+    rows = counted("rows", kernel.batch_rows)
+    return dataclasses.replace(
+        spec,
+        batch_drift=counted("drift", spec.batch_drift),
+        batch_diffusion=counted("diffusion", spec.batch_diffusion),
+        rate_kernel=dataclasses.replace(kernel, batch_rows=rows),
+    )
+
+
+@pytest.mark.parametrize("name", ["example51_stable", "example52_stable"])
+def test_validate_reads_each_coefficient_and_the_rows_once(name):
+    # the validation made 4 batch-of-one coefficient reads and a row read
+    # per regime, 25 reads for the default five regimes
+    calls = []
+    spec = counting_spec(sd.preset(name), calls)
+    spec.validate()
+    assert sorted(calls) == ["diffusion", "drift", "rows"]
+    # and still finds what the per-regime checks found
+    moving = dataclasses.replace(spec, drift=lambda x, i: np.ones(spec.dim), batch_drift=None)
+    with pytest.raises(sd.EvaluationError, match=r"drift\(0, 1\) != 0"):
+        moving.validate()
+    over = dataclasses.replace(spec.rate_kernel, global_bound=0.1)
+    with pytest.raises(sd.EvaluationError, match="row 1 exceeds declared global bound"):
+        dataclasses.replace(spec, rate_kernel=over).validate()
+
+
+# ---------------------------------------------------------------------------
 # Reference scans: the per-point loops that the batched scans replaced
 
 
+def one_point(x, i):
+    """(X, I) of the batch of one at (x, i)."""
+    return np.asarray(x, dtype=float)[None], np.array([i])
+
+
 def reference_Li(spec, grad, hess, x, i):
-    b = spec.drift_at(x, i)
-    sig = spec.diffusion_at(x, i)
+    b = spec.drifts(*one_point(x, i))[0]
+    sig = spec.diffusions(*one_point(x, i))[0]
     return float(np.asarray(grad(x)) @ b) + 0.5 * float(
         np.trace(np.asarray(hess(x)) @ (sig @ sig.T))
     )
@@ -303,22 +420,29 @@ def reference_mg(spec, lyap, grad_V, radii, regimes):
             gv = float(lyap.g.g(float(lyap.V(x))))
             grad = grad_V(x)
             for i in regimes:
-                num = float(np.linalg.norm(np.asarray(grad) @ spec.diffusion_at(x, i)))
+                sig = spec.diffusions(*one_point(x, i))[0]
+                num = float(np.linalg.norm(np.asarray(grad) @ sig))
                 ratio = math.inf if gv == 0.0 and num > 0.0 else (num / gv if gv else 0.0)
                 worst = max(worst, ratio)
         values.append(worst)
     return values
 
 
+def row_at(kernel, x, i):
+    """Row i at x as {target: rate}, read as a batch of one."""
+    targets, rates = kernel.padded_rows(*one_point(x, i))
+    return {j: r for j, r in zip(targets[0].tolist(), rates[0].tolist()) if j >= 1}
+
+
 def reference_kernel_scan(kernel, dim, radii, regimes):
     dirs = [x for x, _ in sd.radial_grid(dim, [1.0], [1])]
-    base = {i: dict(kernel.check_row(np.zeros(dim), i)) for i in regimes}
+    base = {i: row_at(kernel, np.zeros(dim), i) for i in regimes}
     s = []
     for r in radii:
         worst = 0.0
         for d in dirs:
             for i in regimes:
-                here = dict(kernel.check_row(r * d, i))
+                here = row_at(kernel, r * d, i)
                 total = 0.0
                 for j in set(here) | set(base[i]):
                     total += abs(here.get(j, 0.0) - base[i].get(j, 0.0))

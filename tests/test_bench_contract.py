@@ -1,9 +1,11 @@
-"""The benchmark's tracer against the package as it stands.
+"""The benchmark's tracer and snapshot script against the package as it stands.
 
 bench/tracer.py wraps public functions of the package and reads fields of
 every parsed scenario, the float forms among them, to label float-loop
 paths.  A change to the package that breaks a traced run fails here, not
-only when the benchmark runs.  The tracer is loaded from its file, as is.
+only when the benchmark runs.  The tracer is loaded from its file, as is;
+so is scripts/bench_snapshot.py, whose line count of the package must match
+a plain count of its modules.
 """
 
 import importlib.util
@@ -31,3 +33,18 @@ def test_traced_round_completes_and_times_the_float_loop(tmp_path):
         codes = [cli.main(argv + ["--out", str(tmp_path / argv[0])]) for argv in runs]
     assert codes == [0, 0]
     assert bench.layer_metrics(tracer)["simulator.scalar_us_per_step"] > 0
+
+
+def test_snapshot_counts_the_source_lines():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_snapshot.py")
+    spec = importlib.util.spec_from_file_location("bench_snapshot", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    src = os.path.join(root, "src", "switchdiff")
+    counted = snapshot.src_lines(root)
+    want = {}
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name)) as fh:
+            want[name] = len(fh.readlines())
+    assert counted == {"modules": want, "total": sum(want.values())}

@@ -1,5 +1,7 @@
 """Truncated regime chains: invariant mass, mixing diagnostics, Poisson solves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,78 @@ class TestTruncate:
             sd.truncate(doubling_kernel(), 0)
         with pytest.raises(sd.ConfigurationError):
             sd.truncate(doubling_kernel(), 3, mode="middle")
+
+
+def reference_truncate(kernel, N, mode):
+    """The per-row loop that truncate's one batch read replaced: one row
+    call per regime at the origin, the same float sums in the same order."""
+    Q = np.zeros((N, N))
+    leak, lumped = 0.0, False
+    for i in range(1, N + 1):
+        out = 0.0
+        for j, r in kernel.row(0.0, i):
+            if r == 0.0:
+                continue
+            if j <= N:
+                Q[i - 1, j - 1] += r
+            elif mode == "lump":
+                lumped = True
+                if i != N:
+                    Q[i - 1, N - 1] += r
+            else:
+                out += r
+        leak = max(leak, out)
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return Q, leak, lumped
+
+
+# rows with targets at N = 4 and beyond it, interleaved, and zero rates;
+# 0.1 + 0.2 + 0.3 sums to 0.6000000000000001 in this order and to 0.6 in
+# the reverse one, so a lumped or dropped mass shows the order of the sum
+EDGE_ROWS = {
+    "1": [[2, 0.5], [4, 0.1], [5, 0.2], [6, 0.3]],
+    "2": [[1, 0.0], [3, 1.1], [7, 0.1]],
+    "3": [[1, 0.4], [5, 0.1], [7, 0.2], [9, 0.3], [2, 0.0]],
+    "4": [[5, 0.1], [6, 0.2], [3, 0.3], [1, 0.1]],
+    "5": [[4, 1.0]],
+}
+
+# a per-point kernel's rows, in no particular target order
+UNSORTED_ROWS = {
+    1: ((5, 0.1), (2, 0.5), (6, 0.2), (3, 0.0), (4, 0.3)),
+    2: ((4, 0.2), (6, 0.09), (1, 0.3)),
+    3: ((7, 0.1), (9, 0.2), (1, 0.0), (8, 0.3)),
+    4: ((3, 0.6), (8, 0.2), (2, 0.1)),
+}
+
+
+class TestTruncateBatchRead:
+    @pytest.mark.parametrize("mode", ["lump", "drop"])
+    @pytest.mark.parametrize("case", ["custom_table", "per_point_table", "per_point", "birth_death"])
+    def test_equals_the_per_row_loop_bit_for_bit(self, case, mode):
+        table = sd.build_kernel("custom_table", {"rows": EDGE_ROWS})
+        kernel = {
+            "custom_table": table,
+            "per_point_table": dataclasses.replace(table, batch_rows=None),
+            "per_point": sd.RateKernel(row=lambda x, i: UNSORTED_ROWS[i]),
+            "birth_death": sd.build_kernel("birth_death", {"up": 0.3, "down": 0.7}),
+        }[case]
+        chain = sd.truncate(kernel, 4, mode=mode)
+        Q, leak, lumped = reference_truncate(kernel, 4, mode)
+        np.testing.assert_array_equal(chain.Q.view(np.uint64), Q.view(np.uint64))
+        assert (chain.truncation_leak, chain.lumped_tail) == (leak, lumped)
+
+    def test_reads_the_rows_in_one_batch(self):
+        calls = []
+
+        def counting(X, I):
+            calls.append(I.tolist())
+            return table.batch_rows(X, I)
+
+        table = sd.build_kernel("custom_table", {"rows": EDGE_ROWS})
+        sd.truncate(dataclasses.replace(table, batch_rows=counting), 4)
+        assert calls == [[1, 2, 3, 4]]
 
 
 class TestInvariantMeasure:

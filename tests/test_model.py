@@ -113,7 +113,8 @@ class TestFullGenerator:
 class TestRateKernelRows:
     def test_valid_row_passes(self):
         kernel = two_state_kernel(1.0, 2.0)
-        assert kernel.check_row(np.zeros(1), 1) == ((2, 1.0),)
+        targets, rates = kernel.padded_rows(np.zeros((1, 1)), np.array([1]))
+        assert (targets.tolist(), rates.tolist()) == ([[2]], [[1.0]])
 
     @pytest.mark.parametrize(
         "row",
@@ -123,12 +124,14 @@ class TestRateKernelRows:
             ((2.5, 0.5),),  # fractional target
             ((2, -0.1),),  # negative rate
             ((2, float("nan")),),  # non-finite rate
+            ((2, 0.5), (2, 0.25)),  # repeated target
+            ((0, 0.0),),  # a padding-like entry
         ],
     )
     def test_invalid_rows_are_rejected(self, row):
         kernel = sd.RateKernel(row=lambda x, i: row, global_bound=None)
         with pytest.raises(sd.EvaluationError):
-            kernel.check_row(np.zeros(1), 1)
+            kernel.padded_rows(np.zeros((1, 1)), np.array([1]))
 
 
 class TestSpecValidation:
@@ -150,8 +153,8 @@ class TestSpecValidation:
             diffusion=lambda x, i: np.zeros((2, 1)),
             rate_kernel=two_state_kernel(1.0, 1.0),
         )
-        with pytest.raises(sd.EvaluationError):
-            spec.drift_at(np.zeros(2), 1)
+        with pytest.raises(sd.EvaluationError, match=r"drift returned shape \(3,\), want \(2,\)"):
+            spec.drifts(np.zeros((1, 2)), np.array([1]))
 
     def test_validate_flags_moving_origin(self):
         spec = sd.ModelSpec(

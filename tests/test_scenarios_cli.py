@@ -233,6 +233,8 @@ BAD_DOCS = [
         "missing required key 'bound'",
     ),
     ("chain_n_zero", lambda d: d["chain"].update(N=0), "chain.N must be >= 1"),
+    # int() took 2.5 as 2
+    ("chain_n_fractional", lambda d: d["chain"].update(N=2.5), "chain.N must be >= 1, got 2.5"),
     (
         "chain_bad_mode",
         lambda d: d["chain"].update(mode="middle"),
@@ -240,6 +242,7 @@ BAD_DOCS = [
     ),
     ("x0_wrong_shape", lambda d: d["sim"].update(x0=[0.1, 0.2]), "sim.x0 has shape"),
     ("i0_zero", lambda d: d["sim"].update(i0=0), "i0 must be a positive regime"),
+    ("i0_fractional", lambda d: d["sim"].update(i0=1.5), "i0 must be a positive regime"),
     (
         "switch_scheme_not_thinning",
         lambda d: d["sim"].update(switch_scheme="exponential_proposals"),
@@ -256,6 +259,7 @@ BAD_DOCS = [
         r"epsilon must be in \(0, 1\)",
     ),
     ("no_paths", lambda d: d["mc"].update(n_paths=0), "path counts must be >= 1"),
+    ("fractional_paths", lambda d: d["mc"].update(rate_paths=2.5), "path counts must be >= 1"),
     (
         # regime 7 lies beyond the regimes ModelSpec.validate spot-checks
         "global_bound_understated_in_a_far_row",
@@ -301,6 +305,35 @@ class TestParseValidation:
             sd.build_kernel("custom_table", {"rows": {"3": [[3, 1.0]]}})
         with pytest.raises(ConfigurationError, match="invalid target"):
             sd.build_kernel("custom_table", {"rows": {"2": [[0, 1.0]]}})
+
+    @pytest.mark.parametrize(
+        "rows,match",
+        [
+            # a row for regime 0 lifted the auto global_bound from 1.0 to 5.0
+            ({"1": [[2, 1.0]], "2": [[1, 1.0]], "0": [[1, 5.0]]}, r"rows\[0\]: invalid regime '0'"),
+            ({"1": [[2, 1.0]], "-2": [[1, 1.0]]}, "invalid regime '-2'"),
+            ({"1.5": [[2, 1.0]]}, "invalid regime '1.5'"),
+            ({"one": [[2, 1.0]]}, "invalid regime 'one'"),
+            ({"1": [[2, 1.0]], "01": [[3, 1.0]]}, "regime 1 is listed twice"),
+            # the target 2.7 became 2
+            ({"1": [[2.7, 1.0]], "2": [[1, 1.0]]}, r"rows\[1\]: invalid target 2.7"),
+            ({"1": [["two", 1.0]], "2": [[1, 1.0]]}, "invalid target 'two'"),
+            # the pair (1, 2) totalled 4.0 in the coupling's per-pair rows
+            # and 5.0 in its array totals
+            ({"1": [[2, 1.0], [2, 3.0]], "2": [[1, 1.0]]}, r"rows\[1\]: invalid target 2"),
+            # a NaN rate beyond the regimes validate reads made the auto
+            # global_bound 0.5 or nan, by the order of the keys
+            ({"7": [[8, math.nan]], "1": [[2, 0.5]], "2": [[1, 0.5]]}, "non-finite rate nan"),
+            ({"1": [[2, math.inf]], "2": [[1, 0.5]]}, "non-finite rate inf"),
+        ],
+    )
+    def test_custom_table_rejects_bad_regimes_and_targets(self, rows, match):
+        with pytest.raises(ConfigurationError, match=match):
+            sc.parse_scenario(small_doc(rows=rows))
+
+    def test_custom_table_takes_integral_numbers_as_regimes(self):
+        kernel = sd.build_kernel("custom_table", {"rows": {"1": [[2.0, 1.0]], "2": [["1", 0.5]]}})
+        assert (kernel.row(0.0, 1), kernel.row(0.0, 2)) == (((2, 1.0),), ((1, 0.5),))
 
     def test_power_lyapunov_requires_positive_exponent(self):
         doc = doc_of("example51_stable")
