@@ -22,6 +22,7 @@ import os
 import platform
 import sys
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -85,15 +86,6 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _provenance(seed: int) -> dict:
-    return {
-        "seed": seed,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
-
-
 def _resolve_scenario(ref: str) -> ScenarioBundle:
     if os.path.exists(ref):
         return load_scenario(ref)
@@ -104,32 +96,6 @@ def _resolve_scenario(ref: str) -> ScenarioBundle:
         f"scenario {ref!r} is neither a file nor a bundled preset "
         f"(presets: {', '.join(names)})"
     )
-
-
-def _apply_sim_overrides(config, args):
-    kwargs = {}
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "dt", None) is not None:
-        kwargs["dt"] = args.dt
-    if getattr(args, "horizon", None) is not None:
-        kwargs["horizon"] = args.horizon
-    return replace(config, **kwargs) if kwargs else config
-
-
-def _resolve_paths(value, default: int) -> int:
-    """Apply a --paths override, rejecting non-positive counts up front."""
-    n_paths = default if value is None else value
-    if n_paths < 1:
-        raise ConfigurationError(f"--paths must be >= 1, got {n_paths}")
-    return n_paths
-
-
-def _check_truncation_flag(args) -> None:
-    if args.truncation is not None and args.truncation < 1:
-        raise ConfigurationError(
-            f"--truncation must be >= 1, got {args.truncation}"
-        )
 
 
 def _drift_dict(view, is_reversed: bool) -> dict:
@@ -233,119 +199,80 @@ def _analyze_core(bundle: ScenarioBundle, truncation_override, report: dict, evi
     report["overall_basis"] = basis
 
 
-def cmd_analyze(args) -> int:
-    bundle = _resolve_scenario(args.scenario)
-    _check_truncation_flag(args)
-    config = _apply_sim_overrides(bundle.sim, args)
-    out_dir = args.out or bundle.outputs
-    report = {
-        "scenario": bundle.name,
-        "scenario_sha256": bundle.sha256,
-        "provenance": _provenance(config.seed),
-    }
+def cmd_analyze(bundle: ScenarioBundle, config, flags: dict, out_dir: str, report: dict) -> list:
     evidence: dict = {}
-    os.makedirs(out_dir, exist_ok=True)
     try:
-        _analyze_core(bundle, args.truncation, report, evidence)
-    except SwitchDiffError as exc:
-        report["partial"] = True
-        report["error"] = str(exc)
+        _analyze_core(bundle, flags.get("truncation"), report, evidence)
+    finally:
+        # the measure is written whenever it was computed, also when a later stage failed
         if "nu" in evidence:
             write_measure_csv(os.path.join(out_dir, "measure.csv"), evidence["nu"])
-        _write_json(os.path.join(out_dir, "report.json"), report)
-        print(f"analyze: pipeline stopped early: {exc}", file=sys.stderr)
-        return 3
-    write_measure_csv(os.path.join(out_dir, "measure.csv"), evidence["nu"])
-    _write_json(os.path.join(out_dir, "report.json"), report)
-    for entry in report["criteria"]:
-        print(f"{entry['theorem']}: {entry['verdict']}")
-    print(f"proposition41: {report['proposition41']['verdict']}")
-    print(f"overall: {report['overall_verdict']}")
-    return 0
+    lines = [f"{entry['theorem']}: {entry['verdict']}" for entry in report["criteria"]]
+    return lines + [
+        f"proposition41: {report['proposition41']['verdict']}",
+        f"overall: {report['overall_verdict']}",
+    ]
 
 
-def cmd_simulate(args) -> int:
-    bundle = _resolve_scenario(args.scenario)
-    config = _apply_sim_overrides(bundle.sim, args)
-    n_paths = _resolve_paths(args.paths, bundle.mc.n_paths)
-    out_dir = args.out or bundle.outputs
-    model, lyap = bundle.model, bundle.lyap
+def cmd_simulate(bundle: ScenarioBundle, config, flags: dict, out_dir: str, doc: dict) -> list:
+    lyap = bundle.lyap
     functionals = [
         StayInBall(h=lyap.domain_radius),
         ConvergesToZero(tol=0.01 * lyap.domain_radius),
         Occupation(1),
     ]
-    doc = {
-        "scenario": bundle.name,
-        "scenario_sha256": bundle.sha256,
-        "provenance": _provenance(config.seed),
-        "config": {
-            "dt": config.dt,
-            "horizon": config.horizon,
-            "stop_radius": config.stop_radius,
-            "record_stride": config.record_stride,
-            "x0": [float(v) for v in bundle.x0],
-            "i0": bundle.i0,
-        },
-        "n_paths": n_paths,
+    doc["config"] = {
+        "dt": config.dt,
+        "horizon": config.horizon,
+        "stop_radius": config.stop_radius,
+        "record_stride": config.record_stride,
+        "x0": [float(v) for v in bundle.x0],
+        "i0": bundle.i0,
     }
+    doc["n_paths"] = flags["paths"]
 
     def write_path0(traj) -> None:
         # paths run in index order, so the first one to finish is path 0
         if "trajectory_csv" not in doc:
-            os.makedirs(out_dir, exist_ok=True)
             write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
             doc["trajectory_csv"] = "trajectory.csv"
 
-    try:
-        summary, _ = run_ensemble(
-            model, lyap, config, n_paths, functionals, bundle.x0, bundle.i0,
-            collect=write_path0,
-        )
-        doc["results"] = [
-            {
-                "functional": f.name,
-                "estimate": f.estimate,
-                "ci_low": f.ci_low,
-                "ci_high": f.ci_high,
-                "n_paths": summary.n_paths,
-                "n_blowups": summary.n_blowups,
-                "n_exited": summary.n_exited,
-                "seed": summary.seed,
-            }
-            for f in summary.functionals
-        ]
-    except SwitchDiffError as exc:
-        doc["partial"] = True
-        doc["error"] = str(exc)
-        _write_json(os.path.join(out_dir, "ensemble.json"), doc)
-        print(f"simulate: pipeline stopped early: {exc}", file=sys.stderr)
-        return 3
-    _write_json(os.path.join(out_dir, "ensemble.json"), doc)
-    for f in summary.functionals:
-        print(f"{f.name}: {f.estimate:.4f}  ci=[{f.ci_low:.4f}, {f.ci_high:.4f}]")
-    print(f"blow-ups: {summary.n_blowups}  exits: {summary.n_exited}")
-    return 0
+    summary, _ = run_ensemble(
+        bundle.model, lyap, config, flags["paths"], functionals, bundle.x0, bundle.i0,
+        collect=write_path0,
+    )
+    doc["results"] = [
+        {
+            "functional": f.name,
+            "estimate": f.estimate,
+            "ci_low": f.ci_low,
+            "ci_high": f.ci_high,
+            "n_paths": summary.n_paths,
+            "n_blowups": summary.n_blowups,
+            "n_exited": summary.n_exited,
+            "seed": summary.seed,
+        }
+        for f in summary.functionals
+    ]
+    lines = [
+        f"{f.name}: {f.estimate:.4f}  ci=[{f.ci_low:.4f}, {f.ci_high:.4f}]"
+        for f in summary.functionals
+    ]
+    return lines + [f"blow-ups: {summary.n_blowups}  exits: {summary.n_exited}"]
 
 
-def cmd_verify_rate(args) -> int:
-    bundle = _resolve_scenario(args.scenario)
-    _check_truncation_flag(args)
-    config = _apply_sim_overrides(bundle.sim, args)
-    if args.horizon is None and bundle.mc.rate_horizon is not None:
-        config = replace(config, horizon=bundle.mc.rate_horizon)
-    n_paths = _resolve_paths(args.paths, bundle.mc.rate_paths)
+def cmd_verify_rate(bundle: ScenarioBundle, config, flags: dict, out_dir: str, doc: dict) -> list:
+    n_paths = flags["paths"]
     T0 = bundle.mc.rate_T0 if bundle.mc.rate_T0 else config.horizon / 4.0
     if T0 >= config.horizon:
         # a scenario-pinned T0 can exceed an explicitly overridden horizon
         T0 = config.horizon / 4.0
-    out_dir = args.out or bundle.outputs
-    model, lyap = bundle.model, bundle.lyap
+    lyap = bundle.lyap
 
     gate: dict = {}
     gate_error = None
     try:
-        _analyze_core(bundle, args.truncation, gate, {})
+        _analyze_core(bundle, flags.get("truncation"), gate, {})
     except SwitchDiffError as exc:
         gate_error = str(exc)
     verdict = gate.get("overall_verdict", "inconclusive")
@@ -358,125 +285,160 @@ def cmd_verify_rate(args) -> int:
             file=sys.stderr,
         )
 
-    doc = {
-        "scenario": bundle.name,
-        "scenario_sha256": bundle.sha256,
-        "provenance": _provenance(config.seed),
-        "horizon": config.horizon,
-        "T0": T0,
-        "epsilon": bundle.mc.epsilon,
-        "n_paths": n_paths,
-        "stability": {
+    doc.update(
+        horizon=config.horizon,
+        T0=T0,
+        epsilon=bundle.mc.epsilon,
+        n_paths=n_paths,
+        stability={
             "certified": certified,
             "verdict": None if gate_error else verdict,
             "error": gate_error,
         },
-    }
-    try:
-        _, collected = run_ensemble(
-            model,
-            lyap,
-            config,
-            n_paths,
-            functionals=[],
-            x0=bundle.x0,
-            i0=bundle.i0,
-            collect=lambda tr: tr,
-        )
-        est = estimate_pathwise_rate(
-            collected, lyap, lyap.g, T0=T0, epsilon=bundle.mc.epsilon
-        )
-        doc.update(est.to_dict())
-        os.makedirs(out_dir, exist_ok=True)
-        write_quantile_curve(os.path.join(out_dir, "quantile_curve.csv"), est)
-        doc["quantile_curve_csv"] = "quantile_curve.csv"
-    except SwitchDiffError as exc:
-        doc["partial"] = True
-        doc["error"] = str(exc)
-        _write_json(os.path.join(out_dir, "rate.json"), doc)
-        print(f"verify-rate: pipeline stopped early: {exc}", file=sys.stderr)
-        return 3
-    _write_json(os.path.join(out_dir, "rate.json"), doc)
+    )
+    _, collected = run_ensemble(
+        bundle.model, lyap, config, n_paths, [], bundle.x0, bundle.i0, collect=lambda tr: tr
+    )
+    est = estimate_pathwise_rate(collected, lyap, lyap.g, T0=T0, epsilon=bundle.mc.epsilon)
+    doc.update(est.to_dict())
+    write_quantile_curve(os.path.join(out_dir, "quantile_curve.csv"), est)
+    doc["quantile_curve_csv"] = "quantile_curve.csv"
     lam = doc["lambda_hat"]
-    print(f"lambda_hat: {lam if lam is not None else 'none (no grid rate passed)'}")
-    print(f"excluded paths: {doc['n_excluded']} of {n_paths}")
-    return 0
+    return [
+        f"lambda_hat: {lam if lam is not None else 'none (no grid rate passed)'}",
+        f"excluded paths: {doc['n_excluded']} of {n_paths}",
+    ]
 
 
-def cmd_coupled_test(args) -> int:
+def cmd_coupled_test(bundle: ScenarioBundle, config, flags: dict, out_dir: str, doc: dict) -> list:
+    n_paths = flags["paths"]
+    model = bundle.model
+    confine = config.stop_radius if config.stop_radius else bundle.lyap.domain_radius
+    doc.update(horizon=config.horizon, n_paths=n_paths)
+
+    kscan = scan_kernel_continuity(
+        model.rate_kernel,
+        model.dim,
+        radii=np.geomspace(1e-6, confine, 25),
+        regimes=range(1, k_scan(bundle.chain_N) + 1),
+    )
+    sup_xi = float(np.max(kscan.s_values))
+
+    _, collected = run_ensemble(
+        model, bundle.lyap, config, n_paths, [], bundle.x0, bundle.i0,
+        collect=lambda tr: np.nan if tr.vartheta is None else tr.vartheta,
+        coupled=True,
+    )
+    varthetas = np.array(collected)
+    decoupled = ~np.isnan(varthetas)
+
+    p_hat = float(np.mean(decoupled))
+    sigma = math.sqrt(p_hat * (1.0 - p_hat) / n_paths)
+    bound = config.horizon * sup_xi
+    doc.update(
+        {
+            "sup_xi": sup_xi,
+            "bound": bound,
+            "n_decoupled": int(np.sum(decoupled)),
+            "decoupling_probability": p_hat,
+            "sigma": sigma,
+            "within_bound": bool(p_hat <= bound + 3.0 * sigma),
+            "mean_vartheta": (
+                float(np.nanmean(varthetas)) if np.any(decoupled) else None
+            ),
+        }
+    )
+    return [
+        f"decoupling probability: {doc['decoupling_probability']:.4f} "
+        f"(bound {doc['bound']:.4f} + 3 sigma, within={doc['within_bound']})"
+    ]
+
+
+class _Command(NamedTuple):
+    """A scenario command.  body(bundle, config, flags, out_dir, doc) fills
+    the artifact doc, writes any other file into out_dir and returns the
+    lines to print.  flags are the flags it reads besides --scenario and
+    --out; defaults(bundle) gives the scenario's values for those the sim
+    config does not hold."""
+
+    body: Callable
+    artifact: str
+    flags: tuple
+    defaults: Callable
+    help: str
+
+
+_SIM_FLAGS = ("seed", "paths", "dt", "horizon")
+
+_COMMANDS = {
+    "analyze": _Command(
+        cmd_analyze, "report.json", ("seed", "truncation"), lambda b: {},
+        "build the certificate report",
+    ),
+    "simulate": _Command(
+        cmd_simulate, "ensemble.json", _SIM_FLAGS, lambda b: {"paths": b.mc.n_paths},
+        "run a Monte Carlo ensemble",
+    ),
+    "verify-rate": _Command(
+        cmd_verify_rate, "rate.json", _SIM_FLAGS + ("truncation",),
+        lambda b: {"paths": b.mc.rate_paths, "horizon": b.mc.rate_horizon},
+        "fit the pathwise envelope rate",
+    ),
+    "coupled-test": _Command(
+        cmd_coupled_test, "coupled.json", _SIM_FLAGS, lambda b: {"paths": b.mc.n_paths},
+        "measure the decoupling probability of the coupling",
+    ),
+}
+
+_FLAGS = {
+    "seed": (int, "override the base seed"),
+    "paths": (int, "override path count"),
+    "dt": (float, "override the step size"),
+    "horizon": (float, "override the horizon"),
+    "truncation": (int, "override the chain truncation size"),
+}
+
+
+def _run(args) -> int:
+    """The artifact protocol of the scenario commands.  Resolve the scenario,
+    reject a count flag below 1 before any work, apply the command's --seed,
+    --dt and --horizon, start the artifact with the scenario and its
+    provenance, and run the command's body.  The artifact is written either
+    way: a SwitchDiffError in the body marks it partial and exits 3."""
+    command = _COMMANDS[args.command]
     bundle = _resolve_scenario(args.scenario)
-    config = _apply_sim_overrides(bundle.sim, args)
-    n_paths = _resolve_paths(args.paths, bundle.mc.n_paths)
+    given = {k: v for k, v in vars(args).items() if k in command.flags and v is not None}
+    for name in ("paths", "truncation"):
+        if given.get(name, 1) < 1:
+            raise ConfigurationError(f"--{name} must be >= 1, got {given[name]}")
+    flags = {k: v for k, v in command.defaults(bundle).items() if v is not None}
+    flags.update(given)
+    config = replace(bundle.sim, **{k: flags[k] for k in ("seed", "dt", "horizon") if k in flags})
     out_dir = args.out or bundle.outputs
-    model, lyap = bundle.model, bundle.lyap
-    confine = config.stop_radius if config.stop_radius else lyap.domain_radius
-
     doc = {
         "scenario": bundle.name,
         "scenario_sha256": bundle.sha256,
-        "provenance": _provenance(config.seed),
-        "horizon": config.horizon,
-        "n_paths": n_paths,
+        "provenance": {
+            "seed": config.seed,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
     }
+    path = os.path.join(out_dir, command.artifact)
+    os.makedirs(out_dir, exist_ok=True)
     try:
-        kscan = scan_kernel_continuity(
-            model.rate_kernel,
-            model.dim,
-            radii=np.geomspace(1e-6, confine, 25),
-            regimes=range(1, k_scan(bundle.chain_N) + 1),
-        )
-        sup_xi = float(np.max(kscan.s_values))
-
-        _, collected = run_ensemble(
-            model, lyap, config, n_paths, [], bundle.x0, bundle.i0,
-            collect=lambda tr: np.nan if tr.vartheta is None else tr.vartheta,
-            coupled=True,
-        )
-        varthetas = np.array(collected)
-        flags = ~np.isnan(varthetas)
-
-        p_hat = float(np.mean(flags))
-        sigma = math.sqrt(p_hat * (1.0 - p_hat) / n_paths)
-        bound = config.horizon * sup_xi
-        doc.update(
-            {
-                "sup_xi": sup_xi,
-                "bound": bound,
-                "n_decoupled": int(np.sum(flags)),
-                "decoupling_probability": p_hat,
-                "sigma": sigma,
-                "within_bound": bool(p_hat <= bound + 3.0 * sigma),
-                "mean_vartheta": (
-                    float(np.nanmean(varthetas)) if np.any(flags) else None
-                ),
-            }
-        )
+        lines = command.body(bundle, config, flags, out_dir, doc)
     except SwitchDiffError as exc:
         doc["partial"] = True
         doc["error"] = str(exc)
-        _write_json(os.path.join(out_dir, "coupled.json"), doc)
-        print(f"coupled-test: pipeline stopped early: {exc}", file=sys.stderr)
+        _write_json(path, doc)
+        print(f"{args.command}: pipeline stopped early: {exc}", file=sys.stderr)
         return 3
-    _write_json(os.path.join(out_dir, "coupled.json"), doc)
-    print(
-        f"decoupling probability: {doc['decoupling_probability']:.4f} "
-        f"(bound {doc['bound']:.4f} + 3 sigma, within={doc['within_bound']})"
-    )
+    _write_json(path, doc)
+    for line in lines:
+        print(line)
     return 0
-
-
-def _namespace(**kwargs) -> argparse.Namespace:
-    base = {
-        "scenario": None,
-        "seed": None,
-        "paths": None,
-        "dt": None,
-        "horizon": None,
-        "out": None,
-        "truncation": None,
-    }
-    base.update(kwargs)
-    return argparse.Namespace(**base)
 
 
 def cmd_reproduce(args) -> int:
@@ -485,28 +447,21 @@ def cmd_reproduce(args) -> int:
     if args.horizon is not None and args.horizon <= 0:
         raise ConfigurationError(f"--horizon must be positive, got {args.horizon}")
     out_root = args.out or "out"
-    stages = []
-    for name in _ANALYZE_PRESETS:
-        stages.append((name, "analyze", cmd_analyze, {}))
-    stages.append(
-        ("contraction_benchmark", "verify-rate", cmd_verify_rate,
-         {"paths": args.paths, "horizon": args.horizon})
-    )
-    stages.append(
-        ("example51_stable", "verify-rate", cmd_verify_rate,
-         {"paths": args.paths, "horizon": args.horizon})
-    )
-    stages.append(
-        ("two_state_switching", "simulate", cmd_simulate,
-         {"paths": args.paths, "horizon": args.horizon})
-    )
+    scale = [
+        f"--{k}={v!r}" for k, v in (("paths", args.paths), ("horizon", args.horizon)) if v is not None
+    ]
+    stages = [(name, "analyze", []) for name in _ANALYZE_PRESETS] + [
+        ("contraction_benchmark", "verify-rate", scale),
+        ("example51_stable", "verify-rate", scale),
+        ("two_state_switching", "simulate", scale),
+    ]
 
     entries = []
     failures = 0
-    for name, stage, fn, extra in stages:
-        ns = _namespace(scenario=name, out=os.path.join(out_root, name), **extra)
+    for name, stage, extra in stages:
+        argv = [stage, f"--scenario={name}", f"--out={os.path.join(out_root, name)}", *extra]
         try:
-            rc = fn(ns)
+            rc = _run(build_parser().parse_args(argv))
         except SwitchDiffError as exc:
             print(f"{name} [{stage}] failed: {exc}", file=sys.stderr)
             rc = 3
@@ -520,54 +475,31 @@ def cmd_reproduce(args) -> int:
     return 0 if failures == 0 else 3
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--scenario",
-        required=True,
-        help="scenario file path or bundled preset name",
-    )
-    sp.add_argument("--seed", type=int, default=None, help="override the base seed")
-    sp.add_argument("--paths", type=int, default=None, help="override path count")
-    sp.add_argument("--dt", type=float, default=None, help="override the step size")
-    sp.add_argument("--horizon", type=float, default=None, help="override the horizon")
-    sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument(
-        "--truncation", type=int, default=None, help="override the chain truncation size"
-    )
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it.
 
-    parse_args starts each call from a fresh namespace, so no flag carries
-    over, and the cmd_* functions look up the library names in this module's
-    globals when they run, so a name patched after the first call still
-    takes effect."""
+    Each scenario command takes --scenario, --out and only the flags its
+    body reads.  parse_args starts each call from a fresh namespace, so no
+    flag carries over, and the bodies look up the library names in this
+    module's globals when they run, so a name patched after the first call
+    still takes effect."""
     parser = argparse.ArgumentParser(
         prog="switchdiff",
         description="certificates and Monte Carlo checks for diffusions with "
         "countable state-dependent regime switching",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("analyze", help="build the certificate report")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("simulate", help="run a Monte Carlo ensemble")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("verify-rate", help="fit the pathwise envelope rate")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify_rate)
-
-    sp = sub.add_parser(
-        "coupled-test", help="measure the decoupling probability of the coupling"
-    )
-    _add_common(sp)
-    sp.set_defaults(func=cmd_coupled_test)
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        sp.add_argument(
+            "--scenario", required=True, help="scenario file path or bundled preset name"
+        )
+        for flag in command.flags:
+            kind, text = _FLAGS[flag]
+            sp.add_argument(f"--{flag}", type=kind, help=text)
+        sp.add_argument("--out", help="output directory")
+        sp.set_defaults(func=_run)
 
     sp = sub.add_parser("reproduce", help="run the bundled presets end to end")
     sp.add_argument("--out", default=None, help="output root directory")

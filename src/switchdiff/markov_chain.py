@@ -146,7 +146,8 @@ def invariant_measure(chain: TruncatedChain) -> InvariantMeasure:
     return InvariantMeasure(nu=nu, residual=residual, truncation_size=N, tail_mass=tail)
 
 
-def _rate_at(seq: RateSeq, i: int) -> float:
+def seq_term(seq: RateSeq, i: int) -> float:
+    """Term i >= 1 of a sequence given as a callable of i or as a list."""
     if callable(seq):
         return float(seq(i))
     return float(seq[i - 1])
@@ -165,14 +166,14 @@ def birth_death_invariant(check_p: RateSeq, hat_p: RateSeq, K: int) -> Invariant
     w = np.empty(K)
     w[0] = 1.0
     for k in range(2, K + 1):
-        up = _rate_at(check_p, k - 1)
-        down = _rate_at(hat_p, k)
+        up = seq_term(check_p, k - 1)
+        down = seq_term(hat_p, k)
         if down <= 0.0:
             raise StructuralError(f"down rate hat_p({k}) must be positive, got {down}")
         if up < 0.0:
             raise StructuralError(f"up rate check_p({k-1}) negative: {up}")
         w[k - 1] = w[k - 2] * (up / down)
-    ratio = _rate_at(check_p, K - 1) / _rate_at(hat_p, K)
+    ratio = seq_term(check_p, K - 1) / seq_term(hat_p, K)
     if ratio >= 1.0:
         raise ErgodicityError(
             f"tail weight ratio {ratio} >= 1: product form diverges, chain not ergodic"
@@ -195,8 +196,8 @@ def _birth_death_residual(check_p: RateSeq, hat_p: RateSeq, nu: np.ndarray) -> f
 
     def row(x, i):
         if i == 1:
-            return ((2, _rate_at(check_p, 1)),)
-        return ((i - 1, _rate_at(hat_p, i)), (i + 1, _rate_at(check_p, i)))
+            return ((2, seq_term(check_p, 1)),)
+        return ((i - 1, seq_term(hat_p, i)), (i + 1, seq_term(check_p, i)))
 
     chain = truncate(RateKernel(row=row, x_independent=True), K, mode="lump")
     return float(np.max(np.abs(nu @ chain.Q)))

@@ -51,10 +51,13 @@ class RateKernel:
     padded arrays (targets, rates) of shape (P, m), entry by entry in row
     order; target 0 with rate 0 pads a short row.  Built, the kernel
     completes rows: batch_rows, or without it a form derived from row, read
-    when called, that checks every entry.  rows is not a field, so
-    dataclasses.replace rebuilds it.  global_bound, if set, declares a bound
-    on sup_{x,i} q_i(x), up to RATE_BOUND_TOL; a custom_table kernel checks
-    it against every row when built, and ModelSpec.validate spot-checks it.
+    when called, that checks every entry; and point_row, the row the
+    simulator's float loop reads: row itself beside batch_rows, which is
+    trusted as the batched engine trusts it, or else row with every entry
+    checked.  Neither is a field, so dataclasses.replace rebuilds them.
+    global_bound, if set, declares a bound on sup_{x,i} q_i(x), up to
+    RATE_BOUND_TOL; a custom_table kernel checks it against every row when
+    built, and ModelSpec.validate spot-checks it.
     The simulator thins against it: it reads rows only where an accept
     uniform falls below the bound's jump probability, and raises
     EvaluationError for a row it reads above the bound.  x_independent
@@ -73,20 +76,30 @@ class RateKernel:
 
     def __post_init__(self) -> None:
         self.rows = self.batch_rows or self._rows_from_row
+        self.point_row = self.row if self.batch_rows else self._checked_row
+
+    def _checked_row(self, x, i: int) -> tuple:
+        """row(x, i), once every entry is checked: distinct integer targets
+        >= 1 other than i, finite nonnegative rates."""
+        row = tuple(self.row(x, i))
+        seen = []
+        for j, r in row:
+            if j < 1 or j != int(j) or j in seen:
+                raise EvaluationError(f"row {i} has invalid target {j}")
+            if j == i or not 0.0 <= r < math.inf:
+                raise EvaluationError(f"row {i} has invalid entry ({j}, {r})")
+            seen.append(j)
+        return row
 
     def _rows_from_row(self, X: np.ndarray, I: np.ndarray) -> tuple:
-        """batch_rows derived from row point by point.  Targets are checked
-        here, where a fractional or repeated one still shows."""
-        rows = [tuple(self.row(x, i)) for x, i in zip(X, I.tolist())]
+        """batch_rows derived from row point by point, every row checked."""
+        rows = [self._checked_row(x, i) for x, i in zip(X, I.tolist())]
         width = max(map(len, rows), default=0)
         targets = np.zeros((len(rows), width), dtype=np.int64)
         rates = np.zeros((len(rows), width))
-        for p, (row, i) in enumerate(zip(rows, I.tolist())):
+        for p, row in enumerate(rows):
             for k, (j, r) in enumerate(row):
-                if j < 1 or j != int(j) or j in targets[p, :k]:
-                    raise EvaluationError(f"row {i} has invalid target {j}")
                 targets[p, k], rates[p, k] = j, r
-        _check_entries(targets, rates, I)
         return targets, rates
 
     def padded_rows(self, X: np.ndarray, I: np.ndarray) -> tuple:

@@ -233,10 +233,10 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
 
     def rows(x, s):
         """(row, q_s(x)), checked against q_bar; an x-independent kernel's
-        rows are kept per regime."""
+        rows are kept per regime, so each is read and checked once."""
         hit = None if x_dep else table.get(s)
         if hit is None:
-            row = kernel.row(x, s)
+            row = kernel.point_row(x, s)
             total = 0.0
             for _, r in row:
                 total += r

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .markov_chain import ErgodicityDiagnostic, InvariantMeasure
+from .markov_chain import ErgodicityDiagnostic, InvariantMeasure, seq_term
 from .model import LyapunovSpec, ModelSpec, RateKernel, radial_grid, row_norms
 
 K_SCAN_FLOOR = 100
@@ -35,12 +35,6 @@ _INSTABILITY = ("T3_5_ergodic", "T3_5_strong")
 
 def k_scan(n_trunc: int) -> int:
     return max(K_SCAN_FACTOR * n_trunc, K_SCAN_FLOOR)
-
-
-def _c_at(c: CSeq, i: int) -> float:
-    if callable(c):
-        return float(c(i))
-    return float(c[i - 1])
 
 
 @dataclass
@@ -73,7 +67,7 @@ def mean_drift_criterion(
     when the value clears its own tail bound.
     """
     n = nu.truncation_size
-    cs = np.array([_c_at(c, i) for i in range(1, n + 1)])
+    cs = np.array([seq_term(c, i) for i in range(1, n + 1)])
     if not np.all(np.isfinite(cs)):
         raise ConfigurationError("c_i non-finite on the truncation")
     bound = float(np.max(np.abs(cs))) if c_bound is None else float(c_bound)
@@ -337,8 +331,8 @@ def check_theorem_hypotheses(
 
     K = k_scan(nu.truncation_size)
     k0 = K // 2
-    tail_cs = np.array([_c_at(lyap.c, i) for i in range(k0 + 1, K + 1)])
-    all_cs = np.array([_c_at(lyap.c, i) for i in range(1, K + 1)])
+    tail_cs = np.array([seq_term(lyap.c, i) for i in range(k0 + 1, K + 1)])
+    all_cs = np.array([seq_term(lyap.c, i) for i in range(1, K + 1)])
     limsup_tail = float(np.max(tail_cs))
     liminf_tail = float(np.min(tail_cs))
     md = mean_drift_criterion(lyap.c, nu, c_bound=lyap.c_bound)

@@ -594,6 +594,7 @@ class TestCliSimulate:
         assert doc["provenance"]["seed"] == 5
         assert doc["config"]["horizon"] == 20.0
         assert doc["config"]["dt"] == 0.001
+        assert list(doc["config"]) == ["dt", "horizon", "stop_radius", "record_stride", "x0", "i0"]
         assert doc["n_paths"] == 3
         names = [r["functional"] for r in doc["results"]]
         assert len(names) == 3
@@ -605,22 +606,42 @@ class TestCliSimulate:
         assert header.startswith("t,")
         assert "blow-ups:" in capsys.readouterr().out
 
-    def test_missing_bound_for_exponential_scheme_is_partial(self, tmp_path, capsys, monkeypatch):
-        # no scenario file makes the ensemble fail mid-run, so the failure is injected
+
+class TestCliPartial:
+    """Every command writes its artifact when its pipeline fails, marked
+    partial, after the same header, and exits 3."""
+
+    # no shipped scenario makes these stages fail, so the failure is injected
+    @pytest.mark.parametrize(
+        "command, scenario, stage, artifact",
+        [
+            ("analyze", "contraction_benchmark", "scan_mg", "report.json"),
+            ("simulate", "two_state_switching", "run_ensemble", "ensemble.json"),
+            ("verify-rate", "contraction_benchmark", "run_ensemble", "rate.json"),
+            ("coupled-test", "example52_stable", "run_ensemble", "coupled.json"),
+        ],
+        ids=["analyze", "simulate", "verify-rate", "coupled-test"],
+    )
+    def test_a_failed_stage_writes_a_partial_artifact(
+        self, tmp_path, capsys, monkeypatch, command, scenario, stage, artifact
+    ):
         def fail(*args, **kwargs):
             raise EvaluationError("drift returned a non-finite value")
 
-        monkeypatch.setattr(cli, "run_ensemble", fail)
+        monkeypatch.setattr(cli, stage, fail)
         out = tmp_path / "out"
-        rc = cli.main(
-            ["simulate", "--scenario", "two_state_switching", "--out", str(out)]
-        )
+        rc = cli.main([command, "--scenario", scenario, "--out", str(out)])
         assert rc == 3
-        doc = json.loads((out / "ensemble.json").read_text())
+        doc = json.loads((out / artifact).read_text())
+        assert list(doc)[:3] == ["scenario", "scenario_sha256", "provenance"]
+        assert list(doc)[-2:] == ["partial", "error"]
         assert doc["partial"] is True
         assert doc["error"] == "drift returned a non-finite value"
-        assert "switch_scheme" not in doc["config"]
-        assert "pipeline stopped early" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            f"{command}: pipeline stopped early: drift returned a non-finite value\n"
+        )
+        # the invariant measure was computed before the failed scan
+        assert (out / "measure.csv").exists() == (command == "analyze")
 
 
 class TestCliVerifyRate:
@@ -791,22 +812,24 @@ class TestCliFlagValidation:
         assert rc == 2
         assert "--paths must be >= 1" in capsys.readouterr().err
 
-    def test_scheme_flag_is_a_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--scenario", "contraction_benchmark", "--paths", "3"],
+            ["analyze", "--scenario", "contraction_benchmark", "--dt", "0.01"],
+            ["analyze", "--scenario", "contraction_benchmark", "--horizon", "0.5"],
+            ["simulate", "--scenario", "two_state_switching", "--truncation", "3"],
+            ["coupled-test", "--scenario", "example52_stable", "--truncation", "2"],
+            ["simulate", "--scenario", "two_state_switching", "--scheme", "exponential_proposals"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[3]}",
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            cli.main(
-                [
-                    "simulate",
-                    "--scenario",
-                    "two_state_switching",
-                    "--scheme",
-                    "exponential_proposals",
-                    "--out",
-                    str(tmp_path),
-                ]
-            )
+            cli.main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --scheme" in capsys.readouterr().err
-        assert not (tmp_path / "ensemble.json").exists()
+        assert f"unrecognized arguments: {argv[3]}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_reproduce_rejects_bad_flags_before_any_stage(self, tmp_path, capsys):
         rc = cli.main(["reproduce", "--paths", "0", "--out", str(tmp_path)])
@@ -829,14 +852,18 @@ class TestParserReuse:
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
     @pytest.mark.parametrize(
-        "command, scenario, extra, artifact",
+        "command, scenario, extra, flag, artifact",
         [
-            ("analyze", "example52_stable", [], "report.json"),
-            ("simulate", "contraction_benchmark", ["--horizon", "0.5"], "ensemble.json"),
+            ("analyze", "example52_stable", [], ["--truncation", "5"], "report.json"),
+            (
+                "simulate", "contraction_benchmark", ["--horizon", "0.5"], ["--paths", "1"],
+                "ensemble.json",
+            ),
         ],
+        ids=["analyze", "simulate"],
     )
     def test_flags_of_one_call_do_not_reach_the_next(
-        self, tmp_path, command, scenario, extra, artifact
+        self, tmp_path, command, scenario, extra, flag, artifact
     ):
         def run(name, *flags):
             out = tmp_path / name
@@ -844,7 +871,7 @@ class TestParserReuse:
             assert cli.main(argv) == 0
             return out
 
-        first = run("first", "--truncation", "5", "--paths", "1")
+        first = run("first", *flag)
         second = run("second")
         assert cli.build_parser() is cli.build_parser()
         cli.build_parser.cache_clear()

@@ -342,6 +342,17 @@ class TestFloatLoop:
                 blowup_draws += u < 8.0 * cfg.dt
         assert exit_jumps > 0 and blowup_draws > 0
 
+    @pytest.mark.parametrize("x_independent", [False, True], ids=["gated", "table"])
+    def test_an_invalid_per_point_row_raises(self, x_independent):
+        # a self-target, which padded_rows and the batched engine reject too
+        kernel = sd.RateKernel(
+            row=lambda x, i: ((i, 0.5),), global_bound=1.0, x_independent=x_independent
+        )
+        spec = with_kernel(single_regime_linear(-1.0), kernel)
+        cfg = sd.SimConfig(dt=0.01, horizon=5.0, seed=1)
+        with pytest.raises(sd.EvaluationError, match=r"row 1 has invalid entry \(1, 0.5\)"):
+            sd.simulate(spec, cfg, np.array([0.5]), 1)
+
 
 class TestCoupledPaths:
     def test_state_independent_rates_never_decouple(self):
