@@ -16,17 +16,23 @@ and the tail of its error output; it is not retried.
 The snapshot also carries an engine_us_per_step block, timed in this process
 on the tree's own src/ (see engine_timings): the benchmark's tracer does not
 see the batched engine, so its per-step figures for vector and coupled paths
-read 0.  It also carries src_lines, the line count of each module of the
-tree's src/switchdiff and their total (see src_lines), the size measure by
-which the roadmap tracks deleted code.
+read 0.  Next to it, engine_calibrate_s is the median time of bench/run.py's
+calibrate() over the same rounds, a fixed piece of work that only the
+machine's speed moves, so that engine figures of two snapshots can be set
+against the speed of the host they were taken on.  It also carries
+src_lines, the line count of each module of the tree's src/switchdiff and
+their total (see src_lines), the size measure by which the roadmap tracks
+deleted code.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -67,9 +73,13 @@ def read_fingerprint(root: str, workload: str, seed: int):
 
 
 # (name, preset, paths, horizon, coupled, x0): paths None is one path of the
-# float loop, through simulate
+# float loop, through simulate.  The two float-loop cases differ in their
+# density of events: two_state_switching records twice and is a candidate to
+# switch on 0.2% of its steps; example51_stable records every 10th step, is a
+# candidate on about 6% and exits early on some paths
 ENGINE_CASES = (
     ("float_loop_two_state_switching", "two_state_switching", None, 20.0, False, None),
+    ("float_loop_example51_stable", "example51_stable", 15, 15.0, False, None),
     ("batch_example52_stable_P5", "example52_stable", 5, 10.0, False, None),
     ("batch_example52_stable_P256", "example52_stable", 256, 2.0, False, None),
     ("coupled_example52_stable_P40", "example52_stable", 40, 1.0, True, [0.3, 0.0]),
@@ -77,14 +87,25 @@ ENGINE_CASES = (
 ENGINE_REPEATS = 5
 
 
-def engine_timings(root: str) -> dict:
-    """Minimum CPU microseconds per step of each engine case, over
-    ENGINE_REPEATS rounds of all cases, with switchdiff imported from
-    root/src.  The cases go through the public simulate and run_ensemble
-    (no functionals), so any tree with that API can be timed; a batched
-    step advances every live path of the block once.  Rounds run the cases
-    in turn, so that a slow phase of a shared host costs each case one
-    repeat rather than all of them."""
+def bench_calibrate():
+    """calibrate() of this repository's bench/run.py, loaded from its file."""
+    path = os.path.join(REPO, "bench", "run.py")
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.calibrate
+
+
+def engine_timings(root: str) -> tuple:
+    """(cases, calibrate_s): the minimum CPU microseconds per step of each
+    engine case, over ENGINE_REPEATS rounds of all cases, with switchdiff
+    imported from root/src, and the median wall seconds of bench/run.py's
+    calibrate(), run once at the end of each round.  The cases go through
+    the public simulate and run_ensemble (no functionals), so any tree with
+    that API can be timed; a step of a case with paths advances each of
+    them once (a path that has exited, not).  Rounds run the cases in turn,
+    so that a slow phase of a shared host costs each case one repeat rather
+    than all of them."""
     sys.path.insert(0, os.path.join(root, "src"))
     import dataclasses
 
@@ -104,16 +125,20 @@ def engine_timings(root: str) -> dict:
                 coupled=coupled,
             )
         runs[name] = (run, paths or 1, int(round(horizon / config.dt)))
+    calibrate = bench_calibrate()
     best = dict.fromkeys(runs, math.inf)
+    calibrations = []
     for _ in range(ENGINE_REPEATS):
         for name, (run, _, _) in runs.items():
             t0 = time.process_time()
             run()
             best[name] = min(best[name], time.process_time() - t0)
-    return {
+        calibrations.append(calibrate())
+    cases = {
         name: {"paths": paths, "steps": steps, "us_per_step": best[name] / steps * 1e6}
         for name, (_, paths, steps) in runs.items()
     }
+    return cases, statistics.median(calibrations)
 
 
 def src_lines(root: str) -> dict:
@@ -149,7 +174,7 @@ def main(argv=None) -> int:
     snapshot["src_lines"] = src_lines(args.root)
     # timed first: right after minutes of benchmark load the same cases read
     # up to 1.7x higher on a shared 2-core host
-    snapshot["engine_us_per_step"] = engine_timings(args.root)
+    snapshot["engine_us_per_step"], snapshot["engine_calibrate_s"] = engine_timings(args.root)
     for name in names:
         runs = {}
         for trace in (0, 1):

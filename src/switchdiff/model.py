@@ -145,11 +145,15 @@ class ModelSpec:
     not fields, so dataclasses.replace rebuilds them.  Readers call drifts
     and diffusions, which also check that every regime is at least 1; the
     batched simulator binds drift_of and diffusion_of once per change of
-    its regimes, which are at least 1.  scalar_step(i, dt), optional for
-    n = d = 1, returns regime i's Euler map step(x, w) = x + b(x, i) dt +
-    sigma(x, i) w on floats; with it the simulator runs plain paths in its
-    float loop.  The float forms scalar_drift/scalar_diffusion are read only
-    by bench/tracer.py.
+    its regimes, which are at least 1.  scalar_run(i, dt), optional for
+    n = d = 1, returns regime i's Euler map run over a stretch of steps:
+    run(x, ws, a, e, lim) applies x <- x + b(x, i) dt + sigma(x, i) ws[k]
+    on floats for k = a, ..., e - 1 and stops after the first step whose
+    |x| is not below lim (NaN included).  It returns (x, ox, k): the state
+    after the last step taken, the state before it, and the index of the
+    step that stopped it, or e (with ox = x when a = e).  With it the
+    simulator runs plain paths in its float loop.  The float forms
+    scalar_drift/scalar_diffusion are read only by bench/tracer.py.
     """
 
     dim: int
@@ -163,7 +167,7 @@ class ModelSpec:
     linearization: Optional[ExactLinearization] = None
     batch_drift: Optional[Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None
     batch_diffusion: Optional[Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None
-    scalar_step: Optional[Callable[[int, float], Callable[[float, float], float]]] = None
+    scalar_run: Optional[Callable[[int, float], Callable[..., tuple]]] = None
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.noise_dim < 1:

@@ -328,17 +328,24 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
 
             return diffusion
 
-        def scalar_step(i: int, dt: float):
-            # the float loop's Euler map: the batch forms' operations on
-            # floats, in the same order, with regime i's constants and dt bound
+        def scalar_run(i: int, dt: float):
+            # the float loop's Euler map over a stretch (ModelSpec): the batch
+            # forms' operations on floats, in the same order, with regime i's
+            # constants and dt bound
             bi, si = b_at(i), sigma_at(i)
             sin = math.sin
 
-            def step(x: float, w: float) -> float:
-                s = sin(x)
-                return x + bi * x * abs(x) ** two_gamma * dt + si * s * s * w
+            def run(x: float, ws: list, a: int, e: int, lim: float) -> tuple:
+                ox = x
+                for k in range(a, e):
+                    ox = x
+                    s = sin(ox)
+                    x = ox + bi * ox * abs(ox) ** two_gamma * dt + si * s * s * ws[k]
+                    if not abs(x) < lim:
+                        return x, ox, k
+                return x, ox, e
 
-            return step
+            return run
 
         # read only by bench/tracer.py, which labels float-loop paths by them
         def scalar_drift(x: float, i: int) -> float:
@@ -360,7 +367,7 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             linearization=ExactLinearization(lambda i: zero, lambda i: [zero]),
             batch_drift=batch_drift,
             batch_diffusion=batch_diffusion,
-            scalar_step=scalar_step,
+            scalar_run=scalar_run,
         )
 
     if family in ("example52", "linear"):
@@ -406,16 +413,22 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
 
             return diffusion
 
-        scalar_drift = scalar_diffusion = scalar_step = None
+        scalar_drift = scalar_diffusion = scalar_run = None
         if n == 1 and noise_dim == 1:
 
-            def scalar_step(i: int, dt: float):
+            def scalar_run(i: int, dt: float):
                 ai, si = float(a_at(i)[0, 0]), float(s_at(i)[0][0, 0])
 
-                def step(x: float, w: float) -> float:
-                    return x + ai * x * dt + si * x * w
+                def run(x: float, ws: list, a: int, e: int, lim: float) -> tuple:
+                    ox = x
+                    for k in range(a, e):
+                        ox = x
+                        x = ox + ai * ox * dt + si * ox * ws[k]
+                        if not abs(x) < lim:
+                            return x, ox, k
+                    return x, ox, e
 
-                return step
+                return run
 
             # read only by bench/tracer.py, as in example51
             def scalar_drift(x: float, i: int) -> float:
@@ -436,7 +449,7 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             linearization=ExactLinearization(drift_matrix=a_at, diffusion_matrices=s_at),
             batch_drift=batch_drift,
             batch_diffusion=batch_diffusion,
-            scalar_step=scalar_step,
+            scalar_run=scalar_run,
         )
 
     raise ConfigurationError(
@@ -487,10 +500,16 @@ def _compile_expr(node):
     The grammar is numbers, names, unary and binary arithmetic, comparisons
     and calls to the _EXPR_MATH functions; anything else (attributes,
     subscripts, lambdas, strings, ...) is a ConfigurationError here.
+    Constants are floats, so arithmetic, ** included, ends in bounded time.
     """
     kind = type(node)
     if kind is ast.Constant and type(node.value) in (int, float):
-        value = node.value
+        try:
+            value = float(node.value)
+        except OverflowError:
+            raise ConfigurationError(
+                "lyapunov.c expr: an integer constant exceeds the float range"
+            ) from None
         return lambda names: value
     if kind is ast.Name:
         key = node.id
@@ -578,8 +597,14 @@ def build_c(c_cfg: dict, model_cfg: dict):
                 return cache[i]
             names = dict(params)
             names.update(env_of(i))
-            names["i"] = i
-            val = float(evaluate(names))
+            names["i"] = float(i)
+            try:
+                val = float(evaluate(names))
+            except (OverflowError, ZeroDivisionError, ValueError, TypeError) as exc:
+                reason = "overflow" if type(exc) is OverflowError else exc
+                raise ConfigurationError(f"lyapunov.c expr fails at i = {i}: {reason}") from None
+            if not math.isfinite(val):
+                raise ConfigurationError(f"lyapunov.c expr is {val} at i = {i}")
             cache[i] = val
             return val
 
@@ -723,12 +748,12 @@ def parse_scenario(doc: dict, sha: Optional[str] = None) -> ScenarioBundle:
             "always by per-step thinning"
         )
     sim = SimConfig(
-        dt=float(sim_cfg.get("dt", 1e-3)),
-        horizon=float(sim_cfg.get("horizon", 10.0)),
-        seed=int(sim_cfg.get("seed", 0)),
-        path_index=int(sim_cfg.get("path_index", 0)),
-        stop_radius=_optional_float(sim_cfg.get("stop_radius")),
-        record_stride=int(sim_cfg.get("record_stride", 1)),
+        dt=sim_cfg.get("dt", 1e-3),
+        horizon=sim_cfg.get("horizon", 10.0),
+        seed=sim_cfg.get("seed", 0),
+        path_index=sim_cfg.get("path_index", 0),
+        stop_radius=sim_cfg.get("stop_radius"),
+        record_stride=sim_cfg.get("record_stride", 1),
     )
     bad_count = "mc path counts must be >= 1, got"
     mc = McSettings(

@@ -14,10 +14,17 @@ bound, or with q_bar dt above the guard, rates are read every step.  The
 paths are the same either way.  Two integrators run the paths:
 
 - the float loop runs plain paths of models with an Euler map on floats
-  (n = d = 1, ModelSpec.scalar_step set), one at a time.  A step is one
-  call of its regime's map step(x, w), built once per visited regime by
-  scalar_step(i, dt); a step whose accept uniform is at least the gate
-  spends one comparison on switching;
+  (n = d = 1, ModelSpec.scalar_run set), one at a time, in stretches.
+  Each chunk of accept uniforms marks its events: the candidates to switch
+  (below the gate, or for an x-independent kernel below the largest q_s dt
+  of the regimes visited), the record steps and the chunk's last step.
+  One call of the regime's map run(x, ws, a, e, lim), built once per
+  visited regime by scalar_run(i, dt), takes the quiet steps up to the
+  next event and the event step itself, and stops early where the path
+  blows up or leaves the ball; only that step runs the per-step body.  So
+  the loop pays one Python call per event, not one per step.  Where every
+  step is an event (an x-dependent kernel without a usable gate, or a
+  record stride of 1) each call takes one step, the loop's slowest case;
 - the batched engine runs every other path, vector or coupled.  All live
   paths of a block step together as (P, n) arrays; a single path is a
   batch of one, and run_ensemble passes blocks of PATH_BLOCK paths, so
@@ -45,8 +52,11 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -64,6 +74,27 @@ FEW_PAIRS = 6  # candidate pairs up to which Python sums beat array sums
 WILSON_Z = 1.959963984540054  # 95%
 
 
+def _real(value, name: str) -> float:
+    """value as a float: a bool, None or a string is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _whole(value, name: str, low: int) -> int:
+    """value as an int of at least low: an int, or a float with an integral
+    value (10.0); an int is taken as it is, however large."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        whole = int(value)
+    else:
+        x = _real(value, name)
+        whole = int(x) if math.isfinite(x) and x.is_integer() else low - 1
+    if whole < low:
+        kind = "a positive" if low == 1 else "a nonnegative"
+        raise ConfigurationError(f"{name} must be {kind} integer, got {value!r}")
+    return whole
+
+
 @dataclass
 class SimConfig:
     """Discretization and stream identity for one path (or an ensemble base)."""
@@ -76,18 +107,23 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
+        self.dt = _real(self.dt, "dt")
+        self.horizon = _real(self.horizon, "horizon")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         if not (self.horizon >= self.dt):
             raise ConfigurationError(
                 f"horizon {self.horizon} must be at least one step dt = {self.dt}"
             )
-        if self.stop_radius is not None and not self.stop_radius > 0:
-            raise ConfigurationError("stop_radius must be positive when set")
-        if self.record_stride < 1 or self.record_stride != int(self.record_stride):
-            raise ConfigurationError("record_stride must be a positive integer")
-        if self.seed < 0 or self.path_index < 0:
-            raise ConfigurationError("seed and path_index must be nonnegative")
+        if self.horizon == math.inf:
+            raise ConfigurationError("horizon must be finite")
+        if self.stop_radius is not None:
+            self.stop_radius = _real(self.stop_radius, "stop_radius")
+            if not self.stop_radius > 0:
+                raise ConfigurationError("stop_radius must be positive when set")
+        self.record_stride = _whole(self.record_stride, "record_stride", 1)
+        self.seed = _whole(self.seed, "seed", 0)
+        self.path_index = _whole(self.path_index, "path_index", 0)
 
 
 @dataclass
@@ -185,7 +221,7 @@ def _above_bound(q: float, s, q_bar: float) -> EvaluationError:
 
 
 def _has_float_forms(spec: ModelSpec) -> bool:
-    return spec.dim == 1 and spec.noise_dim == 1 and spec.scalar_step is not None
+    return spec.dim == 1 and spec.noise_dim == 1 and spec.scalar_run is not None
 
 
 def _start(spec: ModelSpec, config: SimConfig, x0, i0: int):
@@ -202,7 +238,24 @@ def _start(spec: ModelSpec, config: SimConfig, x0, i0: int):
 
 
 def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
-    """The float loop: one plain path of a model with an Euler map."""
+    """The float loop: one plain path of a model with an Euler map, taken
+    in stretches of quiet steps that each end at an event step.
+
+    The events of a chunk of steps are the candidates to switch, whose
+    accept uniform is below the screen, the record steps and the chunk's
+    last step, all found at once.  One call of the regime's map run(x, ws,
+    a, e, lim) takes a stretch and the event step that ends it; it stops
+    early at a step that leaves |x| < lim = min(stop_radius, BLOWUP_RADIUS),
+    where the path blows up or exits.  The step a call ends at runs the
+    per-step body: blow-up, switching with rates at the pre-step state,
+    record or exit.  The screen is the gate of _thinning_bound.  An
+    x-independent kernel, whose rows are kept per regime, screens with the
+    largest q_s dt of the regimes visited instead, which needs no declared
+    bound: inf while the path's regime breaks the guard, since then every
+    step sub-divides.  A switch that changes the screen screens the rest of
+    the chunk again; as the largest q_s dt only rises, that happens at the
+    first visit of a regime with a larger rate, not at every jump.
+    """
     x0, s, n_steps = _start(spec, config, x0, i0)
     kernel = spec.rate_kernel
     rng_noise, rng_accept, rng_event = path_streams(config.seed, config.path_index)
@@ -211,22 +264,13 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
     steps: dict = {}  # regime -> its Euler map, built on the first visit
 
     def euler(s):
-        step = steps.get(s)
-        if step is None:
-            step = steps[s] = spec.scalar_step(s, dt)
-        return step
+        run = steps.get(s)
+        if run is None:
+            run = steps[s] = spec.scalar_run(s, dt)
+        return run
 
     sq = math.sqrt(dt)
     x = float(x0[0])
-
-    def chunks():
-        """Per step: (k, sqrt(dt) * noise_k, accept_k), drawn a chunk at a
-        time so that a path stopping early draws little beyond its stop."""
-        for c0 in range(0, n_steps, STREAM_CHUNK):
-            m = min(STREAM_CHUNK, n_steps - c0)
-            dw = rng_noise.standard_normal((m, 1)) * sq
-            yield zip(range(c0, c0 + m), dw[:, 0].tolist(), rng_accept.random(m).tolist())
-
     x_dep = not kernel.x_independent
     q_bar, gate = _thinning_bound(kernel, dt)
     table: dict = {}
@@ -249,67 +293,118 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
 
     stride = config.record_stride
     h = math.inf if config.stop_radius is None else config.stop_radius
-    m_rec = n_steps // stride + 2
-    rec_t = np.empty(m_rec)
-    rec_x = np.empty((m_rec, 1))
-    rec_s = np.empty(m_rec, dtype=np.int64)
-    rec_t[0], rec_x[0], rec_s[0] = 0.0, x, s
-    ri = 0
-    traj = Trajectory(rec_t, rec_x, rec_s)
+    lim = min(h, BLOWUP_RADIUS)
+    # the records: step (-1 is t = 0) and state in compact arrays, regime
+    rec_k, rec_x, rec_s = array("q", [-1]), array("d", [x]), [s]
 
+    def keep(k: int, x: float, s) -> None:
+        rec_k.append(k)
+        rec_x.append(x)
+        rec_s.append(s)
+
+    jumps: list = []
+    tau_h, exited, blew_up = None, False, False
     if abs(x) >= h:
-        traj.tau_h, traj.exited = 0.0, True
+        tau_h, exited = 0.0, True
         n_steps = 0
+    screen = gate
+    top = 0.0  # the largest q_s dt within the guard of the regimes visited
     if not x_dep and n_steps:
         row, q = rows(x, s)
         p = q * dt
-    step = euler(s)
-    next_rec = min(stride, n_steps) - 1
+        if p <= THINNING_GUARD:
+            screen = top = p
+    run = euler(s)
 
-    for k, w, u in chain.from_iterable(chunks()):
-        ox = x
-        x = step(ox, w)
-        r = abs(x)
-        if not (r < BLOWUP_RADIUS):
-            traj.blew_up = True
-            ri += 1
-            rec_t[ri], rec_x[ri], rec_s[ri] = (k + 1) * dt, x, s
+    for c0 in range(0, n_steps, STREAM_CHUNK):
+        m = min(STREAM_CHUNK, n_steps - c0)
+        ws = (rng_noise.standard_normal(m) * sq).tolist()
+        U = rng_accept.random(m)
+        # every stride-th step records, and so does the path's last step
+        record = np.zeros(m, dtype=bool)
+        record[(stride - 1 - c0) % stride :: stride] = True
+        record[-1] |= c0 + m == n_steps
+
+        def events(screen):
+            """The chunk's event steps as lists: position, accept uniform
+            and whether the step records."""
+            if screen == math.inf:
+                return range(m), U.tolist(), record.tolist()
+            hit = U < screen
+            hit |= record
+            hit[-1] = True
+            at = hit.nonzero()[0]
+            return at.tolist(), U[at].tolist(), record[at].tolist()
+
+        found = {screen: events(screen)}  # screen -> its events
+        todo = zip(*found[screen])
+        a = 0  # the chunk position of the next step to take
+        while todo is not None:
+            ahead, todo = todo, None
+            for kc, u, rec in ahead:
+                x, ox, stop = run(x, ws, a, kc + 1, lim)
+                if stop <= kc:
+                    # |x| is not below lim: the path blows up or exits here
+                    kc, u, rec = stop, U.item(stop), True
+                    if not abs(x) < BLOWUP_RADIUS:
+                        blew_up = True
+                        keep(c0 + kc, x, s)
+                        break
+                    exited = True
+                a = kc + 1
+
+                # a step whose uniform u is at least gate >= q dt cannot switch
+                if u < gate:
+                    if x_dep:
+                        row, q = rows(ox, s)
+                        p = q * dt
+                    if p > THINNING_GUARD:
+                        s, row, q = _subdivide(
+                            lambda s: rows(ox, s), s, row, q, dt, (c0 + a) * dt, event, jumps
+                        )
+                        p = q * dt
+                        run = euler(s)
+                    elif u < p:
+                        j = _select_target(row, event() * q)
+                        jumps.append(((c0 + a) * dt, s, j))
+                        s = j
+                        run = euler(s)
+                        if not x_dep:
+                            row, q = rows(ox, s)
+                            p = q * dt
+
+                if rec:
+                    keep(c0 + kc, x, s)
+                    if exited:
+                        tau_h = (c0 + a) * dt
+                        break
+
+                if not x_dep and u < gate:
+                    if p > THINNING_GUARD:
+                        new = math.inf
+                    else:
+                        top = new = max(top, p)
+                    if new != screen:
+                        # the rest of the chunk, screened with the new bound
+                        screen = new
+                        if screen not in found:
+                            found[screen] = events(screen)
+                        lists = found[screen]
+                        first = bisect_left(lists[0], a)
+                        todo = zip(*(islice(v, first, None) for v in lists))
+                        break
+        if exited or blew_up:
             break
 
-        # a step whose uniform u is at least gate >= q dt cannot switch
-        if u < gate:
-            if x_dep:
-                row, q = rows(ox, s)
-                p = q * dt
-            if p > THINNING_GUARD:
-                s, row, q = _subdivide(
-                    lambda s: rows(ox, s), s, row, q, dt, (k + 1) * dt, event, traj.jumps
-                )
-                p = q * dt
-                step = euler(s)
-            elif u < p:
-                j = _select_target(row, event() * q)
-                traj.jumps.append(((k + 1) * dt, s, j))
-                s = j
-                step = euler(s)
-                if not x_dep:
-                    row, q = rows(ox, s)
-                    p = q * dt
-
-        if r >= h or k == next_rec:
-            t = (k + 1) * dt
-            ri += 1
-            rec_t[ri], rec_x[ri], rec_s[ri] = t, x, s
-            if r >= h:
-                traj.tau_h, traj.exited = t, True
-                break
-            next_rec = min(next_rec + stride, n_steps - 1)
-
-    m = ri + 1
-    traj.times, traj.x_path, traj.regime_path = (
-        rec_t[:m].copy(), rec_x[:m].copy(), rec_s[:m].copy()
+    return Trajectory(
+        np.array([(k + 1) * dt for k in rec_k]),
+        np.array(rec_x)[:, None],
+        np.array(rec_s, dtype=np.int64),
+        jumps,
+        tau_h,
+        exited,
+        blew_up,
     )
-    return traj
 
 
 def _row_totals(rates: np.ndarray) -> np.ndarray:
@@ -612,7 +707,7 @@ def simulate(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
     Per step: Euler-Maruyama update of X with the current regime, then the
     switching decision with rates evaluated at the pre-step state.  Steps
     whose total rate violates the thinning guard are sub-divided.  A model
-    with an Euler map (scalar_step) runs the float loop, any other the
+    with an Euler map (scalar_run) runs the float loop, any other the
     batched engine.
     """
     if _has_float_forms(spec):

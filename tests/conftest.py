@@ -63,6 +63,28 @@ def two_state_kernel(q12: float, q21: float) -> sd.RateKernel:
     return sd.RateKernel(row=row, global_bound=max(q12, q21), x_independent=True)
 
 
+def euler_run(step):
+    """A ModelSpec.scalar_run from step(i, dt), regime i's Euler map on
+    floats for one step, x -> step(i, dt)(x, w): its stretch takes the steps
+    one call at a time, as the model families' own maps take them inline."""
+
+    def scalar_run(i, dt):
+        one = step(i, dt)
+
+        def run(x, ws, a, e, lim):
+            ox = x
+            for k in range(a, e):
+                ox = x
+                x = one(ox, ws[k])
+                if not abs(x) < lim:
+                    return x, ox, k
+            return x, ox, e
+
+        return run
+
+    return scalar_run
+
+
 def single_regime_linear(a: float, s: float = 0.0) -> sd.ModelSpec:
     """dX = a X dt + s X dW with an empty switching table."""
 
@@ -77,7 +99,7 @@ def single_regime_linear(a: float, s: float = 0.0) -> sd.ModelSpec:
         diffusion=lambda x, i: s * np.asarray(x, dtype=float).reshape(1, 1),
         rate_kernel=kernel,
         zero_fixed=True,
-        scalar_step=lambda i, dt: lambda x, w: x + a * x * dt + s * x * w,
+        scalar_run=euler_run(lambda i, dt: lambda x, w: x + a * x * dt + s * x * w),
         linearization=sd.ExactLinearization(
             drift_matrix=lambda i: np.array([[a]]),
             diffusion_matrices=lambda i: [np.array([[s]])],

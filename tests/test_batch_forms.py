@@ -164,7 +164,7 @@ X51, X52 = np.array([0.5]), np.array([0.3, 0.1])
 E51, E52 = (lambda: sd.preset("example51_stable")), (lambda: sd.preset("example52_stable"))
 FAMILY_CALLABLES = {
     "example51-scalar_drift": (E51, lambda b, i: b.model.scalar_drift(0.5, i)),
-    "example51-scalar_step": (E51, lambda b, i: b.model.scalar_step(i, 0.01)),
+    "example51-scalar_run": (E51, lambda b, i: b.model.scalar_run(i, 0.01)),
     "example51-drift": (E51, lambda b, i: b.model.drift(X51, i)),
     "birth_death-row": (E51, lambda b, i: b.model.rate_kernel.row(X51, i)),
     "example52-drift": (E52, lambda b, i: b.model.drift(X52, i)),
@@ -196,24 +196,69 @@ def test_c_table_reads_its_values_then_the_tail():
     assert [c(i) for i in range(1, 6)] == [-1.0, -2.0, -3.0, -3.0, -3.0]
 
 
+def float_form_states(spec, i, dt, x, ws):
+    """The reference for the float loop's map: x + b dt + sigma w from the
+    two float forms, one step at a time; the states x_0 = x, x_1, ..."""
+    states = [x]
+    for w in ws:
+        x = x + spec.scalar_drift(x, i) * dt + spec.scalar_diffusion(x, i) * w
+        states.append(x)
+    return states
+
+
+def assert_run_equals(got, want):
+    assert len(got) == 3 and got[2] == want[2]
+    assert_bits_equal(got[:2], want[:2])
+
+
 @pytest.mark.parametrize("name", sorted(n for n, (dim, _) in MODELS.items() if dim == 1))
-def test_scalar_step_equals_the_float_forms(name):
-    # the float loop's per-regime Euler map against x + b dt + sigma w from
-    # the two float forms, through the saturating tail of the regime lists
+def test_scalar_run_equals_the_float_forms(name):
+    # the float loop's per-regime Euler map over a stretch ws[a:e] against
+    # the float forms step by step, through the saturating tail of the
+    # regime lists: (x after the last step, x before it, e)
     _, model = MODELS[name]
     spec = scenario(model, NO_SWITCHING).model
-    assert spec.scalar_step is not None
-    drift, diffusion = spec.scalar_drift, spec.scalar_diffusion
+    assert spec.scalar_run is not None
     listed = max(len(v) for v in model["params"].values() if isinstance(v, list))
     tiny = float(np.finfo(float).tiny)
-    xs = [0.0, -0.0, tiny, -tiny, 0.3, -0.3, 1e6, -1e6]
+    ws = [0.0447, -1.3, 0.0, -0.0, 0.2, 2.5, -0.7]
+    a = 2
     for i in range(1, listed + 3):
         for dt in (0.002, 0.1):
-            step = spec.scalar_step(i, dt)
-            for x in xs:
-                for w in (0.0, 0.0447, -1.3):
-                    want = x + drift(x, i) * dt + diffusion(x, i) * w
-                    assert_bits_equal(step(x, w), want)
+            run = spec.scalar_run(i, dt)
+            for x in (0.0, -0.0, tiny, -tiny, 0.3, -0.3, 1e6, -1e6):
+                states = float_form_states(spec, i, dt, x, ws[a:])
+                for e in range(a, len(ws) + 1):
+                    before = states[max(e - a - 1, 0)]
+                    assert_run_equals(run(x, ws, a, e, math.inf), (states[e - a], before, e))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (dim, _) in MODELS.items() if dim == 1))
+def test_scalar_run_stops_at_the_first_step_not_below_lim(name):
+    _, model = MODELS[name]
+    spec = scenario(model, NO_SWITCHING).model
+    ws = [0.3, -0.2, 0.9, 0.4, -1.1, 0.6, 0.25, -0.05]
+    for i in (1, 2):
+        run = spec.scalar_run(i, 0.1)
+        states = float_form_states(spec, i, 0.1, 0.8, ws)
+        # |x| meets lim exactly at the first step that reaches its largest |x|
+        top = max(map(abs, states[1:]))
+        k = next(k for k in range(len(ws)) if abs(states[k + 1]) == top)
+        assert_run_equals(run(0.8, ws, 0, len(ws), top), (states[k + 1], states[k], k))
+        # a lim below the start stops the first step, whatever it gives
+        assert_run_equals(run(0.8, ws, 0, len(ws), 0.0), (states[1], 0.8, 0))
+        # NaN is not below lim: from the start, or from the noise
+        x, ox, k = run(math.nan, ws, 0, len(ws), math.inf)
+        assert math.isnan(x) and math.isnan(ox) and k == 0
+        with_nan = ws[:3] + [math.nan] + ws[4:]
+        x, ox, k = run(0.8, with_nan, 0, len(ws), math.inf)
+        assert math.isnan(x) and k == 3
+        assert_bits_equal(ox, states[3])
+        # an empty stretch returns the state twice, signed zeros kept
+        for x in (0.0, -0.0):
+            assert_run_equals(run(x, ws, 4, 4, 1.0), (x, x, 4))
+            first = float_form_states(spec, i, 0.1, x, ws[:1])[1]
+            assert_run_equals(run(x, ws, 0, 1, 0.0), (first, x, 0))
 
 
 LYAPUNOV = {

@@ -258,6 +258,16 @@ BAD_DOCS = [
         lambda d: d["mc"].update(epsilon=1.0),
         r"epsilon must be in \(0, 1\)",
     ),
+    # each escaped parse_scenario as a TypeError, a ValueError or an
+    # OverflowError, or (a fractional stride) was truncated to an int
+    ("dt_null", lambda d: d["sim"].update(dt=None), "dt must be a number, got None"),
+    ("horizon_null", lambda d: d["sim"].update(horizon=None), "horizon must be a number"),
+    ("horizon_inf", lambda d: d["sim"].update(horizon=math.inf), "horizon must be finite"),
+    ("stride_nan", lambda d: d["sim"].update(record_stride=math.nan), "stride must be a positive"),
+    ("stride_inf", lambda d: d["sim"].update(record_stride=math.inf), "stride must be a positive"),
+    ("stride_fractional", lambda d: d["sim"].update(record_stride=2.5), "stride must be a positive"),
+    ("stride_string", lambda d: d["sim"].update(record_stride="10"), "stride must be a number"),
+    ("seed_fractional", lambda d: d["sim"].update(seed=7.9), "seed must be a nonnegative integer"),
     ("no_paths", lambda d: d["mc"].update(n_paths=0), "path counts must be >= 1"),
     ("fractional_paths", lambda d: d["mc"].update(rate_paths=2.5), "path counts must be >= 1"),
     (
@@ -291,6 +301,32 @@ class TestParseValidation:
     def test_document_must_be_an_object(self):
         with pytest.raises(ConfigurationError, match="must be a JSON object"):
             sc.parse_scenario(["not", "a", "mapping"])
+
+    def test_an_integral_float_stride_is_an_int(self):
+        doc = doc_of("example51_stable")
+        doc["sim"]["record_stride"] = 10.0
+        sim = sc.parse_scenario(doc).sim
+        assert sim.record_stride == 10 and type(sim.record_stride) is int
+
+    @pytest.mark.parametrize(
+        "mutate,command,message",
+        [
+            (lambda d: d["lyapunov"]["c"].update(expr="i**i**i"), "analyze", "lyapunov.c expr"),
+            (lambda d: d["sim"].update(record_stride=math.nan), "simulate", "record_stride"),
+        ],
+        ids=["c_overflow", "stride_nan"],
+    )
+    def test_the_cli_exits_two_on_a_document_that_fails_to_parse(
+        self, tmp_path, capsys, mutate, command, message
+    ):
+        # both ended in a traceback and exit 1
+        doc = doc_of("example51_stable")
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = cli.main([command, "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_two_state_requires_both_rates(self):
         doc = doc_of("two_state_switching")
@@ -360,6 +396,43 @@ class TestParseValidation:
 
 
 class TestCExpressions:
+    @pytest.mark.parametrize(
+        "expr,match",
+        [
+            # on Python ints, i**i**i and 10**400 ended in an uncaught
+            # OverflowError and 1/(i-1) in a ZeroDivisionError
+            ("i**i**i", "fails at i = 5: overflow"),
+            ("10**400", "fails at i = 1: overflow"),
+            ("1/(i-1)", "fails at i = 1: float division by zero"),
+            ("log(i - 1)", "fails at i = 1: math domain error"),
+            ("(-1)**(i/2)", "fails at i = 1"),
+            ("1e400 - i", "is inf at i = 1"),
+            pytest.param("1" + "0" * 400, "an integer constant exceeds", id="huge_constant"),
+        ],
+    )
+    def test_an_expression_that_fails_in_floats_is_rejected_at_parse(self, expr, match):
+        doc = doc_of("example51_stable")
+        doc["lyapunov"]["c"] = {"kind": "expr", "expr": expr, "bound": 1.0}
+        with pytest.raises(ConfigurationError, match=match):
+            sc.parse_scenario(doc)
+
+    @pytest.mark.parametrize("name", [n for n in ALL_PRESETS if n.startswith("example5")])
+    def test_preset_expressions_equal_their_formulas(self, name):
+        # 2*b + eps, 2*b, 2*Lam1 and 2*lam1 give the values they gave when
+        # constants were ints
+        bundle = sd.preset(name)
+        params = bundle.raw["model"]["params"]
+        expr = bundle.raw["lyapunov"]["c"]
+        for i in range(1, 60):
+            if "b" in params:
+                want = 2 * float(params["b"][min(i, len(params["b"])) - 1])
+                want += expr.get("params", {}).get("eps", 0.0)
+            else:
+                A = np.asarray(params["matrices"][min(i, len(params["matrices"])) - 1])
+                eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
+                want = 2 * float(eigs[0] if "lam1" in expr["expr"] else eigs[-1])
+            assert bundle.lyap.c(i) == want
+
     def test_unknown_name_raises_on_evaluation(self):
         doc = doc_of("example51_stable")
         doc["lyapunov"]["c"] = {"kind": "expr", "expr": "zz + 1", "bound": 1.0}

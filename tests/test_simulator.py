@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import switchdiff as sd
-from conftest import single_regime_linear, two_state_kernel
+from conftest import euler_run, single_regime_linear, two_state_kernel
 from switchdiff.simulator import _select_target
 
 
@@ -56,7 +56,7 @@ def regime_mix_spec(
     4|x|^2, which breaks the thinning guard at dt = 0.05 once |x| >
     1/sqrt(2).  Regime 2 contracts and leaves for 1 at rate 1 or for 3 at
     rate 0.2.  Regime 3 blows up in one step.  In 1-D the model has an
-    Euler map (scalar_step).  Rates are read at pre-step states, inside the
+    Euler map (scalar_run).  Rates are read at pre-step states, inside the
     ball, so they stay below 4 * 1.5^2 = 9.  With noise_dim = 2 (2-D only)
     a second noise column rotates X.
     """
@@ -118,7 +118,7 @@ class TestStep:
     def test_noise_enters_through_the_diffusion_matrix(self):
         # both update forms: the Euler map on floats and the array callbacks
         fast = single_regime_linear(-1.0, s=1.0)
-        slow = dataclasses.replace(fast, scalar_step=None)
+        slow = dataclasses.replace(fast, scalar_run=None)
         z = sd.path_streams(3, 0)[0].standard_normal((1, 1))[0, 0]
         for spec in (fast, slow):
             traj = sd.simulate(spec, sd.SimConfig(dt=0.1, horizon=0.1, seed=3), np.array([1.0]), 1)
@@ -156,11 +156,40 @@ class TestSimConfigValidation:
             {"dt": 0.1, "horizon": 1.0, "stop_radius": 0.0},
             {"dt": 0.1, "horizon": 1.0, "record_stride": 0},
             {"dt": 0.1, "horizon": 1.0, "seed": -1},
+            # each passed, or raised a TypeError, a ValueError or (on
+            # simulating an infinite horizon) an OverflowError
+            {"dt": 0.1, "horizon": 1.0, "record_stride": 2.5},
+            {"dt": 0.1, "horizon": 1.0, "record_stride": math.nan},
+            {"dt": 0.1, "horizon": 1.0, "record_stride": math.inf},
+            {"dt": 0.1, "horizon": 1.0, "record_stride": "10"},
+            {"dt": 0.1, "horizon": 1.0, "record_stride": None},
+            {"dt": 0.1, "horizon": 1.0, "record_stride": True},
+            {"dt": None, "horizon": 1.0},
+            {"dt": 0.1, "horizon": None},
+            {"dt": 0.1, "horizon": math.inf},
+            # each passed: a fractional seed or path index ran as its
+            # integer part
+            {"dt": 0.1, "horizon": 1.0, "seed": 1.5},
+            {"dt": 0.1, "horizon": 1.0, "path_index": 2.5},
+            {"dt": 0.1, "horizon": 1.0, "stop_radius": "1"},
         ],
     )
     def test_bad_configs_are_rejected(self, kwargs):
         with pytest.raises(sd.ConfigurationError):
             sd.SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("run_float_loop", [True, False], ids=["float_loop", "batched"])
+    def test_an_integral_float_stride_runs_as_an_int(self, run_float_loop):
+        # record_stride=10.0 passed validation, then simulate raised a TypeError
+        spec = single_regime_linear(-1.0, s=0.2)
+        if not run_float_loop:
+            spec = dataclasses.replace(spec, scalar_run=None)
+        cfg = sd.SimConfig(dt=0.01, horizon=1.0, seed=2, record_stride=10.0)
+        assert cfg.record_stride == 10 and type(cfg.record_stride) is int
+        traj = sd.simulate(spec, cfg, np.array([0.5]), 1)
+        want = sd.simulate(spec, dataclasses.replace(cfg, record_stride=10), np.array([0.5]), 1)
+        assert traj.times.size == 11
+        assert_same_path(traj, want)
 
     def test_simulate_validates_initial_data(self):
         spec = single_regime_linear(-1.0)
@@ -195,7 +224,7 @@ class TestSimulatePaths:
         # show in the float loop, nor in the batched engine, for one path or
         # several, plain or coupled
         fast = with_kernel(single_regime_linear(-0.5, s=0.4), two_state_kernel(2.0, 2.0))
-        slow = dataclasses.replace(fast, scalar_step=None)
+        slow = dataclasses.replace(fast, scalar_run=None)
         cfg = sd.SimConfig(dt=0.01, horizon=2.0, seed=13, record_stride=3)
         x0 = np.array([0.3])
 
@@ -213,7 +242,7 @@ class TestSimulatePaths:
 
     def test_scalar_and_vector_engines_agree(self):
         fast = with_kernel(single_regime_linear(-0.5, s=0.4), two_state_kernel(2.0, 2.0))
-        slow = dataclasses.replace(fast, scalar_step=None)
+        slow = dataclasses.replace(fast, scalar_run=None)
         cfg = sd.SimConfig(dt=0.01, horizon=2.0, seed=13)
         a = sd.simulate(fast, cfg, np.array([0.3]), 1)
         b = sd.simulate(slow, cfg, np.array([0.3]), 1)
@@ -247,7 +276,7 @@ class TestSimulatePaths:
             drift=lambda x, i: x**3,
             diffusion=lambda x, i: np.zeros((1, 1)),
             rate_kernel=sd.RateKernel(row=row, global_bound=0.0, x_independent=True),
-            scalar_step=lambda i, dt: lambda x, w: x + x**3 * dt + 0.0 * w,
+            scalar_run=euler_run(lambda i, dt: lambda x, w: x + x**3 * dt + 0.0 * w),
         )
         traj = sd.simulate(spec, sd.SimConfig(dt=0.5, horizon=10.0), np.array([2.0]), 1)
         assert traj.blew_up
@@ -313,6 +342,79 @@ def grow_or_blow_spec(kernel_kind: str) -> sd.ModelSpec:
         kernel = dataclasses.replace(kernel, global_bound=None)
     params = {"matrices": [[[5.0]], [[1e16]]], "sigma_matrices": [[[[0.5]]], [[[0.0]]]]}
     return sd.build_model({"family": "linear", "params": params}, kernel)
+
+
+def exit_cases(kernel_kind):
+    """grow_or_blow_spec's paths, which exit on steps that cannot switch
+    (where the gate is finite) and on steps that jump."""
+
+    def check(spec, cfg, batch):
+        gate = sd.simulator._thinning_bound(spec.rate_kernel, cfg.dt)[1]
+        quiet = on_jump = 0
+        for p, tr in enumerate(batch):
+            if tr.exited:
+                k = int(round(tr.tau_h / cfg.dt)) - 1
+                quiet += sd.path_streams(cfg.seed, p)[1].random(k + 1)[k] >= gate
+                on_jump += bool(tr.jumps) and tr.jumps[-1][0] == tr.tau_h
+        assert on_jump > 0 and (quiet > 0) == (gate < math.inf)
+
+    cfg = sd.SimConfig(dt=0.01, horizon=2.0, seed=4, stop_radius=1.0)
+    return lambda: (grow_or_blow_spec(kernel_kind), cfg, np.array([0.5]), 1, 200, check)
+
+
+def mix_case(stride):
+    """regime_mix_spec's 1-D paths at another record stride."""
+
+    def check(spec, cfg, batch):
+        assert_mixed(batch)
+        n_steps = int(round(cfg.horizon / cfg.dt))
+        full = [tr for tr in batch if not (tr.exited or tr.blew_up)]
+        # the points every stride steps, the endpoint and the start
+        assert full and all(tr.times.size == -(-n_steps // stride) + 1 for tr in full)
+
+    cfg = dataclasses.replace(MIX_CONFIG, record_stride=stride)
+    return lambda: (regime_mix_spec(1), cfg, np.array([0.5]), 1, 24, check)
+
+
+def x_independent_unbounded():
+    """Two regimes on an x-independent kernel without a global bound; at dt
+    = 0.01 regime 2's rate 30 breaks the guard, so it sub-divides every step."""
+    kernel = dataclasses.replace(two_state_kernel(3.0, 30.0), global_bound=None)
+    params = {"matrices": [[[-0.5]], [[0.3]]], "sigma_matrices": [[[[0.4]]], [[[0.2]]]]}
+    spec = sd.build_model({"family": "linear", "params": params}, kernel)
+    cfg = sd.SimConfig(dt=0.01, horizon=3.0, seed=6, record_stride=7)
+
+    def check(spec, cfg, batch):
+        times = [t / cfg.dt for tr in batch for t, _, _ in tr.jumps]
+        off_grid = [abs(k - round(k)) > 1e-9 for k in times]
+        assert any(off_grid) and not all(off_grid)
+
+    return spec, cfg, np.array([0.5]), 1, 8, check
+
+
+def preset_case(name):
+    """A short run of a 1-D preset."""
+
+    def case():
+        bundle = sd.preset(name)
+        cfg = dataclasses.replace(bundle.sim, horizon=1.0)
+        return bundle.model, cfg, bundle.x0, bundle.i0, 4, lambda spec, cfg, batch: None
+
+    return case
+
+
+FLOAT_LOOP_CASES = {
+    "stride_1": mix_case(1),
+    "stride_above_the_step_count": mix_case(1000),
+    "x_independent_without_a_bound": x_independent_unbounded,
+    **{f"exits_{kind}": exit_cases(kind) for kind in ("table", "gated", "every_step")},
+    **{
+        f"preset_{name}": preset_case(name)
+        for name in (
+            "example51_stable", "example51_unstable", "two_state_switching", "contraction_benchmark"
+        )
+    },
+}
 
 
 class TestFloatLoop:
@@ -431,13 +533,26 @@ class TestBatchedEngine:
         # the float loop is the reference: a 1-D model without its Euler map
         # runs through the batched engine, path for path the same
         fast = regime_mix_spec(1, with_batch_rows)
-        slow = dataclasses.replace(fast, scalar_step=None)
+        slow = dataclasses.replace(fast, scalar_run=None)
         x0 = np.array([0.5])
         batch = paths(slow, MIX_CONFIG, 24, x0, 1)
         for p, traj in enumerate(batch):
             cfg = dataclasses.replace(MIX_CONFIG, path_index=p)
             assert_same_path(traj, sd.simulate(fast, cfg, x0, 1))
         assert_mixed(batch)
+
+    @pytest.mark.parametrize("case", sorted(FLOAT_LOOP_CASES))
+    def test_batched_engine_matches_the_float_loop_on_each_event_kind(self, case):
+        # the float loop takes its steps in stretches between events: the
+        # record steps, the candidates to switch, the exits and blow-ups;
+        # the batched engine takes them one at a time
+        fast, cfg, x0, i0, n, check = FLOAT_LOOP_CASES[case]()
+        slow = dataclasses.replace(fast, scalar_run=None)
+        batch = paths(slow, cfg, n, x0, i0)
+        for p, traj in enumerate(batch):
+            alone = sd.simulate(fast, dataclasses.replace(cfg, path_index=p), x0, i0)
+            assert_same_path(traj, alone)
+        check(fast, cfg, batch)
 
     @pytest.mark.parametrize(
         "kernel",
