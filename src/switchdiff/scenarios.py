@@ -4,9 +4,9 @@ A scenario is a JSON document selecting a model family (example51, example52,
 linear), a switching-kernel family (birth_death, example52_q, two_state,
 custom_table), a Lyapunov family (square, power_p) with a rate profile g and
 a c-sequence, plus chain truncation, simulation, and Monte Carlo settings.
-Numeric parameters live in the file so runs are reproducible; the bundle
-carries the sha256 of the file's bytes for provenance.  The bundled presets
-are the files under scenarios/, read through the package's presets link.
+Every field is read through the field tables below; the bundle carries the
+sha256 of the file's bytes for provenance.  The bundled presets are the files
+under scenarios/, read through the package's presets link.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from collections import namedtuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,13 +35,9 @@ from .model import (
     row_norms,
 )
 from .rates import RateProfile, identity_profile, power_profile
-from .simulator import SimConfig
+from .simulator import SimConfig, _real, _whole
 
-MODEL_FAMILIES = ("example51", "example52", "linear")
-KERNEL_FAMILIES = ("birth_death", "example52_q", "two_state", "custom_table")
-LYAPUNOV_FAMILIES = ("square", "power_p")
-G_KINDS = ("identity", "power_1_plus_gamma")
-C_KINDS = ("constant", "table", "expr")
+REQUIRED = object()  # the default of a key that must be given
 
 # names available to c expressions, besides per-regime values and parameters
 _EXPR_MATH = {
@@ -104,26 +101,204 @@ def _per_regime(values):
     return at, take
 
 
-def _positive_int(value, what: str) -> int:
-    """value, a number or a string of one, as an integer >= 1 (a regime or a
-    count); anything else raises ConfigurationError(f"{what} {value!r}")."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not (number >= 1.0 and number.is_integer()):
-        raise ConfigurationError(f"{what} {value!r}")
-    return int(number)
+# ---------------------------------------------------------------------------
+# Field tables
+#
+# Each section of a scenario document is read by one table of Fields, and a
+# family's params by its family's table.  A Field names a key, the kind of its
+# value (see _value), its default (REQUIRED: none) and its check, a (predicate,
+# text) pair that every number or string read must pass.  _read rejects a
+# section that is not an object and a key its table does not name; a null is
+# the default of a field whose default is None.  Numbers are read by _real and
+# _whole, which refuse strings: "5" is not 5.
 
 
-def _optional_float(value) -> Optional[float]:
-    return None if value is None else float(value)
+class Field(NamedTuple):
+    name: str
+    kind: object
+    default: object = REQUIRED
+    check: Optional[tuple] = None
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigurationError(f"{where}: missing required key {key!r}")
-    return mapping[key]
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _value(value, kind, where: str, check):
+    """value read as kind: float (a real), int (an integer >= 1), str, [k] (a
+    nonempty list of k), {str: k} (an object of k by name), None (as it is: a
+    section, which its own table reads, or a value SimConfig checks) or a
+    reader kind(value, where, check)."""
+    if isinstance(kind, list):
+        if not (isinstance(value, list) and value):
+            raise ConfigurationError(f"{where} must be a nonempty list, got {value!r}")
+        return [_value(v, kind[0], f"{where}[{k}]", check) for k, v in enumerate(value)]
+    if isinstance(kind, dict):
+        return {k: _value(v, kind[str], f"{where}.{k}", check) for k, v in _object(value, where).items()}
+    if kind is int:
+        return _whole(value, where, 1)
+    if kind is float:
+        value = _real(value, where)
+    elif kind is str:
+        if not isinstance(value, str):
+            raise ConfigurationError(f"{where} must be a string, got {value!r}")
+    elif kind is not None:
+        return kind(value, where, check)
+    if check is not None and not check[0](value):
+        raise ConfigurationError(f"{where} must be {check[1]}, got {value!r}")
+    return value
+
+
+def _read(section, fields: tuple, where: str) -> dict:
+    """section, a JSON object, read by its table: {name: value read or default}."""
+    _object(section, where)
+    values = {}
+    for f in fields:
+        if f.default is REQUIRED and f.name not in section:
+            raise ConfigurationError(f"{where}: missing required key {f.name!r}")
+        value = section.get(f.name)
+        absent = f.name not in section or (value is None and f.default is None)
+        values[f.name] = f.default if absent else _value(value, f.kind, f"{where}.{f.name}", f.check)
+    for key in section:
+        if key not in values:
+            allowed = ", ".join(values)
+            raise ConfigurationError(f"{where}: unknown key {key!r}; allowed: {allowed}")
+    return values
+
+
+def _pick(tables: dict, choice, what: str) -> tuple:
+    """The table of the family or kind named choice."""
+    if isinstance(choice, str) and choice in tables:
+        return tables[choice]
+    raise ConfigurationError(f"unknown {what} {choice!r}; choose from {tuple(tables)}")
+
+
+def _read_kind(section, key: str, tables: dict, where: str, what: str) -> dict:
+    """section read by key's field and the table of the kind that key names."""
+    fields = (Field(key, str),)
+    if isinstance(section, dict) and key in section:
+        fields += _pick(tables, section[key], what)
+    return _read(section, fields, where)
+
+
+def _auto_or_real(value, where: str, check):
+    return value if value is None or value == "auto" else _value(value, float, where, check)
+
+
+def _rate_rows(value, where: str, check) -> dict:
+    """custom_table rows {regime: [[target, rate], ...]} as {i: ((j, rate), ...)},
+    each row sorted by target.  JSON keys are strings, so a regime key is read
+    from its text ("3", "3.0"); targets and rates are numbers."""
+    table = {}
+    for key, entries in _object(value, where).items():
+        at = f"{where}[{key}]"
+        try:
+            number = float(key)
+        except (TypeError, ValueError):
+            number = key  # _whole rejects it
+        i = _whole(number, f"{at} regime", 1)
+        if i in table:
+            raise ConfigurationError(f"{at}: regime {i} is listed twice")
+        if not (isinstance(entries, list) and all(isinstance(e, list) and len(e) == 2 for e in entries)):
+            raise ConfigurationError(f"{at} must be a list of [target, rate] pairs, got {entries!r}")
+        pairs = [(_whole(j, f"{at} target", 1), _value(r, float, f"{at} rate", check)) for j, r in entries]
+        row = tuple(sorted(pairs))
+        for k, (j, _) in enumerate(row):
+            if j == i or (k > 0 and j == row[k - 1][0]):
+                raise ConfigurationError(f"{at}: invalid target {j}")
+        table[i] = row
+    return table
+
+
+def _one_of(*choices) -> tuple:
+    return choices.__contains__, " or ".join(choices)
+
+
+FINITE = (math.isfinite, "finite")
+POSITIVE = (lambda x: 0.0 < x < math.inf, "positive and finite")
+NONNEGATIVE = (lambda x: 0.0 <= x < math.inf, "nonnegative and finite")
+OPEN_UNIT = (lambda x: 0.0 < x < 1.0, "in (0, 1)")
+MATRICES = [[[float]]]  # per-regime matrices; the model families check their shapes
+
+SCENARIO_FIELDS = (
+    Field("name", str, "unnamed"),
+    Field("model", None),
+    Field("kernel", None),
+    Field("lyapunov", None),
+    Field("chain", None, {}),
+    Field("sim", None, {}),
+    Field("mc", None, {}),
+    Field("outputs", str, None),  # None: out/<name>
+)
+FAMILY_FIELDS = (Field("family", str), Field("params", None, {}))  # of model and kernel
+_LINEAR = (
+    Field("matrices", MATRICES, check=FINITE),
+    Field("sigma_matrices", [MATRICES], None, FINITE),  # per regime, per noise; None: zero
+    Field("noise_dim", int, 1),  # read without sigma_matrices
+)
+MODEL_PARAMS = {
+    "example51": (
+        Field("b", [float], check=FINITE),
+        Field("sigma", [float], check=FINITE),
+        Field("gamma", float, check=OPEN_UNIT),
+    ),
+    "example52": _LINEAR,
+    "linear": _LINEAR,
+}
+KERNEL_PARAMS = {
+    "birth_death": (
+        Field("up", float, 1.0, NONNEGATIVE),
+        Field("down", float, 2.0, POSITIVE),
+        Field("modulation", float, 0.0, NONNEGATIVE),
+    ),
+    "example52_q": (Field("scale", float, 1.0, POSITIVE),),
+    "two_state": (Field("q12", float, check=NONNEGATIVE), Field("q21", float, check=NONNEGATIVE)),
+    "custom_table": (
+        Field("rows", _rate_rows, check=NONNEGATIVE),
+        Field("global_bound", _auto_or_real, "auto", NONNEGATIVE),  # None: no bound
+    ),
+}
+_LYAPUNOV = (Field("domain_radius", float, check=POSITIVE), Field("g", None), Field("c", None))
+LYAPUNOV_FIELDS = {"square": _LYAPUNOV, "power_p": _LYAPUNOV + (Field("p", float, check=POSITIVE),)}
+G_FIELDS = {  # RateProfile checks h and gamma; h None: V at the domain radius
+    "identity": (Field("h", float, None),),
+    "power_1_plus_gamma": (Field("gamma", float), Field("h", float, None)),
+}
+C_FIELDS = {
+    "constant": (Field("value", float, check=FINITE), Field("bound", float, None, NONNEGATIVE)),
+    "table": (
+        Field("values", [float], check=FINITE),
+        Field("tail", float, None, FINITE),  # None: the last value
+        Field("bound", float, None, NONNEGATIVE),  # None: the largest |c_i|
+    ),
+    "expr": (
+        Field("expr", str),
+        Field("bound", float, check=NONNEGATIVE),
+        Field("params", {str: float}, {}, FINITE),
+    ),
+}
+CHAIN_FIELDS = (Field("N", int, 30), Field("mode", str, "lump", _one_of("lump", "drop")))
+SIM_FIELDS = (  # SimConfig checks its fields, dt to record_stride
+    Field("dt", None, 1e-3),
+    Field("horizon", None, 10.0),
+    Field("seed", None, 0),
+    Field("path_index", None, 0),
+    Field("stop_radius", None, None),
+    Field("record_stride", None, 1),
+    Field("x0", [float], None, FINITE),  # None: the origin
+    Field("i0", int, 1),
+    Field("switch_scheme", str, "per_step_thinning", _one_of("per_step_thinning")),
+)
+MC_FIELDS = (
+    Field("n_paths", int, 1000),
+    Field("epsilon", float, 0.25, OPEN_UNIT),
+    Field("delta_sweep", [float], (0.05, 0.03, 0.02), POSITIVE),
+    Field("rate_paths", int, 300),
+    Field("rate_horizon", float, None, POSITIVE),
+    Field("rate_T0", float, None, POSITIVE),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -131,58 +306,34 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def build_kernel(family: str, params: dict) -> RateKernel:
+    p = _read(params, _pick(KERNEL_PARAMS, family, "kernel family"), "kernel.params")
     if family == "birth_death":
-        up = float(params.get("up", 1.0))
-        down = float(params.get("down", 2.0))
-        mod = float(params.get("modulation", 0.0))
-        if up < 0 or down <= 0 or mod < 0:
-            raise ConfigurationError(
-                "kernel.params: need up >= 0, down > 0, modulation >= 0"
-            )
-
-        def unit_rows(I):
-            first = I == 1
-            targets = np.stack([np.where(first, 2, I - 1), np.where(first, 0, I + 1)], axis=1)
-            rates = np.stack([np.where(first, up, down), np.where(first, 0.0, up)], axis=1)
-            return targets, rates
-
-        if mod == 0.0:
-            def row(x, i):
-                _check_regime(i)
-                if i == 1:
-                    return ((2, up),)
-                return ((i - 1, down), (i + 1, up))
-
-            return RateKernel(
-                row=row,
-                global_bound=up + down,
-                x_independent=True,
-                batch_rows=lambda X, I: unit_rows(I),
-            )
+        up, down, mod = p["up"], p["down"], p["modulation"]
 
         def row(x, i):
             _check_regime(i)
-            f = 1.0 + mod * math.sin(_norm(x)) ** 2
+            f = 1.0 + mod * math.sin(_norm(x)) ** 2 if mod else 1.0
             if i == 1:
                 return ((2, up * f),)
             return ((i - 1, down * f), (i + 1, up * f))
 
         def batch_rows(X, I):
-            targets, rates = unit_rows(I)
-            f = 1.0 + mod * np.sin(row_norms(X)) ** 2
-            return targets, rates * f[:, None]
+            first = I == 1
+            targets = np.stack([np.where(first, 2, I - 1), np.where(first, 0, I + 1)], axis=1)
+            rates = np.stack([np.where(first, up, down), np.where(first, 0.0, up)], axis=1)
+            if mod:
+                rates = rates * (1.0 + mod * np.sin(row_norms(X)) ** 2)[:, None]
+            return targets, rates
 
         return RateKernel(
             row=row,
             global_bound=(up + down) * (1.0 + mod),
-            x_independent=False,
+            x_independent=not mod,
             batch_rows=batch_rows,
         )
 
     if family == "example52_q":
-        scale = float(params.get("scale", 1.0))
-        if scale <= 0:
-            raise ConfigurationError("kernel.params.scale must be positive")
+        scale = p["scale"]
 
         def row(x, i):
             _check_regime(i)
@@ -201,90 +352,40 @@ def build_kernel(family: str, params: dict) -> RateKernel:
             row=row, global_bound=4.0 * scale, x_independent=False, batch_rows=batch_rows
         )
 
-    if family == "two_state":
-        q12 = float(_require(params, "q12", "kernel.params"))
-        q21 = float(_require(params, "q21", "kernel.params"))
-        if q12 < 0 or q21 < 0:
-            raise ConfigurationError("kernel.params: rates must be nonnegative")
+    if family == "two_state":  # the custom_table of two regimes
+        rows = {1: [[2, p["q12"]]], 2: [[1, p["q21"]]]}
+        return build_kernel("custom_table", {"rows": rows})
 
-        def row(x, i):
-            _check_regime(i)
-            if i == 1:
-                return ((2, q12),)
-            if i == 2:
-                return ((1, q21),)
-            return ()
+    # custom_table
+    table, bound = p["rows"], p["global_bound"]
+    totals = {i: sum(r for _, r in row_) for i, row_ in table.items()}
+    if bound == "auto":
+        bound = max(totals.values(), default=0.0)
+    elif bound is not None:
+        for i, total in totals.items():
+            if total > bound + RATE_BOUND_TOL:
+                raise ConfigurationError(
+                    f"kernel.params.rows[{i}]: rate sum {total} exceeds "
+                    f"declared global bound {bound}"
+                )
 
-        def batch_rows(X, I):
-            targets = np.select([I == 1, I == 2], [2, 1], 0)
-            rates = np.select([I == 1, I == 2], [q12, q21], 0.0)
-            return targets[:, None], rates[:, None]
+    def row(x, i):
+        _check_regime(i)
+        return table.get(i, ())
 
-        return RateKernel(
-            row=row,
-            global_bound=max(q12, q21),
-            x_independent=True,
-            batch_rows=batch_rows,
-        )
+    width = max(map(len, table.values()), default=0)
 
-    if family == "custom_table":
-        raw = _require(params, "rows", "kernel.params")
-        table = {}
-        for key, entries in raw.items():
-            where = f"kernel.params.rows[{key}]"
-            i = _positive_int(key, f"{where}: invalid regime")
-            if i in table:
-                raise ConfigurationError(f"{where}: regime {i} is listed twice")
-            target = f"{where}: invalid target"
-            parsed = tuple(sorted((_positive_int(j, target), float(r)) for j, r in entries))
-            for k, (j, r) in enumerate(parsed):
-                if r < 0:
-                    raise ConfigurationError(f"{where}: negative rate {r}")
-                if not math.isfinite(r):
-                    raise ConfigurationError(f"{where}: non-finite rate {r}")
-                if j == i or (k > 0 and j == parsed[k - 1][0]):
-                    raise ConfigurationError(f"{where}: invalid target {j}")
-            table[i] = parsed
-        declared = params.get("global_bound", "auto")
-        if declared == "auto":
-            bound = max(
-                (sum(r for _, r in row_) for row_ in table.values()), default=0.0
-            )
-        elif declared is None:
-            bound = None
-        else:
-            bound = float(declared)
-            for i, row_ in table.items():
-                total = sum(r for _, r in row_)
-                if total > bound + RATE_BOUND_TOL:
-                    raise ConfigurationError(
-                        f"kernel.params.rows[{i}]: rate sum {total} exceeds "
-                        f"declared global bound {bound}"
-                    )
+    def batch_rows(X, I):
+        regimes, where = np.unique(I, return_inverse=True)
+        targets = np.zeros((regimes.size, width), dtype=np.int64)
+        rates = np.zeros((regimes.size, width))
+        for k, i in enumerate(regimes.tolist()):
+            for m, (j, r) in enumerate(table.get(i, ())):
+                targets[k, m] = j
+                rates[k, m] = r
+        return targets[where], rates[where]
 
-        def row(x, i):
-            _check_regime(i)
-            return table.get(i, ())
-
-        width = max(map(len, table.values()), default=0)
-
-        def batch_rows(X, I):
-            regimes, where = np.unique(I, return_inverse=True)
-            targets = np.zeros((regimes.size, width), dtype=np.int64)
-            rates = np.zeros((regimes.size, width))
-            for k, i in enumerate(regimes.tolist()):
-                for m, (j, r) in enumerate(table.get(i, ())):
-                    targets[k, m] = j
-                    rates[k, m] = r
-            return targets[where], rates[where]
-
-        return RateKernel(
-            row=row, global_bound=bound, x_independent=True, batch_rows=batch_rows
-        )
-
-    raise ConfigurationError(
-        f"unknown kernel family {family!r}; choose from {KERNEL_FAMILIES}"
-    )
+    return RateKernel(row=row, global_bound=bound, x_independent=True, batch_rows=batch_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +393,20 @@ def build_kernel(family: str, params: dict) -> RateKernel:
 
 
 def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
-    family = _require(model_cfg, "family", "model")
-    params = model_cfg.get("params", {})
+    return _model(model_cfg, kernel)[0]
+
+
+def _model(model_cfg: dict, kernel: RateKernel) -> tuple[ModelSpec, dict]:
+    """The model and the per-regime values that c expressions may name: the
+    lists b and sigma of example51, the extreme eigenvalues lam1 and Lam1 of
+    the symmetric parts of the linear families' drift matrices."""
+    cfg = _read(model_cfg, FAMILY_FIELDS, "model")
+    family = cfg["family"]
+    p = _read(cfg["params"], _pick(MODEL_PARAMS, family, "model family"), "model.params")
 
     if family == "example51":
-        b = [float(v) for v in _require(params, "b", "model.params")]
-        sigma = [float(v) for v in _require(params, "sigma", "model.params")]
-        gamma = float(_require(params, "gamma", "model.params"))
-        if not (0.0 < gamma < 1.0):
-            raise ConfigurationError(f"model.params.gamma must be in (0,1), got {gamma}")
-        if not b or not sigma:
-            raise ConfigurationError("model.params: b and sigma must be nonempty")
-        two_gamma = 2.0 * gamma
+        b, sigma = p["b"], p["sigma"]
+        two_gamma = 2.0 * p["gamma"]
         b_at, b_take = _per_regime(b)
         sigma_at, sigma_take = _per_regime(sigma)
         # for gamma in (0,1) both b x|x|^(2 gamma) and sigma sin^2 x have
@@ -355,7 +458,7 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             s = math.sin(x)
             return sigma_at(i) * s * s
 
-        return ModelSpec(
+        spec = ModelSpec(
             dim=1,
             noise_dim=1,
             drift=point_form(batch_drift, 1),
@@ -369,129 +472,86 @@ def build_model(model_cfg: dict, kernel: RateKernel) -> ModelSpec:
             batch_diffusion=batch_diffusion,
             scalar_run=scalar_run,
         )
+        return spec, {"b": b, "sigma": sigma}
 
-    if family in ("example52", "linear"):
-        mats = [
-            np.asarray(m, dtype=float) for m in _require(params, "matrices", "model.params")
-        ]
-        if not mats:
-            raise ConfigurationError("model.params.matrices must be nonempty")
-        n = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (n, n):
-                raise ConfigurationError(
-                    f"model.params.matrices must all be {n}x{n}, got {m.shape}"
-                )
-        sig_raw = params.get("sigma_matrices")
-        noise_dim = int(params.get("noise_dim", 1))
-        sig_mats = [[np.zeros((n, n))] * noise_dim]
-        if sig_raw is not None:
-            sig_mats = [
-                [np.asarray(s, dtype=float) for s in regime] for regime in sig_raw
-            ]
-            noise_dim = len(sig_mats[0])
-            for regime in sig_mats:
-                if len(regime) != noise_dim or any(s.shape != (n, n) for s in regime):
-                    raise ConfigurationError(
-                        "model.params.sigma_matrices must be per-regime lists "
-                        f"of {noise_dim} {n}x{n} matrices"
-                    )
+    # example52 and linear
+    n = len(p["matrices"][0])
+    sigma = p["sigma_matrices"] or [[[[0.0] * n] * n] * p["noise_dim"]]
+    noise_dim = len(sigma[0])
 
-        a_at, a_take = _per_regime(mats)
-        s_at, s_take = _per_regime(sig_mats)
+    def square(m) -> bool:
+        return len(m) == n and all(len(row) == n for row in m)
 
-        def batch_drift(I):
-            a = a_take(I)
-            return lambda X: np.matmul(a, X[:, :, None])[:, :, 0]
-
-        def batch_diffusion(I):
-            s = s_take(I)
-
-            def diffusion(X):
-                cols = np.matmul(s, X[:, None, :, None])[..., 0]
-                return np.ascontiguousarray(cols.transpose(0, 2, 1))
-
-            return diffusion
-
-        scalar_drift = scalar_diffusion = scalar_run = None
-        if n == 1 and noise_dim == 1:
-
-            def scalar_run(i: int, dt: float):
-                ai, si = float(a_at(i)[0, 0]), float(s_at(i)[0][0, 0])
-
-                def run(x: float, ws: list, a: int, e: int, lim: float) -> tuple:
-                    ox = x
-                    for k in range(a, e):
-                        ox = x
-                        x = ox + ai * ox * dt + si * ox * ws[k]
-                        if not abs(x) < lim:
-                            return x, ox, k
-                    return x, ox, e
-
-                return run
-
-            # read only by bench/tracer.py, as in example51
-            def scalar_drift(x: float, i: int) -> float:
-                return float(a_at(i)[0, 0]) * x
-
-            def scalar_diffusion(x: float, i: int) -> float:
-                return float(s_at(i)[0][0, 0]) * x
-
-        return ModelSpec(
-            dim=n,
-            noise_dim=noise_dim,
-            drift=point_form(batch_drift, n),
-            diffusion=point_form(batch_diffusion, n),
-            rate_kernel=kernel,
-            zero_fixed=True,
-            scalar_drift=scalar_drift,
-            scalar_diffusion=scalar_diffusion,
-            linearization=ExactLinearization(drift_matrix=a_at, diffusion_matrices=s_at),
-            batch_drift=batch_drift,
-            batch_diffusion=batch_diffusion,
-            scalar_run=scalar_run,
+    if not all(map(square, p["matrices"])):
+        raise ConfigurationError(f"model.params.matrices must all be {n}x{n}")
+    if not all(len(regime) == noise_dim and all(map(square, regime)) for regime in sigma):
+        raise ConfigurationError(
+            "model.params.sigma_matrices must be per-regime lists "
+            f"of {noise_dim} {n}x{n} matrices"
         )
+    mats = [np.array(m) for m in p["matrices"]]
+    sig_mats = [[np.array(s) for s in regime] for regime in sigma]
 
-    raise ConfigurationError(
-        f"unknown model family {family!r}; choose from {MODEL_FAMILIES}"
+    a_at, a_take = _per_regime(mats)
+    s_at, s_take = _per_regime(sig_mats)
+
+    def batch_drift(I):
+        a = a_take(I)
+        return lambda X: np.matmul(a, X[:, :, None])[:, :, 0]
+
+    def batch_diffusion(I):
+        s = s_take(I)
+
+        def diffusion(X):
+            cols = np.matmul(s, X[:, None, :, None])[..., 0]
+            return np.ascontiguousarray(cols.transpose(0, 2, 1))
+
+        return diffusion
+
+    scalar_drift = scalar_diffusion = scalar_run = None
+    if n == 1 and noise_dim == 1:
+
+        def scalar_run(i: int, dt: float):
+            ai, si = float(a_at(i)[0, 0]), float(s_at(i)[0][0, 0])
+
+            def run(x: float, ws: list, a: int, e: int, lim: float) -> tuple:
+                ox = x
+                for k in range(a, e):
+                    ox = x
+                    x = ox + ai * ox * dt + si * ox * ws[k]
+                    if not abs(x) < lim:
+                        return x, ox, k
+                return x, ox, e
+
+            return run
+
+        # read only by bench/tracer.py, as in example51
+        def scalar_drift(x: float, i: int) -> float:
+            return float(a_at(i)[0, 0]) * x
+
+        def scalar_diffusion(x: float, i: int) -> float:
+            return float(s_at(i)[0][0, 0]) * x
+
+    spec = ModelSpec(
+        dim=n,
+        noise_dim=noise_dim,
+        drift=point_form(batch_drift, n),
+        diffusion=point_form(batch_diffusion, n),
+        rate_kernel=kernel,
+        zero_fixed=True,
+        scalar_drift=scalar_drift,
+        scalar_diffusion=scalar_diffusion,
+        linearization=ExactLinearization(drift_matrix=a_at, diffusion_matrices=s_at),
+        batch_drift=batch_drift,
+        batch_diffusion=batch_diffusion,
+        scalar_run=scalar_run,
     )
+    eigs = [np.linalg.eigvalsh(0.5 * (m + m.T)) for m in mats]
+    return spec, {"lam1": [float(e[0]) for e in eigs], "Lam1": [float(e[-1]) for e in eigs]}
 
 
 # ---------------------------------------------------------------------------
 # Lyapunov families, rate profiles, c sequences
-
-
-def _regime_env(model_cfg: dict) -> tuple[tuple[str, ...], Callable[[int], dict]]:
-    """Per-regime names available to c expressions (b, sigma, Lam1, lam1):
-    returns the names and env(i) -> {name: value}."""
-    family = model_cfg.get("family")
-    params = model_cfg.get("params", {})
-    if family == "example51":
-        b_at = _per_regime([float(v) for v in params.get("b", [])])[0]
-        sigma_at = _per_regime([float(v) for v in params.get("sigma", [])])[0]
-
-        def env(i: int) -> dict:
-            return {"b": b_at(i), "sigma": sigma_at(i)}
-
-        return ("b", "sigma"), env
-    if family in ("example52", "linear"):
-        mats = [np.asarray(m, dtype=float) for m in params.get("matrices", [])]
-        lam_pairs = []
-        for m in mats:
-            eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
-            lam_pairs.append((float(eigs[0]), float(eigs[-1])))
-        lam_at = _per_regime(lam_pairs)[0]
-
-        def env(i: int) -> dict:
-            lo, hi = lam_at(i)
-            return {"lam1": lo, "Lam1": hi}
-
-        return ("lam1", "Lam1"), env
-
-    def env(i: int) -> dict:
-        return {}
-
-    return (), env
 
 
 def _compile_expr(node):
@@ -504,12 +564,7 @@ def _compile_expr(node):
     """
     kind = type(node)
     if kind is ast.Constant and type(node.value) in (int, float):
-        try:
-            value = float(node.value)
-        except OverflowError:
-            raise ConfigurationError(
-                "lyapunov.c expr: an integer constant exceeds the float range"
-            ) from None
+        value = _real(node.value, "lyapunov.c expr: an integer constant")
         return lambda names: value
     if kind is ast.Name:
         key = node.id
@@ -555,90 +610,76 @@ def _check_c_bound(values: list, bound: float) -> None:
         raise ConfigurationError(f"lyapunov.c value {worst} exceeds the declared bound {bound}")
 
 
-def build_c(c_cfg: dict, model_cfg: dict):
-    """Return (c callable, c_bound) from a c-sequence declaration."""
-    kind = _require(c_cfg, "kind", "lyapunov.c")
-    if kind == "constant":
-        value = float(_require(c_cfg, "value", "lyapunov.c"))
-        bound = float(c_cfg.get("bound", abs(value)))
-        _check_c_bound([value], bound)
-        return (lambda i: value), bound
-    if kind == "table":
-        values = [float(v) for v in _require(c_cfg, "values", "lyapunov.c")]
-        tail = float(c_cfg.get("tail", values[-1]))
-        bound = float(c_cfg.get("bound", max(abs(v) for v in values + [tail])))
-        _check_c_bound(values + [tail], bound)
-
-        return _per_regime(values + [tail])[0], bound
-    if kind == "expr":
-        text = _require(c_cfg, "expr", "lyapunov.c")
-        bound = float(_require(c_cfg, "bound", "lyapunov.c"))
-        params = {k: float(v) for k, v in c_cfg.get("params", {}).items()}
-        env_names, env_of = _regime_env(model_cfg)
-        try:
-            tree = ast.parse(str(text), mode="eval")
-        except SyntaxError as exc:
-            raise ConfigurationError(f"lyapunov.c expr does not parse: {exc}") from None
-        known = {"i", *params, *env_names, *_EXPR_MATH}
-        unknown = sorted({n.id for n in ast.walk(tree) if type(n) is ast.Name} - known)
-        if unknown:
-            # an unknown name is an error of evaluating c(i), not of parsing
-            def c(i: int) -> float:
-                raise ConfigurationError(
-                    f"lyapunov.c expr uses unknown name: {unknown[0]!r}"
-                )
-
-            return c, bound
-        evaluate = _compile_expr(tree.body)
-        cache: dict = {}
-
+def build_c(c_cfg: dict, regime_values: dict):
+    """Return (c callable, c_bound) from a c-sequence declaration.
+    regime_values maps each per-regime name an expression may use to its
+    per-regime list, as the model family parsed it (see _model)."""
+    c_cfg = _read_kind(c_cfg, "kind", C_FIELDS, "lyapunov.c", "c kind")
+    kind, bound = c_cfg["kind"], c_cfg["bound"]
+    if kind != "expr":  # a table; a constant is a table of one value
+        values = [c_cfg["value"]] if kind == "constant" else c_cfg["values"]
+        tail = c_cfg.get("tail")
+        values.append(values[-1] if tail is None else tail)
+        bound = max(map(abs, values)) if bound is None else bound
+        _check_c_bound(values, bound)
+        return _per_regime(values)[0], bound
+    params = c_cfg["params"]
+    lookups = {name: _per_regime(values)[0] for name, values in regime_values.items()}
+    try:
+        tree = ast.parse(c_cfg["expr"], mode="eval")
+    except SyntaxError as exc:
+        raise ConfigurationError(f"lyapunov.c expr does not parse: {exc}") from None
+    known = {"i", *params, *lookups, *_EXPR_MATH}
+    unknown = sorted({n.id for n in ast.walk(tree) if type(n) is ast.Name} - known)
+    if unknown:
+        # an unknown name is an error of evaluating c(i), not of parsing
         def c(i: int) -> float:
-            if i in cache:
-                return cache[i]
-            names = dict(params)
-            names.update(env_of(i))
-            names["i"] = float(i)
-            try:
-                val = float(evaluate(names))
-            except (OverflowError, ZeroDivisionError, ValueError, TypeError) as exc:
-                reason = "overflow" if type(exc) is OverflowError else exc
-                raise ConfigurationError(f"lyapunov.c expr fails at i = {i}: {reason}") from None
-            if not math.isfinite(val):
-                raise ConfigurationError(f"lyapunov.c expr is {val} at i = {i}")
-            cache[i] = val
-            return val
+            raise ConfigurationError(
+                f"lyapunov.c expr uses unknown name: {unknown[0]!r}"
+            )
 
-        _check_c_bound([c(i) for i in range(1, 50)], bound)  # as LyapunovSpec.validate
         return c, bound
-    raise ConfigurationError(f"unknown c kind {kind!r}; choose from {C_KINDS}")
+    evaluate = _compile_expr(tree.body)
+    cache: dict = {}
+
+    def c(i: int) -> float:
+        if i in cache:
+            return cache[i]
+        names = dict(params)
+        names.update((name, at(i)) for name, at in lookups.items())
+        names["i"] = float(i)
+        try:
+            val = float(evaluate(names))
+        except (OverflowError, ZeroDivisionError, ValueError, TypeError) as exc:
+            reason = "overflow" if type(exc) is OverflowError else exc
+            raise ConfigurationError(f"lyapunov.c expr fails at i = {i}: {reason}") from None
+        if not math.isfinite(val):
+            raise ConfigurationError(f"lyapunov.c expr is {val} at i = {i}")
+        cache[i] = val
+        return val
+
+    _check_c_bound([c(i) for i in range(1, 50)], bound)  # as LyapunovSpec.validate
+    return c, bound
 
 
 def build_profile(g_cfg: dict, default_h: float) -> RateProfile:
-    kind = _require(g_cfg, "kind", "lyapunov.g")
-    h = float(g_cfg.get("h", default_h))
-    if kind == "identity":
+    g = _read_kind(g_cfg, "kind", G_FIELDS, "lyapunov.g", "g kind")
+    h = default_h if g["h"] is None else g["h"]
+    if g["kind"] == "identity":
         return identity_profile(h=h)
-    if kind == "power_1_plus_gamma":
-        gamma = float(_require(g_cfg, "gamma", "lyapunov.g"))
-        return power_profile(gamma=gamma, h=h)
-    raise ConfigurationError(f"unknown g kind {kind!r}; choose from {G_KINDS}")
+    return power_profile(gamma=g["gamma"], h=h)
 
 
-def build_lyapunov(lyap_cfg: dict, model_cfg: dict, dim: int) -> LyapunovSpec:
-    family = _require(lyap_cfg, "family", "lyapunov")
-    radius = float(_require(lyap_cfg, "domain_radius", "lyapunov"))
-    if radius <= 0:
-        raise ConfigurationError("lyapunov.domain_radius must be positive")
-
+def build_lyapunov(lyap_cfg: dict, regime_values: dict, dim: int) -> LyapunovSpec:
+    cfg = _read_kind(lyap_cfg, "family", LYAPUNOV_FIELDS, "lyapunov", "lyapunov family")
+    family, radius = cfg["family"], cfg["domain_radius"]
     if family == "square":
         batch_V = lambda X: np.vecdot(X, X)
         batch_grad = lambda X: 2.0 * X
         batch_hess = lambda X: np.broadcast_to(2.0 * np.eye(dim), (len(X), dim, dim))
         v_at_radius = radius**2
-    elif family == "power_p":
-        p = float(_require(lyap_cfg, "p", "lyapunov"))
-        if p <= 0:
-            raise ConfigurationError("lyapunov.p must be positive")
+    else:  # power_p
+        p = cfg["p"]
 
         def batch_V(X):
             return _pow(row_norms(X), p)
@@ -653,13 +694,9 @@ def build_lyapunov(lyap_cfg: dict, model_cfg: dict, dim: int) -> LyapunovSpec:
             return a * np.eye(dim) + b * (X[:, :, None] * X[:, None, :])
 
         v_at_radius = radius**p
-    else:
-        raise ConfigurationError(
-            f"unknown lyapunov family {family!r}; choose from {LYAPUNOV_FAMILIES}"
-        )
 
-    profile = build_profile(_require(lyap_cfg, "g", "lyapunov"), default_h=v_at_radius)
-    c, bound = build_c(_require(lyap_cfg, "c", "lyapunov"), model_cfg)
+    profile = build_profile(cfg["g"], default_h=v_at_radius)
+    c, bound = build_c(cfg["c"], regime_values)
     return LyapunovSpec(
         V=point_form(batch_V, dim),
         g=profile,
@@ -676,14 +713,7 @@ def build_lyapunov(lyap_cfg: dict, model_cfg: dict, dim: int) -> LyapunovSpec:
 # Bundles
 
 
-@dataclass
-class McSettings:
-    n_paths: int = 1000
-    epsilon: float = 0.25
-    delta_sweep: list = field(default_factory=lambda: [0.05, 0.03, 0.02])
-    rate_paths: int = 300
-    rate_horizon: Optional[float] = None
-    rate_T0: Optional[float] = None
+McSettings = namedtuple("McSettings", [f.name for f in MC_FIELDS])
 
 
 @dataclass
@@ -713,70 +743,36 @@ def parse_scenario(doc: dict, sha: Optional[str] = None) -> ScenarioBundle:
     sha, when given, pins the provenance hash to the source file's raw bytes;
     otherwise the canonical JSON encoding of doc is hashed.
     """
-    if not isinstance(doc, dict):
-        raise ConfigurationError("scenario document must be a JSON object")
-    name = str(doc.get("name", "unnamed"))
-    model_cfg = _require(doc, "model", "scenario")
-    kernel_cfg = _require(doc, "kernel", "scenario")
-    lyap_cfg = _require(doc, "lyapunov", "scenario")
-    chain_cfg = doc.get("chain", {})
-    sim_cfg = dict(doc.get("sim", {}))
-    mc_cfg = doc.get("mc", {})
-
-    kernel = build_kernel(
-        _require(kernel_cfg, "family", "kernel"), kernel_cfg.get("params", {})
-    )
-    model = build_model(model_cfg, kernel)
-    lyap = build_lyapunov(lyap_cfg, model_cfg, dim=model.dim)
+    top = _read(doc, SCENARIO_FIELDS, "scenario")
+    kernel_cfg = _read(top["kernel"], FAMILY_FIELDS, "kernel")
+    kernel = build_kernel(kernel_cfg["family"], kernel_cfg["params"])
+    model, regime_values = _model(top["model"], kernel)
+    lyap = build_lyapunov(top["lyapunov"], regime_values, dim=model.dim)
     model.validate()
     # build_c has checked c against its bound wherever c can be evaluated
     lyap.validate(model.dim, regimes=())
 
-    N = _positive_int(chain_cfg.get("N", 30), "chain.N must be >= 1, got")
-    mode = str(chain_cfg.get("mode", "lump"))
-    if mode not in ("lump", "drop"):
-        raise ConfigurationError(f"chain.mode must be lump or drop, got {mode!r}")
-
-    x0 = np.asarray(sim_cfg.pop("x0", [0.0] * model.dim), dtype=float).reshape(-1)
+    chain = _read(top["chain"], CHAIN_FIELDS, "chain")
+    sim = _read(top["sim"], SIM_FIELDS, "sim")
+    x0, i0 = sim.pop("x0"), sim.pop("i0")
+    del sim["switch_scheme"]  # per-step thinning, the one scheme there is
+    x0 = np.zeros(model.dim) if x0 is None else np.array(x0)
     if x0.shape != (model.dim,):
         raise ConfigurationError(f"sim.x0 has shape {x0.shape}, want ({model.dim},)")
-    i0 = _positive_int(sim_cfg.pop("i0", 1), "sim.i0 must be a positive regime index, got")
-    scheme = sim_cfg.get("switch_scheme", "per_step_thinning")
-    if scheme != "per_step_thinning":
-        raise ConfigurationError(
-            f"sim.switch_scheme {scheme!r} is not supported; switching is "
-            "always by per-step thinning"
-        )
-    sim = SimConfig(
-        dt=sim_cfg.get("dt", 1e-3),
-        horizon=sim_cfg.get("horizon", 10.0),
-        seed=sim_cfg.get("seed", 0),
-        path_index=sim_cfg.get("path_index", 0),
-        stop_radius=sim_cfg.get("stop_radius"),
-        record_stride=sim_cfg.get("record_stride", 1),
-    )
-    bad_count = "mc path counts must be >= 1, got"
-    mc = McSettings(
-        n_paths=_positive_int(mc_cfg.get("n_paths", 1000), bad_count),
-        epsilon=float(mc_cfg.get("epsilon", 0.25)),
-        delta_sweep=[float(v) for v in mc_cfg.get("delta_sweep", [0.05, 0.03, 0.02])],
-        rate_paths=_positive_int(mc_cfg.get("rate_paths", 300), bad_count),
-        rate_horizon=_optional_float(mc_cfg.get("rate_horizon")),
-        rate_T0=_optional_float(mc_cfg.get("rate_T0")),
-    )
-    if not (0.0 < mc.epsilon < 1.0):
-        raise ConfigurationError("mc.epsilon must be in (0, 1)")
+    mc = _read(top["mc"], MC_FIELDS, "mc")
+    mc["delta_sweep"] = list(mc["delta_sweep"])
+    name, outputs = top["name"], top["outputs"]
     return ScenarioBundle(
         name=name,
         model=model,
         lyap=lyap,
-        chain_N=N,
-        chain_mode=mode,
-        sim=sim,
+        chain_N=chain["N"],
+        chain_mode=chain["mode"],
+        sim=SimConfig(**sim),
         x0=x0,
         i0=i0,
-        mc=mc,
-        outputs=str(doc.get("outputs", os.path.join("out", name))),
+        mc=McSettings(**mc),
+        outputs=os.path.join("out", name) if outputs is None else outputs,
         raw=doc,
         sha256=sha if sha is not None else scenario_hash(doc),
     )
@@ -796,8 +792,8 @@ def load_scenario(path: str) -> ScenarioBundle:
         raise ConfigurationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not UTF-8: {exc}")
+    except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+        raise ConfigurationError(f"{path}: not a JSON document: {exc}")
     return parse_scenario(doc, sha=hashlib.sha256(raw_bytes).hexdigest())
 
 

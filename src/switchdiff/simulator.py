@@ -75,10 +75,13 @@ WILSON_Z = 1.959963984540054  # 95%
 
 
 def _real(value, name: str) -> float:
-    """value as a float: a bool, None or a string is not a number here."""
+    """value as a float: a bool, None, a string or a too large int is not a number here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{name} exceeds the float range") from None
 
 
 def _whole(value, name: str, low: int) -> int:

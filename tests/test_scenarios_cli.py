@@ -200,7 +200,7 @@ BAD_DOCS = [
     (
         "negative_birth_death",
         lambda d: d["kernel"]["params"].update(down=0.0),
-        "down > 0",
+        "kernel.params.down must be positive",
     ),
     (
         "bad_lyap_family",
@@ -232,21 +232,25 @@ BAD_DOCS = [
         lambda d: d["lyapunov"].update(c={"kind": "expr", "expr": "1.0"}),
         "missing required key 'bound'",
     ),
-    ("chain_n_zero", lambda d: d["chain"].update(N=0), "chain.N must be >= 1"),
+    ("chain_n_zero", lambda d: d["chain"].update(N=0), "chain.N must be a positive integer"),
     # int() took 2.5 as 2
-    ("chain_n_fractional", lambda d: d["chain"].update(N=2.5), "chain.N must be >= 1, got 2.5"),
+    (
+        "chain_n_fractional",
+        lambda d: d["chain"].update(N=2.5),
+        "chain.N must be a positive integer, got 2.5",
+    ),
     (
         "chain_bad_mode",
         lambda d: d["chain"].update(mode="middle"),
         "mode must be lump or drop",
     ),
     ("x0_wrong_shape", lambda d: d["sim"].update(x0=[0.1, 0.2]), "sim.x0 has shape"),
-    ("i0_zero", lambda d: d["sim"].update(i0=0), "i0 must be a positive regime"),
-    ("i0_fractional", lambda d: d["sim"].update(i0=1.5), "i0 must be a positive regime"),
+    ("i0_zero", lambda d: d["sim"].update(i0=0), "sim.i0 must be a positive integer"),
+    ("i0_fractional", lambda d: d["sim"].update(i0=1.5), "sim.i0 must be a positive integer"),
     (
         "switch_scheme_not_thinning",
         lambda d: d["sim"].update(switch_scheme="exponential_proposals"),
-        "sim.switch_scheme 'exponential_proposals' is not supported",
+        "sim.switch_scheme must be per_step_thinning, got 'exponential_proposals'",
     ),
     (
         "epsilon_zero",
@@ -268,8 +272,95 @@ BAD_DOCS = [
     ("stride_fractional", lambda d: d["sim"].update(record_stride=2.5), "stride must be a positive"),
     ("stride_string", lambda d: d["sim"].update(record_stride="10"), "stride must be a number"),
     ("seed_fractional", lambda d: d["sim"].update(seed=7.9), "seed must be a nonnegative integer"),
-    ("no_paths", lambda d: d["mc"].update(n_paths=0), "path counts must be >= 1"),
-    ("fractional_paths", lambda d: d["mc"].update(rate_paths=2.5), "path counts must be >= 1"),
+    ("no_paths", lambda d: d["mc"].update(n_paths=0), "mc.n_paths must be a positive integer"),
+    (
+        "fractional_paths",
+        lambda d: d["mc"].update(rate_paths=2.5),
+        "mc.rate_paths must be a positive integer",
+    ),
+    # a non-object section ended in an AttributeError
+    ("chain_not_an_object", lambda d: d.update(chain=[]), "chain must be a JSON object, got list"),
+    ("mc_not_an_object", lambda d: d.update(mc=3), "mc must be a JSON object, got int"),
+    (
+        "kernel_params_not_an_object",
+        lambda d: d["kernel"].update(params=[]),
+        "kernel.params must be a JSON object, got list",
+    ),
+    # the rate-check horizons took strings, NaN and inf, and failed inside verify-rate
+    (
+        "rate_horizon_nan_string",
+        lambda d: d["mc"].update(rate_horizon="nan"),
+        "mc.rate_horizon must be a number, got 'nan'",
+    ),
+    (
+        "rate_horizon_numeric_string",
+        lambda d: d["mc"].update(rate_horizon="5"),
+        "mc.rate_horizon must be a number, got '5'",
+    ),
+    (
+        "rate_horizon_nan",
+        lambda d: d["mc"].update(rate_horizon=math.nan),
+        "mc.rate_horizon must be positive and finite, got nan",
+    ),
+    (
+        "rate_horizon_inf",
+        lambda d: d["mc"].update(rate_horizon=math.inf),
+        "mc.rate_horizon must be positive and finite, got inf",
+    ),
+    (
+        "rate_T0_numeric_string",
+        lambda d: d["mc"].update(rate_T0="5"),
+        "mc.rate_T0 must be a number, got '5'",
+    ),
+    (
+        "rate_T0_inf",
+        lambda d: d["mc"].update(rate_T0=math.inf),
+        "mc.rate_T0 must be positive and finite, got inf",
+    ),
+    # each parsed, and the run used a default or a truncated value
+    (
+        "kernel_typo_dwn",
+        lambda d: d["kernel"]["params"].update(dwn=d["kernel"]["params"].pop("down")),
+        "kernel.params: unknown key 'dwn'; allowed: up, down, modulation",
+    ),
+    (
+        "sim_typo_horizn",
+        lambda d: d["sim"].update(horizn=d["sim"].pop("horizon")),
+        "sim: unknown key 'horizn'",
+    ),
+    ("top_level_bogus", lambda d: d.update(bogus=1), "scenario: unknown key 'bogus'"),
+    ("chain_n_string", lambda d: d["chain"].update(N="30"), "chain.N must be a number, got '30'"),
+    (
+        "noise_dim_fractional",
+        lambda d: d.update(model={"family": "linear", "params": {"matrices": [[[-1.0]]], "noise_dim": 2.5}}),
+        "model.params.noise_dim must be a positive integer, got 2.5",
+    ),
+    # each ended in a TypeError, a ValueError, an IndexError or an OverflowError
+    (
+        "c_table_empty",
+        lambda d: d["lyapunov"].update(c={"kind": "table", "values": []}),
+        r"lyapunov.c.values must be a nonempty list, got \[\]",
+    ),
+    (
+        "b_null",
+        lambda d: d["model"]["params"].update(b=None),
+        "model.params.b must be a nonempty list, got None",
+    ),
+    (
+        "up_string",
+        lambda d: d["kernel"]["params"].update(up="x"),
+        "kernel.params.up must be a number, got 'x'",
+    ),
+    (
+        "matrices_ragged",
+        lambda d: d.update(model={"family": "linear", "params": {"matrices": [[[1, 0], [0]]]}}),
+        "model.params.matrices must all be 2x2",
+    ),
+    (
+        "epsilon_beyond_floats",
+        lambda d: d["mc"].update(epsilon=10**400),
+        "mc.epsilon exceeds the float range",
+    ),
     (
         # regime 7 lies beyond the regimes ModelSpec.validate spot-checks
         "global_bound_understated_in_a_far_row",
@@ -335,32 +426,34 @@ class TestParseValidation:
             sc.parse_scenario(doc)
 
     def test_custom_table_rejects_bad_rows(self):
-        with pytest.raises(ConfigurationError, match="negative rate"):
+        with pytest.raises(ConfigurationError, match=r"rows\[1\] rate must be nonnegative"):
             sd.build_kernel("custom_table", {"rows": {"1": [[2, -1.0]]}})
         with pytest.raises(ConfigurationError, match="invalid target"):
             sd.build_kernel("custom_table", {"rows": {"3": [[3, 1.0]]}})
-        with pytest.raises(ConfigurationError, match="invalid target"):
+        with pytest.raises(ConfigurationError, match="target must be a positive integer"):
             sd.build_kernel("custom_table", {"rows": {"2": [[0, 1.0]]}})
 
     @pytest.mark.parametrize(
         "rows,match",
         [
             # a row for regime 0 lifted the auto global_bound from 1.0 to 5.0
-            ({"1": [[2, 1.0]], "2": [[1, 1.0]], "0": [[1, 5.0]]}, r"rows\[0\]: invalid regime '0'"),
-            ({"1": [[2, 1.0]], "-2": [[1, 1.0]]}, "invalid regime '-2'"),
-            ({"1.5": [[2, 1.0]]}, "invalid regime '1.5'"),
-            ({"one": [[2, 1.0]]}, "invalid regime 'one'"),
+            ({"1": [[2, 1.0]], "2": [[1, 1.0]], "0": [[1, 5.0]]}, r"rows\[0\] regime must be a positive integer"),
+            ({"1": [[2, 1.0]], "-2": [[1, 1.0]]}, r"rows\[-2\] regime must be a positive integer"),
+            ({"1.5": [[2, 1.0]]}, r"rows\[1.5\] regime must be a positive integer, got 1.5"),
+            ({"one": [[2, 1.0]]}, r"rows\[one\] regime must be a number, got 'one'"),
             ({"1": [[2, 1.0]], "01": [[3, 1.0]]}, "regime 1 is listed twice"),
             # the target 2.7 became 2
-            ({"1": [[2.7, 1.0]], "2": [[1, 1.0]]}, r"rows\[1\]: invalid target 2.7"),
-            ({"1": [["two", 1.0]], "2": [[1, 1.0]]}, "invalid target 'two'"),
+            ({"1": [[2.7, 1.0]], "2": [[1, 1.0]]}, r"rows\[1\] target must be a positive integer, got 2.7"),
+            ({"1": [["two", 1.0]], "2": [[1, 1.0]]}, "target must be a number, got 'two'"),
+            # a numeric string was read as its number
+            ({"1": [[2, 1.0]], "2": [["1", 0.5]]}, r"rows\[2\] target must be a number, got '1'"),
             # the pair (1, 2) totalled 4.0 in the coupling's per-pair rows
             # and 5.0 in its array totals
             ({"1": [[2, 1.0], [2, 3.0]], "2": [[1, 1.0]]}, r"rows\[1\]: invalid target 2"),
             # a NaN rate beyond the regimes validate reads made the auto
             # global_bound 0.5 or nan, by the order of the keys
-            ({"7": [[8, math.nan]], "1": [[2, 0.5]], "2": [[1, 0.5]]}, "non-finite rate nan"),
-            ({"1": [[2, math.inf]], "2": [[1, 0.5]]}, "non-finite rate inf"),
+            ({"7": [[8, math.nan]], "1": [[2, 0.5]], "2": [[1, 0.5]]}, "rate must be nonnegative and finite, got nan"),
+            ({"1": [[2, math.inf]], "2": [[1, 0.5]]}, "rate must be nonnegative and finite, got inf"),
         ],
     )
     def test_custom_table_rejects_bad_regimes_and_targets(self, rows, match):
@@ -368,7 +461,7 @@ class TestParseValidation:
             sc.parse_scenario(small_doc(rows=rows))
 
     def test_custom_table_takes_integral_numbers_as_regimes(self):
-        kernel = sd.build_kernel("custom_table", {"rows": {"1": [[2.0, 1.0]], "2": [["1", 0.5]]}})
+        kernel = sd.build_kernel("custom_table", {"rows": {"1": [[2.0, 1.0]], "2.0": [[1, 0.5]]}})
         assert (kernel.row(0.0, 1), kernel.row(0.0, 2)) == (((2, 1.0),), ((1, 0.5),))
 
     def test_power_lyapunov_requires_positive_exponent(self):
@@ -529,6 +622,24 @@ class TestHashing:
         path = tmp_path / "broken.json"
         path.write_text('{"name": }\n')
         with pytest.raises(ConfigurationError, match="invalid JSON at line 1"):
+            sd.load_scenario(str(path))
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            # json raised a bare ValueError past Python's 4300-digit limit
+            ('{"name": ' + "1" * 5000 + "}", "not a JSON document: Exceeds the limit"),
+            (b'{"name": "\xff"}', "not a JSON document: 'utf-8' codec"),
+        ],
+        ids=["integer_past_the_digit_limit", "not_utf8"],
+    )
+    def test_unreadable_json_is_a_configuration_error(self, tmp_path, text, match):
+        path = tmp_path / "unreadable.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        with pytest.raises(ConfigurationError, match=match):
             sd.load_scenario(str(path))
 
     def test_missing_file(self, tmp_path):
