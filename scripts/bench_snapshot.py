@@ -19,10 +19,12 @@ see the batched engine, so its per-step figures for vector and coupled paths
 read 0.  Next to it, engine_calibrate_s is the median time of bench/run.py's
 calibrate() over the same rounds, a fixed piece of work that only the
 machine's speed moves, so that engine figures of two snapshots can be set
-against the speed of the host they were taken on.  It also carries
-src_lines, the line count of each module of the tree's src/switchdiff and
-their total (see src_lines), the size measure by which the roadmap tracks
-deleted code.
+against the speed of the host they were taken on.  The analyze_stage_ms
+block times the stages of analyze on each worked preset the same way, in
+this process (see analyze_stage_timings), with analyze_calibrate_s beside
+it.  It also carries src_lines, the line count of each module of the
+tree's src/switchdiff and their total (see src_lines), the size measure by
+which the roadmap tracks deleted code.
 """
 
 from __future__ import annotations
@@ -96,6 +98,15 @@ def bench_calibrate():
     return module.calibrate
 
 
+def import_switchdiff(root: str):
+    """The switchdiff package of root/src; the first tree imported in a
+    process is the one every later call gets."""
+    sys.path.insert(0, os.path.join(root, "src"))
+    import switchdiff
+
+    return switchdiff
+
+
 def engine_timings(root: str) -> tuple:
     """(cases, calibrate_s): the minimum CPU microseconds per step of each
     engine case, over ENGINE_REPEATS rounds of all cases, with switchdiff
@@ -106,22 +117,22 @@ def engine_timings(root: str) -> tuple:
     them once (a path that has exited, not).  Rounds run the cases in turn,
     so that a slow phase of a shared host costs each case one repeat rather
     than all of them."""
-    sys.path.insert(0, os.path.join(root, "src"))
     import dataclasses
 
     import numpy as np
-    from switchdiff import preset, run_ensemble, simulate
+
+    sd = import_switchdiff(root)
 
     runs = {}
     for name, scenario, paths, horizon, coupled, x0 in ENGINE_CASES:
-        bundle = preset(scenario)
+        bundle = sd.preset(scenario)
         config = dataclasses.replace(bundle.sim, horizon=horizon)
         x0 = bundle.x0 if x0 is None else np.array(x0)
         if paths is None:
-            run = partial(simulate, bundle.model, config, x0, bundle.i0)
+            run = partial(sd.simulate, bundle.model, config, x0, bundle.i0)
         else:
             run = partial(
-                run_ensemble, bundle.model, None, config, paths, [], x0, bundle.i0,
+                sd.run_ensemble, bundle.model, None, config, paths, [], x0, bundle.i0,
                 coupled=coupled,
             )
         runs[name] = (run, paths or 1, int(round(horizon / config.dt)))
@@ -139,6 +150,65 @@ def engine_timings(root: str) -> tuple:
         for name, (_, paths, steps) in runs.items()
     }
     return cases, statistics.median(calibrations)
+
+
+# the presets of bench/workloads.py's certify workload
+ANALYZE_PRESETS = (
+    "example51_stable", "example51_unstable", "example52_stable", "example52_unstable",
+)
+ANALYZE_REPEATS = 20
+
+
+def analyze_stages(sd, bundle) -> dict:
+    """The stages of cli._analyze_core on bundle, with its default truncation,
+    as {stage: callable}, in pipeline order; each stage takes what the
+    earlier ones returned, and only public functions are called."""
+    import numpy as np
+
+    model, lyap, kernel, N = bundle.model, bundle.lyap, bundle.model.rate_kernel, bundle.chain_N
+    regimes = range(1, sd.k_scan(N) + 1)
+    drift_radii = np.geomspace(1e-6, lyap.domain_radius, 18)
+    kernel_radii = np.geomspace(1e-6, max(lyap.domain_radius, 1e-5), 25)
+    return {
+        "truncate": lambda got: sd.truncate(kernel, N, bundle.chain_mode),
+        "invariant_measure": lambda got: sd.invariant_measure(got["truncate"]),
+        "ergodicity": lambda got: sd.ergodicity_diagnostic(
+            got["truncate"],
+            sd.ergodicity_times(got["truncate"], got["invariant_measure"]),
+            got["invariant_measure"],
+        ),
+        "drift_scan": lambda got: sd.verify_drift_condition(
+            model, lyap, sd.radial_grid(model.dim, drift_radii, regimes)
+        ),
+        "mg_scan": lambda got: sd.scan_mg(model, lyap, regimes=regimes),
+        "kernel_scan": lambda got: sd.scan_kernel_continuity(
+            kernel, model.dim, radii=kernel_radii, regimes=regimes
+        ),
+        "linearize": lambda got: sd.linearize(model, range(1, N + 1)),
+    }
+
+
+def analyze_stage_timings(root: str) -> tuple:
+    """(stages, calibrate_s): the minimum CPU milliseconds of each analyze
+    stage (analyze_stages) on each preset of ANALYZE_PRESETS, over
+    ANALYZE_REPEATS rounds of all presets, with switchdiff imported from
+    root/src, and the median wall seconds of bench/run.py's calibrate(),
+    run once at the end of each round.  Figures of two trees compare only
+    from alternating runs on the same host, as the engine block's do."""
+    sd = import_switchdiff(root)
+    stages = {name: analyze_stages(sd, sd.preset(name)) for name in ANALYZE_PRESETS}
+    calibrate = bench_calibrate()
+    best = {name: dict.fromkeys(steps, math.inf) for name, steps in stages.items()}
+    calibrations = []
+    for _ in range(ANALYZE_REPEATS):
+        for name, steps in stages.items():
+            got = {}
+            for stage, step in steps.items():
+                t0 = time.process_time()
+                got[stage] = step(got)
+                best[name][stage] = min(best[name][stage], (time.process_time() - t0) * 1e3)
+        calibrations.append(calibrate())
+    return best, statistics.median(calibrations)
 
 
 def src_lines(root: str) -> dict:
@@ -175,6 +245,9 @@ def main(argv=None) -> int:
     # timed first: right after minutes of benchmark load the same cases read
     # up to 1.7x higher on a shared 2-core host
     snapshot["engine_us_per_step"], snapshot["engine_calibrate_s"] = engine_timings(args.root)
+    snapshot["analyze_stage_ms"], snapshot["analyze_calibrate_s"] = analyze_stage_timings(
+        args.root
+    )
     for name in names:
         runs = {}
         for trace in (0, 1):

@@ -62,11 +62,10 @@ class RateKernel:
     uniform falls below the bound's jump probability, and raises
     EvaluationError for a row it reads above the bound.  x_independent
     declares that no row depends on x; the simulator's float loop then keeps
-    rows per regime instead of re-reading them every step.  The flag is
-    trusted, not checked: the scenario families set it correctly by
-    construction, but a kernel built in Python that claims it falsely is
-    simulated with stale rates.  Callbacks must accept a length-n array and,
-    when n = 1, a bare float.
+    rows per regime instead of re-reading them every step, and
+    scan_kernel_continuity reads no rows.  ModelSpec.validate spot-checks
+    the flag: the rows at |x| = radius must equal those at 0.  Callbacks
+    must accept a length-n array and, when n = 1, a bare float.
     """
 
     row: Callable[[np.ndarray, int], Row]
@@ -154,6 +153,13 @@ class ModelSpec:
     step that stopped it, or e (with ox = x when a = e).  With it the
     simulator runs plain paths in its float loop.  The float forms
     scalar_drift/scalar_diffusion are read only by bench/tracer.py.
+    distinct_regimes, if set, declares the last regime with coefficients of
+    its own: every regime above it has its drift and diffusion.  The
+    scenario families set it from the length of their per-regime tables;
+    None makes no claim.  The certificate scans evaluate the coefficients
+    only in the regimes that evaluated_regimes names, and validate
+    spot-checks the claim.  dataclasses.replace keeps it, so a spec rebuilt
+    with other coefficients must drop or re-validate it.
     """
 
     dim: int
@@ -168,10 +174,14 @@ class ModelSpec:
     batch_drift: Optional[Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None
     batch_diffusion: Optional[Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None
     scalar_run: Optional[Callable[[int, float], Callable[..., tuple]]] = None
+    distinct_regimes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.noise_dim < 1:
             raise ConfigurationError("dim and noise_dim must be >= 1")
+        last = self.distinct_regimes
+        if last is not None and not (isinstance(last, int) and last >= 1):
+            raise ConfigurationError(f"distinct_regimes must be an integer >= 1, got {last!r}")
         self.drift_of = self.batch_drift or self._per_point_form("drift", (self.dim,))
         self.diffusion_of = self.batch_diffusion or self._per_point_form(
             "diffusion", (self.dim, self.noise_dim)
@@ -199,17 +209,33 @@ class ModelSpec:
         _check_regimes(I)
         return self.diffusion_of(I)(X)
 
+    def evaluated_regimes(self, regimes) -> tuple:
+        """(evaluated, where) for a scan of the given regimes: the regimes
+        whose coefficients the scan evaluates, ascending, and for each given
+        regime the index in evaluated of the regime whose coefficients it
+        has.  A regime above distinct_regimes has that regime's; without
+        the claim each regime has its own."""
+        regimes = np.asarray(regimes, dtype=np.int64)
+        if self.distinct_regimes is not None:
+            regimes = np.minimum(regimes, self.distinct_regimes)
+        return np.unique(regimes, return_inverse=True)
+
     def validate(self, regimes: Iterable[int] = range(1, 6), radius: float = 0.5) -> None:
-        """Spot-check standing assumptions in the given regimes with one
-        batch read of each coefficient and of the rows: the equilibrium at 0
-        if zero_fixed, and finite coefficients and valid rows within the
-        declared global bound at |x| = radius."""
-        regimes = np.asarray(list(regimes), dtype=np.int64)
+        """Spot-check standing assumptions and declared facts with one batch
+        read of each coefficient and of the rows, at |x| = radius and at 0:
+        the equilibrium at 0 if zero_fixed; finite coefficients and valid
+        rows within the declared global bound in the given regimes; for
+        distinct_regimes L, the same drift and diffusion, bit for bit, in
+        regimes L, L + 1 and 10 L + 100; for an x_independent kernel, the
+        same rows at both points."""
+        last = self.distinct_regimes
+        claimed = () if last is None else (last, last + 1, 10 * last + 100)
+        regimes = np.asarray([*regimes, *claimed], dtype=np.int64)
         k = regimes.size
         x = np.full(self.dim, radius / math.sqrt(self.dim))
-        points = [x, np.zeros(self.dim)] if self.zero_fixed else [x]
-        X = np.repeat(np.array(points), k, axis=0)  # k rows at x, then k at 0
-        I = np.tile(regimes, len(points))
+        both = np.repeat(np.array([x, np.zeros(self.dim)]), k, axis=0)  # k rows at x, then k at 0
+        n_points = 2 if self.zero_fixed else 1
+        X, I = both[: n_points * k], np.tile(regimes, n_points)
         for name, v in (("drift", self.drifts(X, I)), ("diffusion", self.diffusions(X, I))):
             axes = tuple(range(1, v.ndim))
             moved = np.abs(v[k:]).max(axis=axes, initial=0.0) > 1e-12
@@ -222,13 +248,27 @@ class ModelSpec:
                 raise EvaluationError(
                     f"{name} non-finite at |x|={radius}, regime {regimes[bad.argmax()]}"
                 )
-        _, rates = self.rate_kernel.padded_rows(X[:k], regimes)
+            if claimed:
+                bits = v.reshape(n_points, k, -1)[:, k - len(claimed) :].view(np.uint64)
+                if (bits[:, 1:] != bits[:, :1]).any():
+                    raise EvaluationError(
+                        f"{name} differs between regimes {claimed}, "
+                        f"but distinct_regimes is {last}"
+                    )
+        targets, rates = self.rate_kernel.padded_rows(both, np.tile(regimes, 2))
         bound = self.rate_kernel.global_bound
         if bound is not None:
             over = rates.sum(axis=1) > bound + RATE_BOUND_TOL
             if over.any():
-                i = regimes[over.argmax()]
+                i = regimes[over.argmax() % k]
                 raise EvaluationError(f"row {i} exceeds declared global bound")
+        if self.rate_kernel.x_independent and not (
+            np.array_equal(targets[:k], targets[k:]) and np.array_equal(rates[:k], rates[k:])
+        ):
+            raise EvaluationError(
+                f"rows at |x|={radius} differ from the rows at 0, but the kernel "
+                "declares x_independent"
+            )
 
 
 @dataclass
@@ -436,30 +476,36 @@ class DriftViolation:
 
 @dataclass(frozen=True)
 class ScanGrid:
-    """Scan points as arrays: X[p] in R^n, shape (P, n), in regime I[p].
-    Iterating yields the (x, i) pairs.  Regimes are positive integers."""
+    """Scan points as a product: every point of points, shape (m, n), in
+    every regime of regimes, shape (K,), regimes varying fastest, so that
+    row p is (points[p // K], regimes[p % K]).  X and I are the rows as
+    arrays, shapes (m K, n) and (m K,); iterating yields the (x, i) pairs.
+    Regimes are positive integers."""
 
-    X: np.ndarray
-    I: np.ndarray
+    points: np.ndarray
+    regimes: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_regimes(self.I)
+        _check_regimes(self.regimes)
 
     def __len__(self) -> int:
-        return len(self.I)
+        return len(self.points) * len(self.regimes)
+
+    @property
+    def X(self) -> np.ndarray:
+        return np.repeat(self.points, len(self.regimes), axis=0)
+
+    @property
+    def I(self) -> np.ndarray:
+        return np.tile(self.regimes, len(self.points))
+
+    def row(self, p: int) -> tuple:
+        """Row p as (x, i)."""
+        a, k = divmod(int(p), len(self.regimes))
+        return self.points[a], int(self.regimes[k])
 
     def __iter__(self):
         return zip(self.X, self.I.tolist())
-
-
-def as_scan_grid(points, dim: int) -> ScanGrid:
-    """A ScanGrid as is, or one built from an iterable of (x, i) pairs."""
-    if isinstance(points, ScanGrid):
-        return points
-    pairs = list(points)
-    X = np.array([np.asarray(x, dtype=float).reshape(dim) for x, _ in pairs])
-    I = np.array([int(i) for _, i in pairs], dtype=np.int64)
-    return ScanGrid(X.reshape(len(pairs), dim), I)
 
 
 @dataclass
@@ -489,9 +535,8 @@ class DriftView:
         return float(np.max(self.residuals))
 
     def _violation(self, p: int) -> DriftViolation:
-        return DriftViolation(
-            x=self.grid.X[p], regime=int(self.grid.I[p]), residual=float(self.residuals[p])
-        )
+        x, i = self.grid.row(p)
+        return DriftViolation(x=x, regime=i, residual=float(self.residuals[p]))
 
     @property
     def violations(self) -> list:
@@ -521,29 +566,32 @@ class DriftReport:
 def verify_drift_condition(
     spec: ModelSpec,
     lyap: LyapunovSpec,
-    grid,
+    grid: ScanGrid,
     tol: float = DRIFT_TOL,
 ) -> DriftReport:
-    """Evaluate L_i V(x) - c_i g(V(x)) once per grid point and report both
-    inequalities.  grid is a ScanGrid or an iterable of (x, i) pairs; points
-    at the origin or outside the domain ball are rejected."""
-    grid = as_scan_grid(grid, spec.dim)
+    """Evaluate L_i V(x) - c_i g(V(x)) at every row of the grid and report
+    both inequalities.  L_i V is computed once per point and regime of
+    spec.evaluated_regimes, and a regime without coefficients of its own
+    takes the value of the regime whose coefficients it has; V is computed
+    once per point.  Points at the origin or outside the domain ball are
+    rejected."""
     if len(grid) == 0:
         raise ConfigurationError("empty drift-condition grid")
-    X, I = grid.X, grid.I
-    r = row_norms(X)
+    points = grid.points
+    r = row_norms(points)
     outside = (r == 0.0) | (r > lyap.domain_radius * (1.0 + 1e-12))
     if outside.any():
         raise DomainError(
             f"drift-condition grid point |x| = {r[np.argmax(outside)]} "
             f"outside (0, {lyap.domain_radius}]"
         )
-    li = generator_Li(spec, lyap, X, I)
-    regimes, where = np.unique(I, return_inverse=True)
-    c = np.array([float(lyap.c(i)) for i in regimes.tolist()])[where]
-    bound = c * lyap.g.g(lyap.values(X))
-    forward = li - bound
-    backward = bound - li
+    evaluated, where = spec.evaluated_regimes(grid.regimes)
+    scan = ScanGrid(points, evaluated)
+    li = generator_Li(spec, lyap, scan.X, scan.I).reshape(len(points), -1)[:, where]
+    c = np.array([float(lyap.c(i)) for i in grid.regimes.tolist()])
+    bound = lyap.g.g(lyap.values(points))[:, None] * c
+    forward = (li - bound).reshape(-1)
+    backward = (bound - li).reshape(-1)
     return DriftReport(
         forward=DriftView(grid, forward, forward > tol),
         reversed=DriftView(grid, backward, backward > tol),
@@ -575,8 +623,4 @@ def radial_grid(
         dirs = [np.asarray(d, dtype=float) / np.linalg.norm(d) for d in directions]
     radii = np.asarray(radii, dtype=float).reshape(-1)
     regimes = np.asarray(list(regimes), dtype=np.int64)
-    points = (radii[:, None, None] * np.array(dirs)[None]).reshape(-1, dim)
-    return ScanGrid(
-        X=np.repeat(points, len(regimes), axis=0),
-        I=np.tile(regimes, len(points)),
-    )
+    return ScanGrid((radii[:, None, None] * np.array(dirs)[None]).reshape(-1, dim), regimes)

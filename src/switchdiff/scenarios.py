@@ -86,9 +86,11 @@ def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
 def _per_regime(values):
     """Lookups in a finite per-regime list whose last entry covers every
     regime beyond it: the saturating tail by which finitely many constants
-    describe countably many regimes.  Returns (at, take): at(i) is regime
-    i's entry and rejects i < 1; take(I) gathers the entries of the regimes
-    I, which must be at least 1, as one array."""
+    describe countably many regimes, so that no regime past len(values) has
+    an entry of its own (a family's ModelSpec.distinct_regimes).  Returns
+    (at, take): at(i) is regime i's entry and rejects i < 1; take(I)
+    gathers the entries of the regimes I, which must be at least 1, as one
+    array."""
     stack, last = np.asarray(values), len(values) - 1
 
     def at(i: int):
@@ -471,6 +473,7 @@ def _model(model_cfg: dict, kernel: RateKernel) -> tuple[ModelSpec, dict]:
             batch_drift=batch_drift,
             batch_diffusion=batch_diffusion,
             scalar_run=scalar_run,
+            distinct_regimes=max(len(b), len(sigma)),
         )
         return spec, {"b": b, "sigma": sigma}
 
@@ -545,6 +548,7 @@ def _model(model_cfg: dict, kernel: RateKernel) -> tuple[ModelSpec, dict]:
         batch_drift=batch_drift,
         batch_diffusion=batch_diffusion,
         scalar_run=scalar_run,
+        distinct_regimes=max(len(mats), len(sig_mats)),
     )
     eigs = [np.linalg.eigvalsh(0.5 * (m + m.T)) for m in mats]
     return spec, {"lam1": [float(e[0]) for e in eigs], "Lam1": [float(e[-1]) for e in eigs]}

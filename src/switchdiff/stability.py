@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .markov_chain import ErgodicityDiagnostic, InvariantMeasure, seq_term
-from .model import LyapunovSpec, ModelSpec, RateKernel, radial_grid, row_norms
+from .model import LyapunovSpec, ModelSpec, RateKernel, ScanGrid, radial_grid, row_norms
 
 K_SCAN_FLOOR = 100
 K_SCAN_FACTOR = 4
@@ -130,27 +130,20 @@ def scan_mg(
         raise ConfigurationError("scan radii must lie in (0, domain_radius]")
     if regimes is None:
         regimes = range(1, K_SCAN_FLOOR + 1)
-    regimes = list(regimes)
-    # V, g(V) and grad V depend on x alone: evaluate them once per point and
-    # repeat them across the regimes, which vary fastest in the grid
-    points = radial_grid(spec.dim, radii, [1]).X
-    n_dirs = len(points) // radii.size
-    gvs = lyap.g.g(lyap.values(points))
-    grads = lyap.gradients(points)
-    # the grid at radius r is r * unit.X, the product radial_grid itself forms
-    unit = radial_grid(spec.dim, [1.0], regimes)
-    sigma_of = spec.diffusion_of(unit.I)  # the regimes stay those of unit
-    values = np.zeros(radii.size)
+    grid = radial_grid(spec.dim, radii, regimes)
+    # a regime without coefficients of its own repeats the ratios of the
+    # regime whose coefficients it has, so the sup over the evaluated
+    # regimes is the sup over the requested ones; V, g(V) and grad V depend
+    # on x alone: evaluate them once per point and repeat them across the
+    # regimes, which vary fastest in the grid
+    evaluated, _ = spec.evaluated_regimes(grid.regimes)
+    scan = ScanGrid(grid.points, evaluated)
+    gv = np.repeat(lyap.g.g(lyap.values(grid.points)), evaluated.size)
+    grad = np.repeat(lyap.gradients(grid.points), evaluated.size, axis=0)
+    num = row_norms(np.matmul(grad[:, None, :], spec.diffusions(scan.X, scan.I))[:, 0, :])
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k, r in enumerate(radii):
-            # one radius at a time keeps temporaries at directions x regimes rows
-            at_r = slice(k * n_dirs, (k + 1) * n_dirs)
-            gv = np.repeat(gvs[at_r], len(regimes))
-            grad = np.repeat(grads[at_r], len(regimes), axis=0)
-            sigma = sigma_of(r * unit.X)
-            num = row_norms(np.matmul(grad[:, None, :], sigma)[:, 0, :])
-            ratio = np.where(gv == 0.0, np.where(num > 0.0, math.inf, 0.0), num / gv)
-            values[k] = _positive_sup(ratio)
+        ratio = np.where(gv == 0.0, np.where(num > 0.0, math.inf, 0.0), num / gv)
+    values = _positive_sup(ratio.reshape(radii.size, -1), axis=1)
 
     finite = bool(np.all(np.isfinite(values)))
     if finite and radii.size >= 8:
@@ -163,7 +156,7 @@ def scan_mg(
         finite=finite,
         radii=radii,
         values_by_radius=values,
-        regimes_scanned=len(regimes),
+        regimes_scanned=grid.regimes.size,
     )
 
 
@@ -213,7 +206,8 @@ def scan_kernel_continuity(
     """Evaluate s(r) = max over directions of sup_i sum_j |q_ij(x) - q_ij(0)|.
 
     vanishing requires the innermost value to fall below an absolute floor or
-    below 1% of the largest scanned value.
+    below 1% of the largest scanned value.  A kernel that declares
+    x_independent has s = 0 at every radius, and no row is read.
     """
     if radii is None:
         radii = np.geomspace(1e-6, 0.5, 25)
@@ -222,18 +216,20 @@ def scan_kernel_continuity(
         raise ConfigurationError("scan radii must be positive")
     if regimes is None:
         regimes = range(1, K_SCAN_FLOOR + 1)
-    regimes = np.asarray(list(regimes), dtype=np.int64)
-    # the grid at radius r is r * unit.X, as in scan_mg; it runs through the
-    # regimes once per direction, so the rows at the origin tile it
+    # the grid at radius r is r * unit.X, the product radial_grid itself
+    # forms; it runs through the regimes once per direction, so the rows at
+    # the origin tile it
     unit = radial_grid(dim, [1.0], regimes)
-    n_dirs = len(radial_grid(dim, [1.0], [1]))
-    base_t, base_r = kernel.padded_rows(np.zeros((regimes.size, dim)), regimes)
-    base_t, base_r = np.tile(base_t, (n_dirs, 1)), np.tile(base_r, (n_dirs, 1))
+    regimes = unit.regimes
     s = np.zeros(radii.size)
-    for k, r in enumerate(radii):
-        # one radius at a time, as in scan_mg
-        here_t, here_r = kernel.padded_rows(r * unit.X, unit.I)
-        s[k] = _positive_sup(_row_distance(here_t, here_r, base_t, base_r))
+    if not kernel.x_independent:
+        X, I = unit.X, unit.I
+        base_t, base_r = kernel.padded_rows(np.zeros((regimes.size, dim)), regimes)
+        base_t, base_r = (np.tile(base, (len(unit.points), 1)) for base in (base_t, base_r))
+        for k, r in enumerate(radii):
+            # one radius at a time keeps temporaries at directions x regimes rows
+            here_t, here_r = kernel.padded_rows(r * X, I)
+            s[k] = _positive_sup(_row_distance(here_t, here_r, base_t, base_r))
     s_max = float(np.max(s))
     vanishing = bool(s[0] <= max(KERNEL_VANISH_ABS, KERNEL_VANISH_REL * s_max))
     return KernelContinuityScan(

@@ -116,7 +116,7 @@ def test_regimes_below_one_never_reach_the_batch_forms():
     bundle = sd.preset("example52_stable")
     spec, lyap, x = bundle.model, bundle.lyap, np.array([0.1, 0.0])
     calls = [
-        lambda: sd.verify_drift_condition(spec, lyap, [(x, 0)]),
+        lambda: sd.verify_drift_condition(spec, lyap, sd.ScanGrid(x[None], np.array([0]))),
         lambda: sd.apply_generator_Li(spec, lyap, x, 0),
         lambda: sd.generator_Li(spec, lyap, x[None], np.array([-1])),
         lambda: sd.scan_mg(spec, lyap, regimes=[0, 1]),
@@ -555,9 +555,9 @@ def test_drift_residuals_do_not_depend_on_how_the_grid_is_split(name):
     for size in (1, 7):
         pieces = [
             sd.verify_drift_condition(
-                bundle.model, bundle.lyap, sd.ScanGrid(grid.X[k : k + size], grid.I[k : k + size])
+                bundle.model, bundle.lyap, sd.ScanGrid(grid.points[k : k + size], grid.regimes)
             ).forward.residuals
-            for k in range(0, len(grid), size)
+            for k in range(0, len(grid.points), size)
         ]
         assert_bits_equal(np.concatenate(pieces), whole)
 

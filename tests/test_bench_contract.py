@@ -32,7 +32,11 @@ def test_traced_round_completes_and_times_the_float_loop(tmp_path):
     with bench.patched(bench.Tracer()) as tracer:
         codes = [cli.main(argv + ["--out", str(tmp_path / argv[0])]) for argv in runs]
     assert codes == [0, 0]
-    assert bench.layer_metrics(tracer)["simulator.scalar_us_per_step"] > 0
+    metrics = bench.layer_metrics(tracer)
+    assert metrics["simulator.scalar_us_per_step"] > 0
+    # the reported grid, 18 radii x 5 directions x 120 regimes, not the rows
+    # the scan evaluates, so that the figures compare across snapshots
+    assert metrics["model.drift_scan_points"] == 10800
 
 
 def test_snapshot_counts_the_source_lines():

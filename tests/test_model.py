@@ -1,5 +1,6 @@
 """Generator arithmetic, kernel row validation, and drift-condition scans."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -182,6 +183,39 @@ class TestSpecValidation:
         with pytest.raises(sd.EvaluationError):
             spec.validate(regimes=(1,))
 
+    def test_validate_refuses_an_x_independent_kernel_whose_rates_move(self):
+        # the float loop keeps such a kernel's rows per regime and the
+        # kernel-continuity scan reads none, so the flag must be true
+        kernel = sd.RateKernel(
+            row=lambda x, i: ((i + 1, 1.0 + abs(float(np.asarray(x).reshape(-1)[0]))),),
+            global_bound=2.0,
+            x_independent=True,
+        )
+        spec = dataclasses.replace(single_regime_linear(-1.0), rate_kernel=kernel)
+        with pytest.raises(sd.EvaluationError, match="x_independent"):
+            spec.validate()
+        honest = dataclasses.replace(kernel, x_independent=False)
+        dataclasses.replace(spec, rate_kernel=honest).validate()
+
+    def test_validate_refuses_too_few_distinct_regimes(self):
+        kernel = sd.build_kernel("custom_table", {"rows": {}})
+        for params, last in (
+            ({"b": [1.0, -0.5, 2.0], "sigma": [0.3], "gamma": 0.5}, 3),
+            ({"matrices": [[[-1.0]], [[0.5]]], "sigma_matrices": [[[[0.3]]], [[[0.3]]], [[[0.4]]]]}, 3),
+        ):
+            family = "example51" if "b" in params else "linear"
+            spec = sd.build_model({"family": family, "params": params}, kernel)
+            assert spec.distinct_regimes == last
+            spec.validate()
+            with pytest.raises(sd.EvaluationError, match="distinct_regimes is 2"):
+                dataclasses.replace(spec, distinct_regimes=2).validate()
+
+    def test_distinct_regimes_must_be_a_positive_integer(self):
+        spec = single_regime_linear(-1.0)
+        for bad in (0, -1, 1.5, "2"):
+            with pytest.raises(sd.ConfigurationError, match="distinct_regimes"):
+                dataclasses.replace(spec, distinct_regimes=bad)
+
     def test_lyapunov_validation_catches_offset_and_bound(self):
         bad_origin = square_lyapunov(c=0.0, c_bound=1.0)
         object.__setattr__(bad_origin, "V", lambda x: float(np.dot(x, x)) + 1.0)
@@ -247,15 +281,15 @@ class TestDriftConditionScan:
         spec = single_regime_linear(-1.0)
         lyap = square_lyapunov(c=-2.0, c_bound=2.0, radius=0.5)
         with pytest.raises(sd.DomainError):
-            sd.verify_drift_condition(spec, lyap, [(np.array([1.0]), 1)])
+            sd.verify_drift_condition(spec, lyap, sd.ScanGrid(np.ones((1, 1)), np.array([1])))
         with pytest.raises(sd.DomainError):
-            sd.verify_drift_condition(spec, lyap, [(np.zeros(1), 1)])
+            sd.verify_drift_condition(spec, lyap, sd.ScanGrid(np.zeros((1, 1)), np.array([1])))
 
     def test_empty_grid_is_a_configuration_error(self):
         spec = single_regime_linear(-1.0)
         lyap = square_lyapunov(c=-2.0, c_bound=2.0)
         with pytest.raises(sd.ConfigurationError):
-            sd.verify_drift_condition(spec, lyap, [])
+            sd.verify_drift_condition(spec, lyap, sd.radial_grid(1, [], [1]))
 
 
 class TestRadialGrid:

@@ -396,3 +396,137 @@ class TestLinearizedCriterion:
         # nu-average of the minimum eigenvalues (3.75, -1.125, -1.125, ...)
         assert unstable_report.unstable_value == pytest.approx(1.3125, abs=1e-6)
         assert unstable_report.verdict == "unstable_certified"
+
+
+# ---------------------------------------------------------------------------
+# Scans at the distinct regimes: a spec that declares distinct_regimes is
+# scanned only in the regimes with coefficients of their own, and a kernel
+# that declares x_independent reads no rows; both must report, bit for bit,
+# what the full scans report
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_scans_equal_the_full_scans(spec, lyap, radii, regimes):
+    """The drift and M_g scans of spec equal those of the same spec without
+    its distinct_regimes claim."""
+    full = dataclasses.replace(spec, distinct_regimes=None)
+    grid = sd.radial_grid(spec.dim, radii, regimes)
+    got, want = (sd.verify_drift_condition(s, lyap, grid) for s in (spec, full))
+    for view, full_view in ((got.forward, want.forward), (got.reversed, want.reversed)):
+        assert_bits_equal(view.residuals, full_view.residuals)
+        np.testing.assert_array_equal(view.violated, full_view.violated)
+    got, want = (sd.scan_mg(s, lyap, regimes=regimes) for s in (spec, full))
+    assert_bits_equal(got.values_by_radius, want.values_by_radius)
+    assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("name", sd.preset_names())
+def test_preset_scans_at_the_distinct_regimes_equal_the_full_scans(name):
+    bundle = sd.preset(name)
+    spec, lyap = bundle.model, bundle.lyap
+    assert spec.distinct_regimes is not None
+    radii = np.geomspace(1e-6, lyap.domain_radius, 18)
+    assert_scans_equal_the_full_scans(spec, lyap, radii, range(1, sd.k_scan(bundle.chain_N) + 1))
+
+
+def counted_rows(kernel, calls):
+    def rows(X, I):
+        calls.append(len(I))
+        return kernel.batch_rows(X, I)
+
+    return dataclasses.replace(kernel, batch_rows=rows)
+
+
+@pytest.mark.parametrize("name", sd.preset_names())
+def test_an_x_independent_kernel_scan_reads_no_rows_and_equals_the_full_scan(name):
+    bundle = sd.preset(name)
+    kernel = bundle.model.rate_kernel
+    regimes = range(1, sd.k_scan(bundle.chain_N) + 1)
+    calls = []
+    got = sd.scan_kernel_continuity(counted_rows(kernel, calls), bundle.model.dim, regimes=regimes)
+    full = dataclasses.replace(kernel, x_independent=False)
+    want = sd.scan_kernel_continuity(full, bundle.model.dim, regimes=regimes)
+    assert_bits_equal(got.s_values, want.s_values)
+    assert got.to_dict() == want.to_dict()
+    assert got.regimes_scanned == len(regimes)
+    if kernel.x_independent:
+        assert calls == [] and not np.any(got.s_values)
+    else:
+        assert calls and np.any(got.s_values)
+
+
+def counted_coefficients(spec, rows):
+    """spec with its batch forms wrapped to add up the rows they evaluate."""
+
+    def counted(name, form):
+        def bind(I):
+            rows[name] += len(I)
+            return form(I)
+
+        return bind
+
+    return dataclasses.replace(
+        spec,
+        batch_drift=counted("drift", spec.batch_drift),
+        batch_diffusion=counted("diffusion", spec.batch_diffusion),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, drift_rows, mg_rows",
+    [
+        # example51: 2 directions, example52: 5; 2 distinct regimes each, of
+        # K = 160 and 120 scanned
+        ("example51_stable", 18 * 2 * 2, 37 * 2 * 2),
+        ("example51_unstable", 18 * 2 * 2, 37 * 2 * 2),
+        ("example52_stable", 18 * 5 * 2, 37 * 5 * 2),
+        ("example52_unstable", 18 * 5 * 2, 37 * 5 * 2),
+    ],
+)
+def test_the_scans_evaluate_each_distinct_regime_once(name, drift_rows, mg_rows):
+    bundle = sd.preset(name)
+    lyap, regimes = bundle.lyap, range(1, sd.k_scan(bundle.chain_N) + 1)
+    grid = sd.radial_grid(bundle.model.dim, np.geomspace(1e-6, lyap.domain_radius, 18), regimes)
+    rows = {"drift": 0, "diffusion": 0}
+    spec = counted_coefficients(bundle.model, rows)
+    report = sd.verify_drift_condition(spec, lyap, grid)
+    assert rows == {"drift": drift_rows, "diffusion": drift_rows}
+    assert report.n_checked == len(grid) == drift_rows // 2 * len(regimes)
+    rows["diffusion"] = 0
+    mg = sd.scan_mg(spec, lyap, regimes=regimes)
+    assert rows["diffusion"] == mg_rows and mg.regimes_scanned == len(regimes)
+
+
+table_entry = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def table_models(draw):
+    """A linear (n in {1, 2}) or example51 model config with per-regime
+    tables of 1 to 4 entries."""
+    if draw(st.booleans()):
+        tables = st.lists(table_entry, min_size=1, max_size=4)
+        params = {"b": draw(tables), "sigma": draw(tables), "gamma": draw(st.sampled_from([0.3, 0.5]))}
+        return {"family": "example51", "params": params}
+    n, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    matrix = st.lists(st.lists(table_entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    noise = st.lists(matrix, min_size=d, max_size=d)
+    params = {
+        "matrices": draw(st.lists(matrix, min_size=1, max_size=4)),
+        "sigma_matrices": draw(st.lists(noise, min_size=1, max_size=4)),
+    }
+    return {"family": "linear", "params": params}
+
+
+@given(model=table_models(), K=st.integers(1, 16))
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_scans_at_the_distinct_regimes_equal_the_full_scans(model, K):
+    # built without parse_scenario, so that validate does not vouch for the claim
+    spec = sd.build_model(model, sd.build_kernel("custom_table", {"rows": {}}))
+    lyap = square_lyapunov(c=lambda i: -1.0 + 0.25 * i, c_bound=10.0)
+    assert_scans_equal_the_full_scans(spec, lyap, np.geomspace(1e-4, 1.0, 5), range(1, K + 1))
