@@ -2,6 +2,7 @@
 
     python3 scripts/bench_snapshot.py --number 8
     python3 scripts/bench_snapshot.py --root <other source tree> --out before.json
+    python3 scripts/bench_snapshot.py --number 24 --baseline <parent source tree>
 
 For each workload in BENCHMARK.json it runs
 
@@ -25,6 +26,15 @@ this process (see analyze_stage_timings), with analyze_calibrate_s beside
 it.  It also carries src_lines, the line count of each module of the
 tree's src/switchdiff and their total (see src_lines), the size measure by
 which the roadmap tracks deleted code.
+
+With --baseline, the snapshot also carries a baseline block that sets the
+tree against another one: BASELINE_ROUNDS rounds, each of which times the
+engine and analyze-stage cases of both trees, each in a fresh process and
+in alternating order, so that a slow phase of the host falls on both.  For
+each case it records both trees' medians, and the median of the per-round
+ratios (tree / baseline) with their smallest and largest: the figures a
+performance change quotes.  Engine figures of two separate snapshots do not
+compare; these do.
 """
 
 from __future__ import annotations
@@ -75,18 +85,23 @@ def read_fingerprint(root: str, workload: str, seed: int):
 
 
 # (name, preset, paths, horizon, coupled, x0): paths None is one path of the
-# float loop, through simulate.  The two float-loop cases differ in their
+# float loop, through simulate.  The 1-D float-loop cases differ in their
 # density of events: two_state_switching records twice and is a candidate to
 # switch on 0.2% of its steps; example51_stable records every 10th step, is a
-# candidate on about 6% and exits early on some paths
+# candidate on about 6% and exits early on some paths.  example52_stable's
+# plain paths run the float loop below simulator.FLOAT_PATHS = 48 paths and
+# batched from there on: the P5 and P48 cases sit on both sides of the
+# crossover, which their us_per_path_step shows
 ENGINE_CASES = (
     ("float_loop_two_state_switching", "two_state_switching", None, 20.0, False, None),
     ("float_loop_example51_stable", "example51_stable", 15, 15.0, False, None),
-    ("batch_example52_stable_P5", "example52_stable", 5, 10.0, False, None),
+    ("float_loop_example52_stable_P5", "example52_stable", 5, 10.0, False, None),
+    ("batch_example52_stable_P48", "example52_stable", 48, 2.0, False, None),
     ("batch_example52_stable_P256", "example52_stable", 256, 2.0, False, None),
     ("coupled_example52_stable_P40", "example52_stable", 40, 1.0, True, [0.3, 0.0]),
 )
 ENGINE_REPEATS = 5
+BASELINE_ROUNDS = 5
 
 
 def bench_calibrate():
@@ -146,7 +161,12 @@ def engine_timings(root: str) -> tuple:
             best[name] = min(best[name], time.process_time() - t0)
         calibrations.append(calibrate())
     cases = {
-        name: {"paths": paths, "steps": steps, "us_per_step": best[name] / steps * 1e6}
+        name: {
+            "paths": paths,
+            "steps": steps,
+            "us_per_step": best[name] / steps * 1e6,
+            "us_per_path_step": best[name] / (steps * paths) * 1e6,
+        }
         for name, (_, paths, steps) in runs.items()
     }
     return cases, statistics.median(calibrations)
@@ -223,6 +243,63 @@ def src_lines(root: str) -> dict:
     return {"modules": modules, "total": sum(modules.values())}
 
 
+def timings(root: str) -> dict:
+    """The engine and analyze-stage timings of root, each with the
+    calibration beside it."""
+    engine, engine_calibrate = engine_timings(root)
+    stages, analyze_calibrate = analyze_stage_timings(root)
+    return {
+        "engine_us_per_step": {name: case["us_per_step"] for name, case in engine.items()},
+        "analyze_stage_ms": stages,
+        "engine_calibrate_s": engine_calibrate,
+        "analyze_calibrate_s": analyze_calibrate,
+    }
+
+
+def fresh_timings(root: str) -> dict:
+    """timings(root), taken in a fresh interpreter."""
+    argv = [sys.executable, os.path.abspath(__file__), "--timings", "--root", root]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def compare(root: str, baseline: str, rounds: int = BASELINE_ROUNDS) -> dict:
+    """The baseline block: rounds of fresh_timings of both trees, in
+    alternating order, and per figure both trees' medians and the median,
+    smallest and largest of the per-round ratios root / baseline."""
+    runs = {"baseline": [], "change": []}
+    for r in range(rounds):
+        order = [("baseline", baseline), ("change", root)]
+        for side, tree in order[:: 1 if r % 2 == 0 else -1]:
+            runs[side].append(fresh_timings(tree))
+
+    def figures(read) -> dict:
+        old = [read(t) for t in runs["baseline"]]
+        new = [read(t) for t in runs["change"]]
+        ratios = sorted(b / a for a, b in zip(old, new))
+        return {
+            "baseline": statistics.median(old),
+            "change": statistics.median(new),
+            "ratio": statistics.median(ratios),
+            "ratio_min": ratios[0],
+            "ratio_max": ratios[-1],
+        }
+
+    first = runs["change"][0]
+    block: dict = {"rounds": rounds}
+    block["engine_us_per_step"] = {
+        case: figures(lambda t: t["engine_us_per_step"][case])
+        for case in first["engine_us_per_step"]
+    }
+    block["analyze_stage_ms"] = {
+        preset: {stage: figures(lambda t: t["analyze_stage_ms"][preset][stage]) for stage in stages}
+        for preset, stages in first["analyze_stage_ms"].items()
+    }
+    for key in ("engine_calibrate_s", "analyze_calibrate_s"):
+        block[key] = figures(lambda t: t[key])
+    return block
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", default=REPO, help="source tree to benchmark")
@@ -230,7 +307,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output path (instead of --number)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
+    parser.add_argument("--baseline", help="source tree to set --root against (see above)")
+    parser.add_argument(
+        "--timings", action="store_true",
+        help="print the engine and analyze-stage timings of --root as JSON and exit",
+    )
     args = parser.parse_args(argv)
+    if args.timings:
+        print(json.dumps(timings(args.root)))
+        return 0
     if (args.number is None) == (args.out is None):
         parser.error("give exactly one of --number and --out")
     out = args.out or os.path.join(REPO, f"BENCH_{args.number}.json")
@@ -248,6 +333,8 @@ def main(argv=None) -> int:
     snapshot["analyze_stage_ms"], snapshot["analyze_calibrate_s"] = analyze_stage_timings(
         args.root
     )
+    if args.baseline is not None:
+        snapshot["baseline"] = compare(args.root, args.baseline)
     for name in names:
         runs = {}
         for trace in (0, 1):

@@ -145,14 +145,17 @@ class ModelSpec:
     and diffusions, which also check that every regime is at least 1; the
     batched simulator binds drift_of and diffusion_of once per change of
     its regimes, which are at least 1.  scalar_run(i, dt), optional for
-    n = d = 1, returns regime i's Euler map run over a stretch of steps:
+    d = 1, returns regime i's Euler map run over a stretch of steps:
     run(x, ws, a, e, lim) applies x <- x + b(x, i) dt + sigma(x, i) ws[k]
     on floats for k = a, ..., e - 1 and stops after the first step whose
-    |x| is not below lim (NaN included).  It returns (x, ox, k): the state
-    after the last step taken, the state before it, and the index of the
-    step that stopped it, or e (with ox = x when a = e).  With it the
-    simulator runs plain paths in its float loop.  The float forms
-    scalar_drift/scalar_diffusion are read only by bench/tracer.py.
+    |x| is not below lim (NaN included); x is a float for n = 1 and a tuple
+    of n floats otherwise, whose |x| is row_norms'.  It returns (x, ox,
+    k): the state after the last step taken, the state before it, and the
+    index of the step that stopped it, or e (with ox = x when a = e).  With
+    it the simulator runs plain paths in its float loop, and a path must
+    be the same bits as the batched engine's path from the batch forms.
+    The float forms scalar_drift/scalar_diffusion (n = 1) are read only by
+    bench/tracer.py.
     distinct_regimes, if set, declares the last regime with coefficients of
     its own: every regime above it has its drift and diffusion.  The
     scenario families set it from the length of their per-regime tables;
@@ -226,10 +229,10 @@ class ModelSpec:
         the equilibrium at 0 if zero_fixed; finite coefficients and valid
         rows within the declared global bound in the given regimes; for
         distinct_regimes L, the same drift and diffusion, bit for bit, in
-        regimes L, L + 1 and 10 L + 100; for an x_independent kernel, the
+        every regime L, ..., 10 L + 100; for an x_independent kernel, the
         same rows at both points."""
         last = self.distinct_regimes
-        claimed = () if last is None else (last, last + 1, 10 * last + 100)
+        claimed = () if last is None else range(last, 10 * last + 101)
         regimes = np.asarray([*regimes, *claimed], dtype=np.int64)
         k = regimes.size
         x = np.full(self.dim, radius / math.sqrt(self.dim))
@@ -250,10 +253,11 @@ class ModelSpec:
                 )
             if claimed:
                 bits = v.reshape(n_points, k, -1)[:, k - len(claimed) :].view(np.uint64)
-                if (bits[:, 1:] != bits[:, :1]).any():
+                differs = (bits[:, 1:] != bits[:, :1]).any(axis=(0, 2))
+                if differs.any():
                     raise EvaluationError(
-                        f"{name} differs between regimes {claimed}, "
-                        f"but distinct_regimes is {last}"
+                        f"{name} differs between regimes {last} and "
+                        f"{claimed[differs.argmax() + 1]}, but distinct_regimes is {last}"
                     )
         targets, rates = self.rate_kernel.padded_rows(both, np.tile(regimes, 2))
         bound = self.rate_kernel.global_bound
@@ -357,10 +361,41 @@ def point_form(batch: Callable, dim: int) -> Callable:
     return fn
 
 
+def running_dot(us, vs):
+    """The sum of u * v over the pairs of us and vs, in their order: the one
+    summation order of the linear families' products and of the norms.  It
+    takes floats and arrays alike.  numpy multiplies and adds arrays element
+    by element, rounding each operation as Python rounds floats, so the sums
+    of an array form equal those of the float loop's Euler maps bit for bit
+    on every CPU; matmul and vecdot leave the order, and the use of fused
+    multiply-adds, to BLAS and SIMD dispatch."""
+    pairs = zip(us, vs)
+    u, v = next(pairs)
+    total = u * v
+    for u, v in pairs:
+        total += u * v  # in place when total is an array of its own
+    return total
+
+
+def mat_vecs(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map X -> (M[p] @ X[p] for every p), each entry summed by
+    running_dot in column order: for M of shape (P, ..., m), X of shape
+    (P, m) gives shape (P, ...).  M's columns are sliced once, so a batch
+    form bound to its regimes' matrices pays for them once."""
+    cols = [M[..., c] for c in range(M.shape[-1])]
+    ones = (1,) * (M.ndim - 2)
+    return lambda X: running_dot(cols, X.T.reshape(X.shape[::-1] + ones))
+
+
 def row_norms(X: np.ndarray) -> np.ndarray:
-    """|X[p]| for every row p, equal bit for bit to np.linalg.norm of the row
-    (np.linalg.norm(X, axis=1) sums in another order)."""
-    return np.sqrt(np.vecdot(X, X))
+    """|X[p]| for every row p: the square root of running_dot(x, x), the
+    order in which the float loop's Euler maps take |x|; the squares are
+    taken in one multiply and summed column by column."""
+    squares = X * X
+    total = squares[:, 0]
+    for c in range(1, X.shape[1]):
+        total = total + squares[:, c]
+    return np.sqrt(total)
 
 
 def _fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
@@ -620,7 +655,8 @@ def radial_grid(
         if dim > 1:
             dirs.append(np.full(dim, 1.0 / math.sqrt(dim)))
     else:
-        dirs = [np.asarray(d, dtype=float) / np.linalg.norm(d) for d in directions]
+        dirs = np.asarray(directions, dtype=float)
+        dirs = dirs / row_norms(dirs)[:, None]
     radii = np.asarray(radii, dtype=float).reshape(-1)
     regimes = np.asarray(list(regimes), dtype=np.int64)
     return ScanGrid((radii[:, None, None] * np.array(dirs)[None]).reshape(-1, dim), regimes)

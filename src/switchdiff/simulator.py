@@ -14,7 +14,8 @@ bound, or with q_bar dt above the guard, rates are read every step.  The
 paths are the same either way.  Two integrators run the paths:
 
 - the float loop runs plain paths of models with an Euler map on floats
-  (n = d = 1, ModelSpec.scalar_run set), one at a time, in stretches.
+  (d = 1, ModelSpec.scalar_run set), one at a time, in stretches; the
+  state is a float in 1-D and a tuple of n floats otherwise.
   Each chunk of accept uniforms marks its events: the candidates to switch
   (below the gate, or for an x-independent kernel below the largest q_s dt
   of the regimes visited), the record steps and the chunk's last step.
@@ -25,20 +26,37 @@ paths are the same either way.  Two integrators run the paths:
   the loop pays one Python call per event, not one per step.  Where every
   step is an event (an x-dependent kernel without a usable gate, or a
   record stride of 1) each call takes one step, the loop's slowest case;
-- the batched engine runs every other path, vector or coupled.  All live
+- the batched engine runs every other path: coupled, without an Euler
+  map, or one of FLOAT_PATHS or more plain paths in 2-D (FLOAT_PATHS_ND
+  in n >= 3).  All live
   paths of a block step together as (P, n) arrays; a single path is a
   batch of one, and run_ensemble passes blocks of PATH_BLOCK paths, so
   memory does not grow with the path count.  The Euler step calls the
   model's completed batch forms ModelSpec.drift_of/diffusion_of, bound to
   the block's regimes and rebound only after a step where some path
-  jumped or sub-divided, or after paths left the block.  With one noise
-  column the noise is sigma * w + 0.0, which equals matmul's one-term sum
-  bit for bit.  Each chunk of accept uniforms marks its hot steps, where
-  some path is a candidate, and only those steps screen the paths.  The
-  candidates' rates come from one call of the kernel's completed batch
-  form RateKernel.rows and are totalled as arrays; a row becomes a Python
-  list only for a path that moves.  Up to FEW_PAIRS coupled pairs are
-  summed along their rows in Python instead, which costs less at that size.
+  jumped or sub-divided, or after paths left the block.  The noise is
+  0.0 + the sum of sigma_k w_k in column order; with one noise column
+  that is matmul's one-term sum bit for bit.  Each chunk of accept
+  uniforms marks its hot steps, where some path is a candidate, and only
+  those steps screen the paths.  The candidates' rates come from one call
+  of the kernel's completed batch form RateKernel.rows and are totalled as
+  arrays; a row becomes a Python list only for a path that moves.  Up to
+  FEW_PAIRS coupled pairs are summed along their rows in Python instead,
+  which costs less at that size.
+
+The linear families compute A x, S x and |x| in one order in both engines,
+the running sums in column order of model.running_dot (not matmul or vecdot,
+whose order and fused multiply-adds follow BLAS and SIMD dispatch), so a plain
+path is the same bits whichever engine runs it, and run_ensemble picks the
+engine by cost alone.  A 1-D ensemble runs the float loop at every size;
+in 2-D the float loop runs below FLOAT_PATHS paths and in n >= 3 below
+FLOAT_PATHS_ND, and the batched engine from there on.  CPU us per
+path-step on a 2-core host (horizon 2), float loop against batched
+engine: example51_stable 1.0 against 2.3 at 15 paths and 0.50-0.54
+against 0.47-0.51 at 256; example52_stable 0.63-0.69 at every size
+against 0.79-0.88 at 32 paths, 0.75 at 40, 0.64-0.65 at 48, 0.54-0.58 at
+64 and 0.31 at 256; a 3-D linear model on example52_q 4.6-8.3 at every
+size against 6.4-11.4 at 4 paths, 5.2-8.7 at 5 and 4.3-7.4 at 6.
 
 Each path owns three named substreams derived from (seed, path_index):
 noise and accept uniforms are drawn in chunks of STREAM_CHUNK steps as the
@@ -63,13 +81,15 @@ import numpy as np
 
 from .artifacts import atomic_open
 from .errors import ConfigurationError, ContractError, EvaluationError
-from .model import RATE_BOUND_TOL, ModelSpec, RateKernel, row_norms
+from .model import RATE_BOUND_TOL, ModelSpec, RateKernel, mat_vecs, row_norms, running_dot
 
 THINNING_GUARD = 0.1  # largest admissible q_i(x) * dt without sub-division
 SUBDIVISION_TARGET = 0.05  # sub-step jump probability aimed for when splitting
 BLOWUP_RADIUS = 1e12
 STREAM_CHUNK = 4096  # steps of noise and accept uniforms drawn at a time
 PATH_BLOCK = 256  # paths the batched engine advances together
+FLOAT_PATHS = 48  # plain 2-D paths from which an ensemble runs batched
+FLOAT_PATHS_ND = 5  # the same in n >= 3, whose Euler map loops over rows
 FEW_PAIRS = 6  # candidate pairs up to which Python sums beat array sums
 WILSON_Z = 1.959963984540054  # 95%
 
@@ -224,7 +244,7 @@ def _above_bound(q: float, s, q_bar: float) -> EvaluationError:
 
 
 def _has_float_forms(spec: ModelSpec) -> bool:
-    return spec.dim == 1 and spec.noise_dim == 1 and spec.scalar_run is not None
+    return spec.noise_dim == 1 and spec.scalar_run is not None
 
 
 def _start(spec: ModelSpec, config: SimConfig, x0, i0: int):
@@ -261,6 +281,13 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
     """
     x0, s, n_steps = _start(spec, config, x0, i0)
     kernel = spec.rate_kernel
+    # the state x: a float in 1-D, else a tuple of n floats, with its norm
+    # (row_norms' sum, or abs) and the point that the kernel's rows read
+    if spec.dim == 1:
+        x, norm, point = float(x0[0]), abs, float
+    else:
+        x, point = tuple(x0.tolist()), np.array
+        norm = lambda x: math.sqrt(running_dot(x, x))
     rng_noise, rng_accept, rng_event = path_streams(config.seed, config.path_index)
     event = rng_event.random
     dt = config.dt
@@ -273,7 +300,6 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
         return run
 
     sq = math.sqrt(dt)
-    x = float(x0[0])
     x_dep = not kernel.x_independent
     q_bar, gate = _thinning_bound(kernel, dt)
     table: dict = {}
@@ -283,7 +309,7 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
         rows are kept per regime, so each is read and checked once."""
         hit = None if x_dep else table.get(s)
         if hit is None:
-            row = kernel.point_row(x, s)
+            row = kernel.point_row(point(x), s)
             total = 0.0
             for _, r in row:
                 total += r
@@ -298,16 +324,19 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
     h = math.inf if config.stop_radius is None else config.stop_radius
     lim = min(h, BLOWUP_RADIUS)
     # the records: step (-1 is t = 0) and state in compact arrays, regime
-    rec_k, rec_x, rec_s = array("q", [-1]), array("d", [x]), [s]
+    rec_k, rec_x, rec_s = array("q"), array("d"), []
+    put = rec_x.append if spec.dim == 1 else rec_x.extend
 
-    def keep(k: int, x: float, s) -> None:
+    def keep(k: int, x, s) -> None:
         rec_k.append(k)
-        rec_x.append(x)
+        put(x)
         rec_s.append(s)
+
+    keep(-1, x, s)
 
     jumps: list = []
     tau_h, exited, blew_up = None, False, False
-    if abs(x) >= h:
+    if norm(x) >= h:
         tau_h, exited = 0.0, True
         n_steps = 0
     screen = gate
@@ -349,7 +378,7 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
                 if stop <= kc:
                     # |x| is not below lim: the path blows up or exits here
                     kc, u, rec = stop, U.item(stop), True
-                    if not abs(x) < BLOWUP_RADIUS:
+                    if not norm(x) < BLOWUP_RADIUS:
                         blew_up = True
                         keep(c0 + kc, x, s)
                         break
@@ -401,7 +430,7 @@ def _float_path(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
 
     return Trajectory(
         np.array([(k + 1) * dt for k in rec_k]),
-        np.array(rec_x)[:, None],
+        np.array(rec_x).reshape(-1, spec.dim),
         np.array(rec_s, dtype=np.int64),
         jumps,
         tau_h,
@@ -627,11 +656,12 @@ def _batch_paths(spec: ModelSpec, config: SimConfig, x0, i0: int, n_paths: int, 
                 stale = False
             drift_dt = drift(X) * dt
             sig = diffusion(X)
+            # the noise sums from +0.0, as matmul's one-term sum does: a
+            # product of -0.0 reaches X as +0.0
             if one_noise:
-                # matmul sums from +0.0, so its one-term product is a * b + 0.0
-                noise = sig[:, :, 0] * W[:, kc] + 0.0
+                noise = 0.0 + sig[:, :, 0] * W[:, kc]
             else:
-                noise = np.matmul(sig, W[:, kc, :, None])[:, :, 0]
+                noise = 0.0 + mat_vecs(sig)(W[:, kc])
             Xn = X + drift_dt + noise
             r = row_norms(Xn)
             t = (k + 1) * dt
@@ -710,8 +740,8 @@ def simulate(spec: ModelSpec, config: SimConfig, x0, i0: int) -> Trajectory:
     Per step: Euler-Maruyama update of X with the current regime, then the
     switching decision with rates evaluated at the pre-step state.  Steps
     whose total rate violates the thinning guard are sub-divided.  A model
-    with an Euler map (scalar_run) runs the float loop, any other the
-    batched engine.
+    with an Euler map (scalar_run, d = 1) runs the float loop, any other
+    the batched engine.
     """
     if _has_float_forms(spec):
         return _float_path(spec, config, x0, i0)
@@ -764,7 +794,7 @@ class StayInBall:
     def evaluate(self, traj: Trajectory) -> float:
         if traj.blew_up or traj.exited:
             return 0.0
-        sup = float(np.max(np.linalg.norm(traj.x_path, axis=1)))
+        sup = float(np.max(row_norms(traj.x_path)))
         return 1.0 if sup < self.h else 0.0
 
 
@@ -785,7 +815,7 @@ class ConvergesToZero:
         idx = times.size - 1 if self.T is None else int(np.searchsorted(times, self.T, "right")) - 1
         if idx < 0:
             return 0.0
-        return 1.0 if float(np.linalg.norm(traj.x_path[idx])) < self.tol else 0.0
+        return 1.0 if float(row_norms(traj.x_path[idx : idx + 1])[0]) < self.tol else 0.0
 
 
 class Occupation:
@@ -839,9 +869,12 @@ class EnsembleSummary:
 
 def _ensemble_paths(spec: ModelSpec, config: SimConfig, n_paths: int, x0, i0: int, coupled: bool):
     """Trajectories of paths config.path_index + p, p < n_paths, in index
-    order: plain paths with an Euler map one at a time through simulate, all
-    others through the batched engine, PATH_BLOCK paths at a time."""
-    if not coupled and _has_float_forms(spec):
+    order: plain paths with an Euler map one at a time through simulate, in
+    1-D at every size, in 2-D below FLOAT_PATHS paths and in n >= 3 below
+    FLOAT_PATHS_ND; all others through the batched engine, PATH_BLOCK paths
+    at a time."""
+    below = {1: math.inf, 2: FLOAT_PATHS}.get(spec.dim, FLOAT_PATHS_ND)
+    if not coupled and _has_float_forms(spec) and n_paths < below:
         for p in range(n_paths):
             yield simulate(spec, replace(config, path_index=config.path_index + p), x0, i0)
         return

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .markov_chain import ErgodicityDiagnostic, InvariantMeasure, seq_term
-from .model import LyapunovSpec, ModelSpec, RateKernel, ScanGrid, radial_grid, row_norms
+from .model import LyapunovSpec, ModelSpec, RateKernel, ScanGrid, mat_vecs, radial_grid, row_norms
 
 K_SCAN_FLOOR = 100
 K_SCAN_FACTOR = 4
@@ -495,8 +495,10 @@ def linearize(
     reps = len(grid) // len(regimes)
     b_lin = np.tile(b_stack, (reps, 1, 1))
     s_lin = np.tile(s_stack, (reps, 1, 1, 1))
-    xi = spec.drifts(X, I) - np.matmul(b_lin, X[:, :, None])[:, :, 0]
-    lin_sigma = np.matmul(s_lin, X[:, None, :, None])[..., 0].transpose(0, 2, 1)
+    # the products as the linear families' batch forms take them, so that
+    # exact matrices leave a residual of exactly 0
+    xi = spec.drifts(X, I) - mat_vecs(b_lin)(X)
+    lin_sigma = mat_vecs(s_lin)(X).transpose(0, 2, 1)
     zeta = (spec.diffusions(X, I) - lin_sigma).reshape(len(grid), n * d)
     xi_norm, zeta_norm = row_norms(xi), row_norms(zeta)
     radius = np.repeat(probe_radii, len(grid) // max(len(probe_radii), 1))

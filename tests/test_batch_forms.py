@@ -89,11 +89,21 @@ def closed_form_coefficients(model):
     zeros = [[np.zeros_like(mats[0])] * params.get("noise_dim", 1)]
     sigmas = [[np.array(m, dtype=float) for m in r] for r in params.get("sigma_matrices", zeros)]
 
+    def product(m, x):
+        """m @ x, each entry a running sum in column order, on floats"""
+        sums, xs = [], x.tolist()
+        for row in m.tolist():
+            total = row[0] * xs[0]
+            for a, v in zip(row[1:], xs[1:]):
+                total += a * v
+            sums.append(total)
+        return sums
+
     def drift(x, i):
-        return regime_entry(mats, i) @ x
+        return product(regime_entry(mats, i), x)
 
     def diffusion(x, i):
-        return np.column_stack([m @ x for m in regime_entry(sigmas, i)])
+        return np.column_stack([product(m, x) for m in regime_entry(sigmas, i)])
 
     return drift, diffusion
 
@@ -275,7 +285,13 @@ def closed_form_lyapunov(lyapunov, dim):
     if lyapunov["family"] == "square":
         return (lambda x: float(np.dot(x, x))), (lambda x: 2.0 * x), (lambda x: 2.0 * np.eye(dim))
     p = float(lyapunov["p"])
-    norm = lambda x: float(np.linalg.norm(x))
+
+    def norm(x):
+        """|x|, its squares summed in order"""
+        total = 0.0
+        for v in x.tolist():
+            total += v * v
+        return math.sqrt(total)
 
     def hess(x):
         r = norm(x)

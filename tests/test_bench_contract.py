@@ -5,13 +5,14 @@ every parsed scenario, the float forms among them, to label float-loop
 paths.  A change to the package that breaks a traced run fails here, not
 only when the benchmark runs.  The tracer is loaded from its file, as is;
 so is scripts/bench_snapshot.py, whose line count of the package must match
-a plain count of its modules.
+a plain count of its modules, and whose engine cases must sit on both sides
+of the simulator's FLOAT_PATHS.
 """
 
 import importlib.util
 import os
 
-from switchdiff import cli
+from switchdiff import cli, simulator
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
 
@@ -52,3 +53,20 @@ def test_snapshot_counts_the_source_lines():
         with open(os.path.join(src, name)) as fh:
             want[name] = len(fh.readlines())
     assert counted == {"modules": want, "total": sum(want.values())}
+
+
+def test_snapshot_times_both_sides_of_the_engine_crossover():
+    # example52's plain paths run the float loop below FLOAT_PATHS and
+    # batched from there on; the engine cases name the engine that runs them
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_snapshot.py")
+    spec = importlib.util.spec_from_file_location("bench_snapshot", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    cases = {
+        paths: name for name, preset, paths, _, coupled, _ in snapshot.ENGINE_CASES
+        if preset == "example52_stable" and not coupled
+    }
+    below = [p for p in cases if p < simulator.FLOAT_PATHS]
+    assert simulator.FLOAT_PATHS in cases and below
+    assert all(cases[p].startswith("float_loop_") for p in below)
+    assert all(cases[p].startswith("batch_") for p in cases if p >= simulator.FLOAT_PATHS)

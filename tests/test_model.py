@@ -210,6 +210,16 @@ class TestSpecValidation:
             with pytest.raises(sd.EvaluationError, match="distinct_regimes is 2"):
                 dataclasses.replace(spec, distinct_regimes=2).validate()
 
+    def test_validate_reads_every_regime_of_a_distinct_regimes_claim(self):
+        # regime 4 has a drift of its own, between the regimes L, L + 1 and
+        # 10 L + 100 that a claim L = 2 was once spot-checked at
+        kernel = sd.build_kernel("custom_table", {"rows": {}})
+        params = {"matrices": [[[-1.0]], [[0.5]], [[0.5]], [[3.0]], [[0.5]]]}
+        spec = sd.build_model({"family": "linear", "params": params}, kernel)
+        spec.validate()
+        with pytest.raises(sd.EvaluationError, match="regimes 2 and 4, but distinct_regimes is 2"):
+            dataclasses.replace(spec, distinct_regimes=2).validate()
+
     def test_distinct_regimes_must_be_a_positive_integer(self):
         spec = single_regime_linear(-1.0)
         for bad in (0, -1, 1.5, "2"):

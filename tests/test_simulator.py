@@ -403,6 +403,64 @@ def preset_case(name):
     return case
 
 
+def example52_q_case(dim: int):
+    """A linear model in 2-D or 3-D with a diffusion matrix per regime on
+    the x-dependent example52_q kernel (1 -> 2, i -> 1 or i + 1, at rate
+    1 + sin|x|).  Regime 1 grows and regime 2 contracts, with coefficients
+    that are not powers of two, so that the order of the products shows in
+    the last bit; regime 3 blows up in one step.  Its paths run out the
+    horizon, exit, blow up and jump."""
+    grow = 0.9 * np.eye(dim) + np.diag([0.3] * (dim - 1), 1) - np.diag([0.7] * (dim - 1), -1)
+    turn = np.diag([0.35] * (dim - 1), 1) - np.diag([0.55] * (dim - 1), -1)
+    params = {
+        "matrices": [grow.tolist(), (-1.3 * np.eye(dim)).tolist(), (1e16 * np.eye(dim)).tolist()],
+        "sigma_matrices": [[(0.6 * np.eye(dim) + turn).tolist()], [(-0.3 * turn).tolist()],
+                           [np.zeros((dim, dim)).tolist()]],
+    }
+
+    def check(spec, cfg, batch):
+        assert any(tr.exited for tr in batch) and any(tr.blew_up for tr in batch)
+        assert any(not (tr.exited or tr.blew_up) for tr in batch)
+        assert sum(len(tr.jumps) for tr in batch) > len(batch)
+
+    def case():
+        kernel = sd.build_kernel("example52_q", {"scale": 1.0})
+        spec = sd.build_model({"family": "linear", "params": params}, kernel)
+        cfg = sd.SimConfig(dt=0.01, horizon=1.0, seed=8, stop_radius=1.5, record_stride=4)
+        return spec, cfg, np.full(dim, 0.4), 1, 24, check
+
+    return case
+
+
+def zero_start_case(dim: int):
+    """Paths from x = (-0.0, ..., -0.0) of a linear model whose products
+    there are -0.0 where the noise is positive: the engine's noise, summed
+    from +0.0, turns the state to +0.0 on the first step."""
+    params = {"matrices": [(0.5 * np.eye(dim)).tolist()], "sigma_matrices": [[np.eye(dim).tolist()]]}
+    kernel = sd.build_kernel("custom_table", {"rows": {}})
+
+    def check(spec, cfg, batch):
+        assert all(np.signbit(tr.x_path[0]).all() and not np.signbit(tr.x_path[1:]).any() for tr in batch)
+
+    def case():
+        spec = sd.build_model({"family": "linear", "params": params}, kernel)
+        cfg = sd.SimConfig(dt=0.01, horizon=0.05, seed=2)
+        return spec, cfg, np.full(dim, -0.0), 1, 8, check
+
+    return case
+
+
+def preset_nd_case(name):
+    """A short run of a 2-D preset, from a start off the axes."""
+
+    def case():
+        bundle = sd.preset(name)
+        cfg = dataclasses.replace(bundle.sim, horizon=1.0)
+        return bundle.model, cfg, np.array([0.3, -0.2]), bundle.i0, 6, lambda spec, cfg, batch: None
+
+    return case
+
+
 FLOAT_LOOP_CASES = {
     "stride_1": mix_case(1),
     "stride_above_the_step_count": mix_case(1000),
@@ -414,6 +472,13 @@ FLOAT_LOOP_CASES = {
             "example51_stable", "example51_unstable", "two_state_switching", "contraction_benchmark"
         )
     },
+    # the engines compute A x, S x and |x| in one order, in n >= 2 too
+    "mix_2d": lambda: (
+        regime_mix_spec(2), MIX_CONFIG, MIX_X0[2], 1, 24, lambda spec, cfg, batch: assert_mixed(batch)
+    ),
+    **{f"example52_q_{dim}d": example52_q_case(dim) for dim in (2, 3)},
+    **{f"zero_start_{dim}d": zero_start_case(dim) for dim in (1, 2, 3)},
+    **{f"preset_{name}": preset_nd_case(name) for name in ("example52_stable", "example52_unstable")},
 }
 
 
@@ -671,8 +736,9 @@ class TestBatchedEngine:
         assert summary.n_blowups == sum(tr.blew_up for tr in collected) > 0
 
 
-# (dim, coupled) of the mixed model: batched plain and coupled paths in 2-D,
-# and in 1-D the float loop on its x-dependent kernel
+# (dim, coupled) of the mixed model: plain paths in 2-D (24 of them run the
+# float loop, below FLOAT_PATHS), batched coupled paths in 2-D, and in 1-D
+# the float loop on its x-dependent kernel
 KINDS = {"vector": (2, False), "coupled": (2, True), "float_loop": (1, False)}
 MIX_X0 = {2: np.array([0.45, 0.15]), 1: np.array([0.5])}
 
@@ -709,7 +775,8 @@ class TestBoundGate:
 
     def test_rows_are_read_only_on_steps_with_a_candidate(self):
         # example52: q_bar dt = 0.008, so about one step in six of 20 paths
-        # has a candidate, and each read covers exactly the candidates
+        # has a candidate, and each read of the batched engine covers
+        # exactly the candidates
         bundle = sd.preset("example52_stable")
         kernel = bundle.model.rate_kernel
         sizes = []
@@ -718,7 +785,8 @@ class TestBoundGate:
             sizes.append(len(I))
             return kernel.batch_rows(X, I)
 
-        spec = with_kernel(bundle.model, dataclasses.replace(kernel, batch_rows=counting))
+        batched = dataclasses.replace(bundle.model, scalar_run=None)
+        spec = with_kernel(batched, dataclasses.replace(kernel, batch_rows=counting))
         cfg = sd.SimConfig(dt=bundle.sim.dt, horizon=1.0, seed=5)
         n, n_steps = 20, 500
         trajs = paths(spec, cfg, n, bundle.x0, bundle.i0)
@@ -729,6 +797,59 @@ class TestBoundGate:
         candidates = np.count_nonzero(U < gate, axis=0)
         assert 0 < np.count_nonzero(candidates) < n_steps
         assert sizes == candidates[candidates > 0].tolist()
+
+
+class TestEngineRule:
+    def test_path_0_of_a_batched_ensemble_writes_the_bytes_of_simulate(self, tmp_path):
+        # off the axes, where the order of the products shows
+        spec, cfg, x0, i0, _, _ = preset_nd_case("example52_stable")()
+        n = sd.simulator.FLOAT_PATHS + 1  # run batched
+        batch = paths(spec, cfg, n, x0, i0)
+        alone = sd.simulate(spec, cfg, x0, i0)  # the float loop
+        for name, traj in (("batch", batch[0]), ("alone", alone)):
+            sd.write_trajectory_csv(str(tmp_path / f"{name}.csv"), traj)
+        assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    def test_the_engine_each_ensemble_size_takes(self, monkeypatch):
+        # 1-D plain paths run the float loop at every size; 2-D below
+        # FLOAT_PATHS paths and n >= 3 below FLOAT_PATHS_ND, and batched
+        # from there on; coupled paths and models without an Euler map run
+        # batched
+        engines = []
+        simulator = sd.simulator
+        for name in ("_float_path", "_batch_paths"):
+            def counted(*args, run=getattr(simulator, name), name=name, **kwargs):
+                engines.append(name)
+                return run(*args, **kwargs)
+
+            monkeypatch.setattr(simulator, name, counted)
+        e51, e52 = sd.preset("example51_stable"), sd.preset("example52_stable")
+        spec_3d, cfg_3d, x0_3d, i0_3d, _, _ = example52_q_case(3)()
+        # one step from each model's start
+        start = {
+            1: (dataclasses.replace(e51.sim, horizon=e51.sim.dt), e51.x0, e51.i0),
+            2: (dataclasses.replace(e52.sim, horizon=e52.sim.dt), e52.x0, e52.i0),
+            3: (dataclasses.replace(cfg_3d, horizon=cfg_3d.dt), x0_3d, i0_3d),
+        }
+        without_map = dataclasses.replace(e52.model, scalar_run=None)
+        F, G = simulator.FLOAT_PATHS, simulator.FLOAT_PATHS_ND
+        for spec, n, coupled, want in (
+            (e51.model, 2 * F, False, ["_float_path"] * 2 * F),
+            (e52.model, F - 1, False, ["_float_path"] * (F - 1)),
+            (e52.model, F, False, ["_batch_paths"]),
+            (spec_3d, G - 1, False, ["_float_path"] * (G - 1)),
+            (spec_3d, G, False, ["_batch_paths"]),
+            (e52.model, 2, True, ["_batch_paths"]),
+            (without_map, 2, False, ["_batch_paths"]),
+        ):
+            cfg, x0, i0 = start[spec.dim]
+            engines.clear()
+            paths(spec, cfg, n, x0, i0, coupled)
+            assert engines == want
+        for spec in (e52.model, spec_3d):
+            engines.clear()
+            sd.simulate(spec, *start[spec.dim])
+            assert engines == ["_float_path"]
 
 
 class TestFunctionals:
