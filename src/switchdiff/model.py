@@ -362,29 +362,37 @@ def point_form(batch: Callable, dim: int) -> Callable:
 
 
 def running_dot(us, vs):
-    """The sum of u * v over the pairs of us and vs, in their order: the one
-    summation order of the linear families' products and of the norms.  It
-    takes floats and arrays alike.  numpy multiplies and adds arrays element
-    by element, rounding each operation as Python rounds floats, so the sums
-    of an array form equal those of the float loop's Euler maps bit for bit
-    on every CPU; matmul and vecdot leave the order, and the use of fused
-    multiply-adds, to BLAS and SIMD dispatch."""
+    """The sum of u * v over the pairs of floats us and vs, in their order:
+    the one summation order of the linear families' products and of the
+    norms, which mat_vecs and row_norms follow on arrays.  numpy multiplies
+    and adds arrays element by element, rounding each operation as Python
+    rounds floats, so the array sums equal those of the float loop's Euler
+    maps bit for bit on every CPU; matmul and vecdot leave the order, and
+    the use of fused multiply-adds, to BLAS and SIMD dispatch."""
     pairs = zip(us, vs)
     u, v = next(pairs)
     total = u * v
     for u, v in pairs:
-        total += u * v  # in place when total is an array of its own
+        total += u * v
     return total
 
 
 def mat_vecs(M: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The map X -> (M[p] @ X[p] for every p), each entry summed by
-    running_dot in column order: for M of shape (P, ..., m), X of shape
-    (P, m) gives shape (P, ...).  M's columns are sliced once, so a batch
-    form bound to its regimes' matrices pays for them once."""
-    cols = [M[..., c] for c in range(M.shape[-1])]
-    ones = (1,) * (M.ndim - 2)
-    return lambda X: running_dot(cols, X.T.reshape(X.shape[::-1] + ones))
+    """The map X -> (M[p] @ X[p] for every p), each entry summed in
+    running_dot's order: for M of shape (P, ..., m), X of shape (P, m) gives
+    shape (P, ...).  All products are taken in one multiply and summed
+    column by column, m ufunc calls in all."""
+    at = (slice(None),) + (None,) * (M.ndim - 2)
+    rest = range(1, M.shape[-1])
+
+    def products(X):
+        terms = M * X[at]
+        total = terms[..., 0]
+        for c in rest:
+            total = total + terms[..., c]
+        return total
+
+    return products
 
 
 def row_norms(X: np.ndarray) -> np.ndarray:

@@ -77,7 +77,8 @@ def _norm(x) -> float:
     is row_norms', as the batch rows take it."""
     if isinstance(x, (float, int)):
         return abs(float(x))
-    return float(row_norms(np.reshape(x, (1, -1)))[0])
+    xs = np.ravel(x).tolist()
+    return math.sqrt(running_dot(xs, xs))
 
 
 def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -400,13 +401,11 @@ def build_kernel(family: str, params: dict) -> RateKernel:
 
 def _linear_run(A: list, S: list, dt: float):
     """Euler map over a stretch (ModelSpec.scalar_run) of the linear regime
-    dX = A X dt + S X dW with one noise column, on floats: each step is the
-    batched engine's x + (A x) dt + (0.0 + (S x) w), with A x and S x
-    summed as mat_vecs sums them and |x| taken as row_norms takes it (abs
-    for n = 1).  The state is a float for n = 1, else a tuple of n floats.
-    Unrolled for n <= 2, the presets' dimensions, where the loop over rows
-    of n >= 3 costs several times more (in 2-D, 2.5 against 0.34 us per
-    step).  In 1-D the noise's + 0.0 changes only a step from x = -0.0,
+    dX = A X dt + S X dW with n <= 2 and one noise column, on floats: each
+    step is the batched engine's x + (A x) dt + (0.0 + (S x) w), with A x
+    and S x summed as mat_vecs sums them and |x| taken as row_norms takes
+    it (abs for n = 1).  The state is a float for n = 1, else a pair of
+    floats.  In 1-D the noise's + 0.0 changes only a step from x = -0.0,
     which the engine takes to +0.0; so the 1-D map leaves it out and takes
     a stretch from zero, a fixed point, at once."""
     sqrt = math.sqrt
@@ -427,34 +426,18 @@ def _linear_run(A: list, S: list, dt: float):
             return x, ox, e
 
         return run
-    if len(A) == 2:
-        (a00, a01), (a10, a11) = A
-        (s00, s01), (s10, s11) = S
-
-        def run(x: tuple, ws: list, k0: int, e: int, lim: float) -> tuple:
-            o0, o1 = x0, x1 = x
-            for k in range(k0, e):
-                o0, o1, w = x0, x1, ws[k]
-                x0 = o0 + (a00 * o0 + a01 * o1) * dt + (0.0 + (s00 * o0 + s01 * o1) * w)
-                x1 = o1 + (a10 * o0 + a11 * o1) * dt + (0.0 + (s10 * o0 + s11 * o1) * w)
-                if not sqrt(x0 * x0 + x1 * x1) < lim:
-                    return (x0, x1), (o0, o1), k
-            return (x0, x1), (o0, o1), e
-
-        return run
-    rows = list(zip(A, S))
+    (a00, a01), (a10, a11) = A
+    (s00, s01), (s10, s11) = S
 
     def run(x: tuple, ws: list, k0: int, e: int, lim: float) -> tuple:
-        ox = x
+        o0, o1 = x0, x1 = x
         for k in range(k0, e):
-            ox, w = x, ws[k]
-            x = tuple([
-                xr + running_dot(ar, ox) * dt + (0.0 + running_dot(sr, ox) * w)
-                for xr, (ar, sr) in zip(ox, rows)
-            ])
-            if not sqrt(running_dot(x, x)) < lim:
-                return x, ox, k
-        return x, ox, e
+            o0, o1, w = x0, x1, ws[k]
+            x0 = o0 + (a00 * o0 + a01 * o1) * dt + (0.0 + (s00 * o0 + s01 * o1) * w)
+            x1 = o1 + (a10 * o0 + a11 * o1) * dt + (0.0 + (s10 * o0 + s11 * o1) * w)
+            if not sqrt(x0 * x0 + x1 * x1) < lim:
+                return (x0, x1), (o0, o1), k
+        return (x0, x1), (o0, o1), e
 
     return run
 
@@ -573,7 +556,7 @@ def _model(model_cfg: dict, kernel: RateKernel) -> tuple[ModelSpec, dict]:
         return lambda X: np.ascontiguousarray(columns(X).transpose(0, 2, 1))
 
     scalar_drift = scalar_diffusion = scalar_run = None
-    if noise_dim == 1:
+    if noise_dim == 1 and n <= 2:
 
         def scalar_run(i: int, dt: float):
             return _linear_run(a_at(i).tolist(), s_at(i)[0].tolist(), dt)

@@ -27,8 +27,7 @@ paths are the same either way.  Two integrators run the paths:
   step is an event (an x-dependent kernel without a usable gate, or a
   record stride of 1) each call takes one step, the loop's slowest case;
 - the batched engine runs every other path: coupled, without an Euler
-  map, or one of FLOAT_PATHS or more plain paths in 2-D (FLOAT_PATHS_ND
-  in n >= 3).  All live
+  map, or one of FLOAT_PATHS or more plain paths in n >= 2.  All live
   paths of a block step together as (P, n) arrays; a single path is a
   batch of one, and run_ensemble passes blocks of PATH_BLOCK paths, so
   memory does not grow with the path count.  The Euler step calls the
@@ -49,14 +48,13 @@ the running sums in column order of model.running_dot (not matmul or vecdot,
 whose order and fused multiply-adds follow BLAS and SIMD dispatch), so a plain
 path is the same bits whichever engine runs it, and run_ensemble picks the
 engine by cost alone.  A 1-D ensemble runs the float loop at every size;
-in 2-D the float loop runs below FLOAT_PATHS paths and in n >= 3 below
-FLOAT_PATHS_ND, and the batched engine from there on.  CPU us per
-path-step on a 2-core host (horizon 2), float loop against batched
-engine: example51_stable 1.0 against 2.3 at 15 paths and 0.50-0.54
-against 0.47-0.51 at 256; example52_stable 0.63-0.69 at every size
-against 0.79-0.88 at 32 paths, 0.75 at 40, 0.64-0.65 at 48, 0.54-0.58 at
-64 and 0.31 at 256; a 3-D linear model on example52_q 4.6-8.3 at every
-size against 6.4-11.4 at 4 paths, 5.2-8.7 at 5 and 4.3-7.4 at 6.
+in n >= 2 the float loop runs below FLOAT_PATHS paths, and the batched
+engine from there on.  CPU us per path-step on a 2-core host (horizon 2),
+float loop against batched engine: example51_stable 1.0 against 2.3 at
+15 paths and 0.50-0.54 against 0.47-0.51 at 256; example52_stable
+0.63-0.69 at every size against 0.79-0.88 at 32 paths, 0.75 at 40,
+0.64-0.65 at 48, 0.54-0.58 at 64 and 0.31 at 256.  The linear families
+define their Euler map for n <= 2, the presets' dimensions.
 
 Each path owns three named substreams derived from (seed, path_index):
 noise and accept uniforms are drawn in chunks of STREAM_CHUNK steps as the
@@ -88,8 +86,7 @@ SUBDIVISION_TARGET = 0.05  # sub-step jump probability aimed for when splitting
 BLOWUP_RADIUS = 1e12
 STREAM_CHUNK = 4096  # steps of noise and accept uniforms drawn at a time
 PATH_BLOCK = 256  # paths the batched engine advances together
-FLOAT_PATHS = 48  # plain 2-D paths from which an ensemble runs batched
-FLOAT_PATHS_ND = 5  # the same in n >= 3, whose Euler map loops over rows
+FLOAT_PATHS = 48  # plain n >= 2 paths from which an ensemble runs batched
 FEW_PAIRS = 6  # candidate pairs up to which Python sums beat array sums
 WILSON_Z = 1.959963984540054  # 95%
 
@@ -870,10 +867,9 @@ class EnsembleSummary:
 def _ensemble_paths(spec: ModelSpec, config: SimConfig, n_paths: int, x0, i0: int, coupled: bool):
     """Trajectories of paths config.path_index + p, p < n_paths, in index
     order: plain paths with an Euler map one at a time through simulate, in
-    1-D at every size, in 2-D below FLOAT_PATHS paths and in n >= 3 below
-    FLOAT_PATHS_ND; all others through the batched engine, PATH_BLOCK paths
-    at a time."""
-    below = {1: math.inf, 2: FLOAT_PATHS}.get(spec.dim, FLOAT_PATHS_ND)
+    1-D at every size and in n >= 2 below FLOAT_PATHS paths; all others
+    through the batched engine, PATH_BLOCK paths at a time."""
+    below = math.inf if spec.dim == 1 else FLOAT_PATHS
     if not coupled and _has_float_forms(spec) and n_paths < below:
         for p in range(n_paths):
             yield simulate(spec, replace(config, path_index=config.path_index + p), x0, i0)

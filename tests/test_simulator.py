@@ -47,7 +47,8 @@ def paths(spec, cfg, n, x0, i0, coupled=False):
 
 
 def regime_mix_spec(
-    dim: int = 2, with_batch_rows: bool = True, global_bound=None, noise_dim: int = 1
+    dim: int = 2, with_batch_rows: bool = True, global_bound=None, noise_dim: int = 1,
+    euler_map=None,
 ) -> sd.ModelSpec:
     """Linear model whose paths from one start go every way a path can.
 
@@ -55,10 +56,12 @@ def regime_mix_spec(
     0.8 X dW), so some paths leave |x| < 1.5, and it leaves for 2 at rate
     4|x|^2, which breaks the thinning guard at dt = 0.05 once |x| >
     1/sqrt(2).  Regime 2 contracts and leaves for 1 at rate 1 or for 3 at
-    rate 0.2.  Regime 3 blows up in one step.  In 1-D the model has an
-    Euler map (scalar_run).  Rates are read at pre-step states, inside the
-    ball, so they stay below 4 * 1.5^2 = 9.  With noise_dim = 2 (2-D only)
-    a second noise column rotates X.
+    rate 0.2.  Regime 3 blows up in one step.  The model keeps the family's
+    Euler map (scalar_run) if euler_map is true, by default in 1-D only, so
+    that its 2-D plain paths run the batched engine at every size.  Rates
+    are read at pre-step states, inside the ball, so they stay below 4 *
+    1.5^2 = 9.  With noise_dim = 2 (2-D only) a second noise column rotates
+    X.
     """
 
     def row(x, i):
@@ -91,7 +94,10 @@ def regime_mix_spec(
         for c in (0.8, 0.3, 0.0)
     ]
     params = {"matrices": [grow, (-eye).tolist(), (1e16 * eye).tolist()], "sigma_matrices": sigma}
-    return sd.build_model({"family": "linear", "params": params}, kernel)
+    spec = sd.build_model({"family": "linear", "params": params}, kernel)
+    if euler_map is None:
+        euler_map = dim == 1
+    return spec if euler_map else dataclasses.replace(spec, scalar_run=None)
 
 
 MIX_CONFIG = sd.SimConfig(dt=0.05, horizon=2.0, seed=3, stop_radius=1.5, record_stride=3)
@@ -474,10 +480,10 @@ FLOAT_LOOP_CASES = {
     },
     # the engines compute A x, S x and |x| in one order, in n >= 2 too
     "mix_2d": lambda: (
-        regime_mix_spec(2), MIX_CONFIG, MIX_X0[2], 1, 24, lambda spec, cfg, batch: assert_mixed(batch)
+        regime_mix_spec(2, euler_map=True), MIX_CONFIG, MIX_X0[2], 1, 24, lambda spec, cfg, batch: assert_mixed(batch)
     ),
-    **{f"example52_q_{dim}d": example52_q_case(dim) for dim in (2, 3)},
-    **{f"zero_start_{dim}d": zero_start_case(dim) for dim in (1, 2, 3)},
+    "example52_q_2d": example52_q_case(2),
+    **{f"zero_start_{dim}d": zero_start_case(dim) for dim in (1, 2)},
     **{f"preset_{name}": preset_nd_case(name) for name in ("example52_stable", "example52_unstable")},
 }
 
@@ -736,10 +742,14 @@ class TestBatchedEngine:
         assert summary.n_blowups == sum(tr.blew_up for tr in collected) > 0
 
 
-# (dim, coupled) of the mixed model: plain paths in 2-D (24 of them run the
-# float loop, below FLOAT_PATHS), batched coupled paths in 2-D, and in 1-D
-# the float loop on its x-dependent kernel
-KINDS = {"vector": (2, False), "coupled": (2, True), "float_loop": (1, False)}
+# (dim, coupled, euler_map) of the mixed model: batched plain and coupled
+# paths in 2-D, and the float loop on its x-dependent kernel in 1-D and 2-D
+KINDS = {
+    "vector": (2, False, False),
+    "coupled": (2, True, False),
+    "float_loop": (1, False, True),
+    "float_loop_2d": (2, False, True),
+}
 MIX_X0 = {2: np.array([0.45, 0.15]), 1: np.array([0.5])}
 
 
@@ -751,13 +761,13 @@ class TestBoundGate:
         # is below q_bar dt; without one, every step reads them.  At dt =
         # 0.05, q_bar dt breaks the guard, so the gate is off and guarded
         # steps occur.
-        dim, coupled = KINDS[kind]
+        dim, coupled, euler_map = KINDS[kind]
         cfg = dataclasses.replace(MIX_CONFIG, dt=dt)
-        bounded = regime_mix_spec(dim, global_bound=9.0)
+        bounded = regime_mix_spec(dim, global_bound=9.0, euler_map=euler_map)
         gate = sd.simulator._thinning_bound(bounded.rate_kernel, dt, coupled)[1]
         assert (gate <= sd.simulator.THINNING_GUARD) == (dt == 0.005)
         gated = paths(bounded, cfg, 24, MIX_X0[dim], 1, coupled)
-        ungated = paths(regime_mix_spec(dim), cfg, 24, MIX_X0[dim], 1, coupled)
+        ungated = paths(regime_mix_spec(dim, euler_map=euler_map), cfg, 24, MIX_X0[dim], 1, coupled)
         for a, b in zip(gated, ungated):
             assert_same_path(a, b)
         assert any(tr.exited for tr in gated) and any(tr.blew_up for tr in gated)
@@ -768,8 +778,8 @@ class TestBoundGate:
     @pytest.mark.parametrize("kind", list(KINDS))
     def test_understated_bound_raises(self, kind):
         # regime 1's rate 4|x|^2 passes 1 once |x| > 0.5
-        dim, coupled = KINDS[kind]
-        spec = regime_mix_spec(dim, global_bound=1.0)
+        dim, coupled, euler_map = KINDS[kind]
+        spec = regime_mix_spec(dim, global_bound=1.0, euler_map=euler_map)
         with pytest.raises(sd.EvaluationError, match="regime .* exceeds"):
             paths(spec, MIX_CONFIG, 24, MIX_X0[dim], 1, coupled)
 
@@ -811,10 +821,10 @@ class TestEngineRule:
         assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
     def test_the_engine_each_ensemble_size_takes(self, monkeypatch):
-        # 1-D plain paths run the float loop at every size; 2-D below
-        # FLOAT_PATHS paths and n >= 3 below FLOAT_PATHS_ND, and batched
-        # from there on; coupled paths and models without an Euler map run
-        # batched
+        # 1-D plain paths run the float loop at every size, 2-D ones below
+        # FLOAT_PATHS paths and batched from there on; coupled paths and
+        # models without an Euler map, such as the linear family in 3-D,
+        # run batched
         engines = []
         simulator = sd.simulator
         for name in ("_float_path", "_batch_paths"):
@@ -832,13 +842,13 @@ class TestEngineRule:
             3: (dataclasses.replace(cfg_3d, horizon=cfg_3d.dt), x0_3d, i0_3d),
         }
         without_map = dataclasses.replace(e52.model, scalar_run=None)
-        F, G = simulator.FLOAT_PATHS, simulator.FLOAT_PATHS_ND
+        assert spec_3d.scalar_run is None
+        F = simulator.FLOAT_PATHS
         for spec, n, coupled, want in (
             (e51.model, 2 * F, False, ["_float_path"] * 2 * F),
             (e52.model, F - 1, False, ["_float_path"] * (F - 1)),
             (e52.model, F, False, ["_batch_paths"]),
-            (spec_3d, G - 1, False, ["_float_path"] * (G - 1)),
-            (spec_3d, G, False, ["_batch_paths"]),
+            (spec_3d, 2, False, ["_batch_paths"]),
             (e52.model, 2, True, ["_batch_paths"]),
             (without_map, 2, False, ["_batch_paths"]),
         ):
@@ -846,10 +856,10 @@ class TestEngineRule:
             engines.clear()
             paths(spec, cfg, n, x0, i0, coupled)
             assert engines == want
-        for spec in (e52.model, spec_3d):
+        for spec, want in ((e52.model, "_float_path"), (spec_3d, "_batch_paths")):
             engines.clear()
             sd.simulate(spec, *start[spec.dim])
-            assert engines == ["_float_path"]
+            assert engines == [want]
 
 
 class TestFunctionals:
